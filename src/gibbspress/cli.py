@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError, UsageError
 from .interaction import Interaction, build_checkerboard, build_full_shift, build_hard_square, build_ising, load_model_file
-from .pressure import DEFAULT_ENSEMBLE_BUDGET, gk_pressure
+from .pressure import gk_pressure
 from .sft import (
     PeriodicPoint,
     diagonal_3coloring_point,
@@ -29,7 +29,7 @@ from .sft import (
     safe_symbol_check,
     ssf_check,
 )
-from .transfer import box_log_partition, strip_sequence
+from .transfer import DEFAULT_BUDGET, box_log_partition, strip_sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,13 +139,7 @@ def _cmd_pressure(args) -> int:
     phi, params = _build_model(args)
     point = _build_point(args.nu, phi)
     start = time.perf_counter()
-    est = gk_pressure(
-        point,
-        args.n,
-        phi,
-        ensemble_budget=args.budget,
-        workers=args.workers,
-    )
+    est = gk_pressure(point, args.n, phi, budget=args.budget)
     wall_ms = (time.perf_counter() - start) * 1000.0
     payload = {
         "model": phi.name,
@@ -176,7 +170,7 @@ def _cmd_pressure(args) -> int:
 def _cmd_oracle(args) -> int:
     phi, params = _build_model(args)
     if args.mode == "box":
-        value = box_log_partition(args.width, phi, row_state_limit=args.budget)
+        value = box_log_partition(args.width, phi, budget=args.budget)
         payload = {
             "model": phi.name,
             "params": params,
@@ -186,7 +180,7 @@ def _cmd_oracle(args) -> int:
         }
     else:
         widths = list(range(max(1, args.width - 3), args.width + 1))
-        points = strip_sequence(phi, widths, state_limit=args.budget)
+        points = strip_sequence(phi, widths, budget=args.budget)
         payload = {
             "model": phi.name,
             "params": params,
@@ -227,7 +221,7 @@ def _cmd_study(args) -> int:
     for n in range(lo, hi + 1):
         start = time.perf_counter()
         try:
-            est = gk_pressure(point, n, phi, ensemble_budget=args.budget, workers=args.workers)
+            est = gk_pressure(point, n, phi, budget=args.budget)
             wall_ms = (time.perf_counter() - start) * 1000.0
             writer.writerow([n, repr(est.lower), repr(est.upper), repr(est.width), f"{wall_ms:.3f}", "ok"])
             successes += 1
@@ -253,7 +247,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, default=None, help="hard-square activity")
     parser.add_argument("-k", type=int, default=None, help="alphabet size (checkerboard, fullshift)")
     parser.add_argument("--beta", type=float, default=None, help="coupling (ising)")
-    parser.add_argument("--budget", type=int, default=None, help="state/ensemble budget override")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p_pressure)
     p_pressure.add_argument("--nu", default="zeros", help="zeros | parity | diag3 | file:PATH")
     p_pressure.add_argument("--n", type=int, required=True, help="estimator radius")
-    p_pressure.add_argument("--workers", type=int, default=1)
     p_pressure.set_defaults(func=_cmd_pressure)
 
     p_oracle = sub.add_parser("oracle", help="strip / box pressure references")
@@ -282,19 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p_study)
     p_study.add_argument("--nu", default="zeros")
     p_study.add_argument("--n-range", required=True, help="inclusive range A:B")
-    p_study.add_argument("--workers", type=int, default=1)
     p_study.set_defaults(func=_cmd_study)
 
+    for p in (p_pressure, p_oracle, p_study):
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=None,
+            help="most configurations one enumeration may hold (canopy members, row "
+            f"or strip states); over it, exit 4 (default $GPRESS_BUDGET, else {DEFAULT_BUDGET})",
+        )
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.budget is None:
+    if "budget" in args and args.budget is None:
         env = os.environ.get("GPRESS_BUDGET")
         try:
-            args.budget = int(env) if env else DEFAULT_ENSEMBLE_BUDGET
+            args.budget = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             print(f"gibbspress: bad GPRESS_BUDGET value {env!r}", file=sys.stderr)
             return EXIT_USAGE

@@ -10,7 +10,6 @@ pressure.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +17,14 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
 from .lattice import Region, Site, boundary, box, canopy_decomposition, past_in_box
-from .sft import PeriodicPoint, orbit_sites, random_locally_admissible, region_components
-from .transfer import DEFAULT_ROW_STATE_LIMIT, LOG_ZERO, RegionEngine, logsumexp
-
-DEFAULT_ENSEMBLE_BUDGET = 1 << 24
-DEFAULT_EVAL_BUDGET = 1 << 20
+from .sft import (
+    PeriodicPoint,
+    admissible_assignments,
+    orbit_sites,
+    random_locally_admissible,
+    region_components,
+)
+from .transfer import DEFAULT_BUDGET, LOG_ZERO, RegionEngine, logsumexp
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class PressureEstimate:
 def admissible_configurations(
     region: Region,
     phi: Interaction,
-    limit: int = DEFAULT_ENSEMBLE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     context: dict[Site, int] | None = None,
 ) -> np.ndarray:
     """All locally admissible configurations on a region, as a symbol matrix.
@@ -96,62 +98,33 @@ def admissible_configurations(
     """
     sites = list(region)
     q = phi.q
-    if q ** len(sites) > limit:
+    if q ** len(sites) > budget:
         raise BudgetError(
-            f"enumeration needs up to {q ** len(sites)} configurations, over the budget {limit}"
+            f"enumeration needs up to {q ** len(sites)} configurations, over the budget {budget}"
         )
     if not sites:
         return np.zeros((1, 0), dtype=np.int64)
-    context = dict(context or {})
     if not phi.has_hard_constraints():
         total = q ** len(sites)
         idx = np.arange(total)
         cols = [(idx // q ** (len(sites) - 1 - j)) % q for j in range(len(sites))]
         return np.stack(cols, axis=1).astype(np.int64)
 
-    h, v = phi.tables
     col_of = {s: j for j, s in enumerate(sites)}
 
-    def enumerate_component(comp_sites: list[Site]) -> np.ndarray:
-        assign: dict[Site, int] = {}
-        rows: list[list[int]] = []
-
-        def consistent(site: Site, a: int) -> bool:
-            x, y = site
-            for table, fwd, bwd in ((h, (x + 1, y), (x - 1, y)), (v, (x, y + 1), (x, y - 1))):
-                b = assign.get(fwd, context.get(fwd))
-                if b is not None and np.isposinf(table[a, b]):
-                    return False
-                b = assign.get(bwd, context.get(bwd))
-                if b is not None and np.isposinf(table[b, a]):
-                    return False
-            return True
-
-        def backtrack(i: int) -> None:
-            if i == len(comp_sites):
-                rows.append([assign[s] for s in comp_sites])
-                return
-            site = comp_sites[i]
-            for a in range(q):
-                if consistent(site, a):
-                    assign[site] = a
-                    backtrack(i + 1)
-                    del assign[site]
-
-        backtrack(0)
-        if not rows:
-            return np.zeros((0, len(comp_sites)), dtype=np.int64)
-        return np.asarray(rows, dtype=np.int64)
-
     # components only interact through the fixed context, so enumerate each
-    # one separately and take the cartesian product
-    comps = [(list(c), enumerate_component(list(c))) for c in region_components(region)]
+    # one separately and take the cartesian product; assignments come in the
+    # component's own (site_key) order
+    comps = []
+    for comp in region_components(region):
+        rows = list(admissible_assignments(comp, phi, context))
+        comps.append((list(comp), np.asarray(rows, dtype=np.int64).reshape(len(rows), len(comp))))
     total = math.prod(len(rows) for _, rows in comps)
     if total == 0:
         return np.zeros((0, len(sites)), dtype=np.int64)
-    if total > limit:
+    if total > budget:
         raise BudgetError(
-            f"enumeration yields {total} configurations, over the budget {limit}"
+            f"enumeration yields {total} configurations, over the budget {budget}"
         )
     out = np.empty((total, len(sites)), dtype=np.int64)
     idx = np.arange(total)
@@ -164,30 +137,12 @@ def admissible_configurations(
     return out
 
 
-def _delta_stats(args):
-    """Min/max origin conditional over one chunk of canopy configurations."""
-    region, phi, x_u, csites, deltas, a0, row_state_limit = args
-    engine = RegionEngine(region, phi, target=(0, 0), row_state_limit=row_state_limit)
-    static = engine.terms_from_boundary(x_u)
-    zvec = engine.evaluate_deltas([static], csites, deltas)
-    den = logsumexp(zvec, axis=1)
-    ok = np.isfinite(den)
-    skipped = int((~ok).sum())
-    if not ok.any():
-        return (math.inf, -math.inf, 0, skipped)
-    logp = np.minimum(zvec[ok, a0] - den[ok], 0.0)
-    p = np.exp(logp)
-    return (float(p.min()), float(p.max()), int(ok.sum()), skipped)
-
-
 def p_interval(
     z: PeriodicPoint,
     v: Site,
     n: int,
     phi: Interaction,
-    ensemble_budget: int = DEFAULT_ENSEMBLE_BUDGET,
-    workers: int = 1,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> PInterval:
     """Bracket the conditional probability of the origin symbol of the
     v-shift of z, given the upper layer, over the canopy ensemble.
@@ -202,77 +157,48 @@ def p_interval(
         raise HypothesisError("point not in the underlying constraint set")
     s_n, u_n, c_n = canopy_decomposition(n)
     q = phi.q
-    if q ** len(c_n) > ensemble_budget:
+    if q ** len(c_n) > budget:
         raise BudgetError(
-            f"canopy ensemble needs up to {q ** len(c_n)} members, over the budget {ensemble_budget}"
+            f"canopy ensemble needs up to {q ** len(c_n)} members, over the budget {budget}"
         )
     x = z.shift(v)
     x_u = x.restrict(u_n)
     a0 = x.value((0, 0))
-    csites = list(c_n)
-    deltas = admissible_configurations(c_n, phi, limit=ensemble_budget)
-    if len(deltas) == 0:
+    deltas = admissible_configurations(c_n, phi, budget=budget)
+    engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
+    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], list(c_n), deltas)
+    den = logsumexp(zvec, axis=1)
+    ok = np.isfinite(den)
+    if not ok.any():
         raise HypothesisError("empty canopy ensemble")
-
-    if workers > 1 and len(deltas) >= 2 * workers:
-        chunks = np.array_split(deltas, workers)
-        payloads = [
-            (s_n, phi, x_u, csites, chunk, a0, row_state_limit)
-            for chunk in chunks
-            if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_delta_stats, payloads))
-    else:
-        stats = [_delta_stats((s_n, phi, x_u, csites, deltas, a0, row_state_limit))]
-
-    lo = min(s[0] for s in stats)
-    hi = max(s[1] for s in stats)
-    count = sum(s[2] for s in stats)
-    skipped = sum(s[3] for s in stats)
-    if count == 0:
-        raise HypothesisError("empty canopy ensemble")
-    return PInterval(lower=lo, upper=hi, n=n, canopy_count=count, skipped_count=skipped)
+    p = np.exp(np.minimum(zvec[ok, a0] - den[ok], 0.0))
+    return PInterval(
+        lower=float(p.min()),
+        upper=float(p.max()),
+        n=n,
+        canopy_count=int(ok.sum()),
+        skipped_count=int((~ok).sum()),
+    )
 
 
 def gk_pressure(
     z: PeriodicPoint,
     n: int,
     phi: Interaction,
-    ensemble_budget: int = DEFAULT_ENSEMBLE_BUDGET,
-    workers: int = 1,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> PressureEstimate:
     """Certified pressure interval from the orbit measure of z at radius n.
 
     A per-site UPPER bound on the conditional becomes a LOWER pressure
     contribution through -log, and vice versa.
     """
-    sites = orbit_sites(z)
     terms = []
-    lower = 0.0
-    upper = 0.0
-    for v in sites:
-        pi = p_interval(
-            z, v, n, phi,
-            ensemble_budget=ensemble_budget,
-            workers=workers,
-            row_state_limit=row_state_limit,
-        )
+    for v in orbit_sites(z):
+        pi = p_interval(z, v, n, phi, budget=budget)
         if pi.lower <= 0.0:
             raise HypothesisError("positivity violated")
-        edge = per_site_contribution(z, v, phi)
-        terms.append(SiteTerm(site=v, p=pi, edge_term=edge))
-        lower += -math.log(pi.upper) + edge
-        upper += -math.log(pi.lower) + edge
-    count = len(sites)
-    return PressureEstimate(
-        lower=lower / count,
-        upper=upper / count,
-        per_site=tuple(terms),
-        n=n,
-        model=phi.name,
-    )
+        terms.append(SiteTerm(site=v, p=pi, edge_term=per_site_contribution(z, v, phi)))
+    return assemble_pressure_interval(terms, n, phi.name)
 
 
 def assemble_pressure_interval(terms: list[SiteTerm], n: int, model: str) -> PressureEstimate:
@@ -309,8 +235,7 @@ def representation_residual(
     z_ref: PeriodicPoint,
     n: int,
     phi: Interaction,
-    ensemble_budget: int = DEFAULT_ENSEMBLE_BUDGET,
-    workers: int = 1,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[float, float]:
     """Interval difference of the pressure estimates of two periodic points.
 
@@ -318,8 +243,8 @@ def representation_residual(
     residual interval must contain 0; for a frozen point it reproduces the
     failure gap instead.
     """
-    a = gk_pressure(z, n, phi, ensemble_budget=ensemble_budget, workers=workers)
-    b = gk_pressure(z_ref, n, phi, ensemble_budget=ensemble_budget, workers=workers)
+    a = gk_pressure(z, n, phi, budget=budget)
+    b = gk_pressure(z_ref, n, phi, budget=budget)
     return (a.lower - b.upper, a.upper - b.lower)
 
 
@@ -328,9 +253,7 @@ def finite_positivity_probe(
     n: int,
     phi: Interaction,
     past_radius: int = 2,
-    ensemble_budget: int = DEFAULT_ENSEMBLE_BUDGET,
-    eval_budget: int = DEFAULT_EVAL_BUDGET,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Certified lower bound for the finite-past positivity constant.
 
@@ -352,7 +275,7 @@ def finite_positivity_probe(
     for v in orbit_sites(z):
         x = z.shift(v)
         a0 = x.value((0, 0))
-        engine = RegionEngine(b_n, phi, row_state_limit=row_state_limit)
+        engine = RegionEngine(b_n, phi, budget=budget)
         pin0 = engine.terms_from_pins({(0, 0): a0})
         for mask in range(1 << len(domain)):
             chosen = [domain[i] for i in range(len(domain)) if mask >> i & 1]
@@ -360,12 +283,12 @@ def finite_positivity_probe(
             ring_pins = {s: x.value(s) for s in chosen if s in ring}
             free_ring = Region(ring.sites - set(ring_pins))
             deltas = admissible_configurations(
-                free_ring, phi, limit=ensemble_budget, context=ring_pins
+                free_ring, phi, budget=budget, context=ring_pins
             )
             evals += max(len(deltas), 1)
-            if evals > eval_budget:
+            if evals > budget:
                 raise BudgetError(
-                    f"positivity probe needs more than {eval_budget} evaluations"
+                    f"positivity probe needs more than {budget} evaluations"
                 )
             if len(deltas) == 0:
                 continue
@@ -392,7 +315,7 @@ def ssm_gap_probe(
     trials: int,
     seed: int = 0,
     max_tries: int = 10000,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Empirical mixing diagnostic: worst origin-distribution discrepancy
     between random admissible boundary pairs on the box(n) ring.
@@ -404,7 +327,7 @@ def ssm_gap_probe(
     rng = np.random.default_rng(seed)
     b_n = box(n)
     ring = boundary(b_n)
-    engine = RegionEngine(b_n, phi, row_state_limit=row_state_limit)
+    engine = RegionEngine(b_n, phi, budget=budget)
     pins = [engine.terms_from_pins({(0, 0): a}) for a in range(phi.q)]
 
     def origin_distribution() -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,12 +44,7 @@ class PeriodicPoint:
 
     def shift(self, v: Site) -> "PeriodicPoint":
         """The point u -> self(u + v), with the same periods."""
-        p1, p2 = self.cell.shape
-        cell = np.empty_like(self.cell)
-        for i in range(p1):
-            for j in range(p2):
-                cell[i, j] = self.value((i + v[0], j + v[1]))
-        return PeriodicPoint(cell)
+        return PeriodicPoint(np.roll(self.cell, (-v[0], -v[1]), axis=(0, 1)))
 
     def restrict(self, region: Region) -> Configuration:
         return Configuration(region, {v: self.value(v) for v in region})
@@ -61,17 +56,13 @@ class PeriodicPoint:
         covers every edge of the plane by periodicity (equivalently, local
         admissibility on a (2 p1) x (2 p2) window).
         """
-        p1, p2 = self.cell.shape
-        if int(self.cell.max()) >= phi.q:
+        cell = self.cell
+        if int(cell.max()) >= phi.q:
             return False
-        for i in range(p1):
-            for j in range(p2):
-                a = self.value((i, j))
-                if not np.isfinite(phi.horizontal[a, self.value((i + 1, j))]):
-                    return False
-                if not np.isfinite(phi.vertical[a, self.value((i, j + 1))]):
-                    return False
-        return True
+        return bool(
+            np.isfinite(phi.horizontal[cell, np.roll(cell, -1, axis=0)]).all()
+            and np.isfinite(phi.vertical[cell, np.roll(cell, -1, axis=1)]).all()
+        )
 
     def __repr__(self) -> str:
         return f"PeriodicPoint(periods={self.periods}, cell={self.cell.tolist()!r})"
@@ -145,9 +136,7 @@ def ssf_check(phi: Interaction) -> SsfResult:
         else:
             if counterexample is None:
                 counterexample = eta
-    if counterexample is not None:
-        return SsfResult(witness=witness, counterexample=counterexample)
-    return SsfResult(witness=witness, counterexample=None)
+    return SsfResult(witness=witness, counterexample=counterexample)
 
 
 def safe_symbol_check(phi: Interaction) -> int | None:
@@ -193,6 +182,48 @@ def diagonal_3coloring_point() -> PeriodicPoint:
     return PeriodicPoint(cell)
 
 
+def admissible_assignments(
+    sites: Iterable[Site],
+    phi: Interaction,
+    fixed: Mapping[Site, int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Locally admissible assignments of `sites` around fixed symbols.
+
+    Backtracks over the sites in canonical (site_key) order with symbols
+    ascending, so assignments come out lexicographically in that order, as
+    tuples of symbols in that order. An edge is checked once both its ends
+    are assigned or fixed; fixed symbols on the given sites are ignored.
+    """
+    free = set(sites)
+    order = sorted(free, key=site_key)
+    assigned = {v: a for v, a in (fixed or {}).items() if v not in free}
+    h, vt = phi.tables
+
+    def consistent(v: Site, a: int) -> bool:
+        x, y = v
+        for table, fwd, bwd in ((h, (x + 1, y), (x - 1, y)), (vt, (x, y + 1), (x, y - 1))):
+            b = assigned.get(fwd)
+            if b is not None and np.isposinf(table[a, b]):
+                return False
+            b = assigned.get(bwd)
+            if b is not None and np.isposinf(table[b, a]):
+                return False
+        return True
+
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(order):
+            yield tuple(assigned[v] for v in order)
+            return
+        v = order[i]
+        for a in range(phi.q):
+            if consistent(v, a):
+                assigned[v] = a
+                yield from extend(i + 1)
+                del assigned[v]
+
+    return extend(0)
+
+
 def annulus_fill_check(w: Configuration, phi: Interaction, width: int = 2) -> bool:
     """Heuristic global-admissibility evidence by bounded fill-in search.
 
@@ -210,34 +241,8 @@ def annulus_fill_check(w: Configuration, phi: Interaction, width: int = 2) -> bo
         ring = boundary(covered)
         ring_sites.extend(ring)
         covered = covered.union(ring)
-    ring_sites.sort(key=site_key)
 
-    assigned = dict(w.symbols)
-
-    def consistent(v: Site, a: int) -> bool:
-        x, y = v
-        for axis, table in enumerate(phi.tables):
-            fwd = (x + 1, y) if axis == 0 else (x, y + 1)
-            bwd = (x - 1, y) if axis == 0 else (x, y - 1)
-            if fwd in assigned and np.isposinf(table[a, assigned[fwd]]):
-                return False
-            if bwd in assigned and np.isposinf(table[assigned[bwd], a]):
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(ring_sites):
-            return True
-        v = ring_sites[i]
-        for a in range(phi.q):
-            if consistent(v, a):
-                assigned[v] = a
-                if backtrack(i + 1):
-                    return True
-                del assigned[v]
-        return False
-
-    return backtrack(0)
+    return next(admissible_assignments(ring_sites, phi, w.symbols), None) is not None
 
 
 def region_components(region: Region) -> list[Region]:

@@ -20,8 +20,9 @@ from .lattice import Region, Site, boundary
 
 LOG_ZERO = -inf
 
-DEFAULT_ROW_STATE_LIMIT = 1 << 20
-DEFAULT_STRIP_STATE_LIMIT = 1 << 24
+#: The one resource limit: the most configurations a single enumeration may
+#: hold (canopy members, row states, strip states or probe evaluations).
+DEFAULT_BUDGET = 1 << 24
 
 
 def logsumexp(a, axis=None):
@@ -76,14 +77,14 @@ class _Row:
         self.internal: np.ndarray | None = None
 
 
-def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, limit: int):
+def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, budget: int):
     """Fill row.configs / row.internal, pruning states with forbidden
     internal horizontal edges."""
     choices = [np.asarray(allowed[v], dtype=np.int64) for v in row.sites]
     total = prod(len(c) for c in choices)
-    if total > limit:
+    if total > budget:
         raise BudgetError(
-            f"row at y={row.y} needs {total} states, over the limit {limit}"
+            f"row at y={row.y} needs {total} states, over the limit {budget}"
         )
     idx = np.arange(total)
     cols = []
@@ -118,7 +119,7 @@ class RegionEngine:
         phi: Interaction,
         allowed: Mapping[Site, tuple[int, ...]] | None = None,
         target: Site | None = None,
-        row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+        budget: int = DEFAULT_BUDGET,
     ):
         self.region = region
         self.phi = phi
@@ -150,7 +151,7 @@ class RegionEngine:
         self._descending = descending
 
         for row in self.rows:
-            _enumerate_row(row, self._allowed, phi, row_state_limit)
+            _enumerate_row(row, self._allowed, phi, budget)
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         self._trans = [
@@ -374,7 +375,7 @@ class RegionEngine:
 def log_partition(
     cr: ConstrainedRegion,
     phi: Interaction,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Log of the constrained partition function of cr under phi.
 
@@ -382,7 +383,7 @@ def log_partition(
     allowed sets, counting region-internal edges and edges into the pinned
     boundary. -inf means no admissible configuration.
     """
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, row_state_limit=row_state_limit)
+    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
     return engine.evaluate(engine.terms_from_boundary(cr.boundary))
 
 
@@ -400,7 +401,7 @@ def conditional_probability(
     event: Mapping[Site, int],
     cr: ConstrainedRegion,
     phi: Interaction,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Probability of pinning `event` inside cr, given the boundary.
 
@@ -411,7 +412,7 @@ def conditional_probability(
     for v in event:
         if v not in cr.region:
             raise ValueError("event site outside the region")
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, row_state_limit=row_state_limit)
+    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
     bterms = engine.terms_from_boundary(cr.boundary)
     denom = engine.evaluate(bterms)
     if denom == LOG_ZERO:
@@ -424,7 +425,7 @@ def conditional_sum_check(
     cr: ConstrainedRegion,
     phi: Interaction,
     site: Site,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> np.ndarray:
     """Full conditional distribution at one site given cr.
 
@@ -432,7 +433,7 @@ def conditional_sum_check(
     so summing the returned entries to 1 is a genuine consistency check.
     """
     _check_full_boundary(cr)
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, row_state_limit=row_state_limit)
+    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
     bterms = engine.terms_from_boundary(cr.boundary)
     denom = engine.evaluate(bterms)
     if denom == LOG_ZERO:
@@ -512,7 +513,7 @@ def strip_pressure(
     phi: Interaction,
     tol: float = 1e-10,
     max_iter: int = 100000,
-    state_limit: int = DEFAULT_STRIP_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> StripBounds:
     """Per-site pressure bracket for the width-m strip.
 
@@ -524,9 +525,9 @@ def strip_pressure(
     if m < 1:
         raise ValueError("strip width must be positive")
     q = phi.q
-    if q ** (m + 1) > state_limit:
+    if q ** (m + 1) > budget:
         raise BudgetError(
-            f"width {m} needs {q ** (m + 1)} transfer states, over the limit {state_limit}"
+            f"width {m} needs {q ** (m + 1)} transfer states, over the limit {budget}"
         )
     internal = _row_internal_energy(m, phi)
     x = np.where(np.isposinf(internal), LOG_ZERO, 0.0)
@@ -568,7 +569,7 @@ def strip_sequence(
     widths: Sequence[int],
     tol: float = 1e-10,
     max_iter: int = 100000,
-    state_limit: int = DEFAULT_STRIP_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[StripPoint]:
     """Strip brackets for the given widths with ratio estimates.
 
@@ -579,7 +580,7 @@ def strip_sequence(
     if not widths or widths[0] < 1:
         raise ValueError("widths must be positive")
     needed = set(widths) | {m - 1 for m in widths if m >= 2}
-    cache = {m: strip_pressure(m, phi, tol=tol, max_iter=max_iter, state_limit=state_limit) for m in sorted(needed)}
+    cache = {m: strip_pressure(m, phi, tol=tol, max_iter=max_iter, budget=budget) for m in sorted(needed)}
     points = []
     for m in widths:
         b = cache[m]
@@ -596,11 +597,11 @@ def strip_sequence(
 def box_log_partition(
     m: int,
     phi: Interaction,
-    row_state_limit: int = DEFAULT_ROW_STATE_LIMIT,
+    budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Per-site log partition function of the free m x m box."""
     if m < 1:
         raise ValueError("box side must be positive")
     region = Region((x, y) for y in range(1, m + 1) for x in range(1, m + 1))
-    value = log_partition(ConstrainedRegion(region), phi, row_state_limit=row_state_limit)
+    value = log_partition(ConstrainedRegion(region), phi, budget=budget)
     return value / (m * m)

@@ -77,14 +77,6 @@ def test_pressure_deterministic_modulo_wall_time(capsys):
     assert a == b
 
 
-def test_pressure_workers_flag(capsys):
-    a = run_json(capsys, "pressure", "--model", "hardsquare", "--n", "1", "--workers", "2")
-    b = run_json(capsys, "pressure", "--model", "hardsquare", "--n", "1")
-    a.pop("wall_time_ms")
-    b.pop("wall_time_ms")
-    assert a == b
-
-
 def test_oracle_strip(capsys):
     doc = run_json(capsys, "oracle", "--model", "hardsquare", "--mode", "strip", "--width", "1")
     jsonschema.validate(doc, load_schema("oracle.schema.json"))

@@ -68,7 +68,7 @@ def test_admissible_configurations_are_admissible_and_deterministic():
 def test_admissible_configurations_budget():
     _, _, c2 = canopy_decomposition(2)
     with pytest.raises(BudgetError):
-        admissible_configurations(c2, build_full_shift(3), limit=100)
+        admissible_configurations(c2, build_full_shift(3), budget=100)
 
 
 def test_p_interval_brute_validation_hard_square():
@@ -123,20 +123,13 @@ def test_p_interval_rejects_bad_point():
 
 def test_p_interval_budget_guard():
     with pytest.raises(BudgetError, match="canopy ensemble"):
-        p_interval(ZEROS, (0, 0), 3, build_full_shift(3), ensemble_budget=1000)
-
-
-def test_p_interval_workers_match_inline():
-    hs = build_hard_square(1.0)
-    inline = p_interval(ZEROS, (0, 0), 2, hs, workers=1)
-    pooled = p_interval(ZEROS, (0, 0), 2, hs, workers=2)
-    assert inline == pooled
+        p_interval(ZEROS, (0, 0), 3, build_full_shift(3), budget=1000)
 
 
 def test_empty_canopy_ensemble_raises(monkeypatch):
     hs = build_hard_square(1.0)
 
-    def empty(region, phi, limit=0, context=None):
+    def empty(region, phi, budget=0, context=None):
         return np.zeros((0, len(region)), dtype=np.int64)
 
     monkeypatch.setattr(pressure_mod, "admissible_configurations", empty)
@@ -200,6 +193,24 @@ def test_inversion_per_site_bounds():
     term = est.per_site[0]
     assert est.lower == pytest.approx(-math.log(term.p.upper) + term.edge_term)
     assert est.upper == pytest.approx(-math.log(term.p.lower) + term.edge_term)
+
+
+def test_gk_pressure_inverts_through_assemble():
+    """The estimate is assemble_pressure_interval of its own per-site terms,
+    bit for bit equal to a running -log sum over the orbit sites."""
+    cb5 = build_checkerboard(5)
+    cases = [(ZEROS, n, build_hard_square(1.0)) for n in (1, 2, 3, 4)]
+    cases += [(diagonal_3coloring_point(), n, build_checkerboard(3)) for n in (1, 2)]
+    cases += [(periodic_point_from_ssf(cb5, 1), 1, cb5)]
+    for z, n, phi in cases:
+        est = gk_pressure(z, n, phi)
+        assert est == assemble_pressure_interval(list(est.per_site), n, phi.name)
+        lower = upper = 0.0
+        for t in est.per_site:
+            lower += -math.log(t.p.upper) + t.edge_term
+            upper += -math.log(t.p.lower) + t.edge_term
+        count = len(est.per_site)
+        assert (est.lower, est.upper) == (lower / count, upper / count)
 
 
 def test_widening_any_site_interval_widens_estimate(rng):
@@ -295,14 +306,14 @@ def test_finite_positivity_probe_values():
 def test_finite_positivity_probe_frozen_point_never_negative():
     cb = build_checkerboard(3)
     value = finite_positivity_probe(
-        diagonal_3coloring_point(), 1, cb, past_radius=1, eval_budget=1 << 23
+        diagonal_3coloring_point(), 1, cb, past_radius=1, budget=1 << 23
     )
     assert 0.0 <= value <= 1.0
 
 
 def test_finite_positivity_probe_budget_guard():
     with pytest.raises(BudgetError):
-        finite_positivity_probe(ZEROS, 2, build_hard_square(1.0), past_radius=2, eval_budget=1000)
+        finite_positivity_probe(ZEROS, 2, build_hard_square(1.0), past_radius=2, budget=1000)
 
 
 def test_ssm_gap_probe_product_measure_is_zero():

@@ -7,6 +7,7 @@ from gibbspress.lattice import Region, box, site_key
 from gibbspress.sft import (
     NEIGHBOR_ORDER,
     PeriodicPoint,
+    admissible_assignments,
     annulus_fill_check,
     diagonal_3coloring_point,
     is_locally_admissible,
@@ -116,10 +117,14 @@ def test_orbit_sites():
 
 
 def test_shift_acts_on_points():
-    diag = diagonal_3coloring_point()
-    shifted = diag.shift((2, 1))
-    for v in box(3):
-        assert shifted.value(v) == diag.value((v[0] + 2, v[1] + 1))
+    points = [diagonal_3coloring_point(), PeriodicPoint(np.arange(6).reshape(2, 3))]
+    offsets = [(2, 1), (0, 0), (-1, -2), (-4, 1), (7, -5), (11, 13)]
+    for z in points:
+        for off in offsets:
+            shifted = z.shift(off)
+            assert shifted.periods == z.periods
+            for v in box(3):
+                assert shifted.value(v) == z.value((v[0] + off[0], v[1] + off[1]))
 
 
 def test_point_invariant_detects_forbidden_cells():
@@ -173,6 +178,28 @@ def test_annulus_fill_check_heuristic():
     cb = build_checkerboard(3)
     window = Region([(x, y) for x in range(3) for y in range(3)])
     assert annulus_fill_check(diagonal_3coloring_point().restrict(window), cb, width=1)
+
+    # locally admissible, but (1, 0) has neighbours 0, 0 and 1: no 2-colouring fills it
+    trapped = Configuration(Region([(0, 0), (2, 0), (1, 1)]), {(0, 0): 0, (2, 0): 0, (1, 1): 1})
+    assert is_locally_admissible(trapped, build_checkerboard(2))
+    assert not annulus_fill_check(trapped, build_checkerboard(2), width=1)
+
+
+def test_admissible_assignments_match_filtered_product():
+    """Backtracking yields exactly the admissible members of the full
+    product, in its lexicographic (site_key) order, around fixed symbols."""
+    from itertools import product
+
+    sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
+    order = sorted(sites, key=site_key)
+    cases = [(build_hard_square(1.0), {}), (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2})]
+    for phi, fixed in cases:
+        expected = []
+        for syms in product(range(phi.q), repeat=len(order)):
+            symbols = {**dict(zip(order, syms)), **fixed}
+            if is_locally_admissible(Configuration(Region(symbols), symbols), phi):
+                expected.append(syms)
+        assert list(admissible_assignments(sites, phi, fixed)) == expected != []
 
 
 def test_region_components():

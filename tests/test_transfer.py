@@ -264,7 +264,7 @@ def test_strip_checkerboard2_is_frozen():
 
 def test_strip_budget_guard():
     with pytest.raises(BudgetError, match="transfer states"):
-        strip_pressure(8, build_checkerboard(5), state_limit=10000)
+        strip_pressure(8, build_checkerboard(5), budget=10000)
 
 
 def test_strip_sequence_ratio_cancels_surface_term():
@@ -365,7 +365,7 @@ def test_log_domain_hygiene_with_huge_energies():
 def test_row_state_budget_guard():
     region = Region([(x, 0) for x in range(30)])
     with pytest.raises(BudgetError, match="states"):
-        log_partition(ConstrainedRegion(region), build_full_shift(3), row_state_limit=1000)
+        log_partition(ConstrainedRegion(region), build_full_shift(3), budget=1000)
 
 
 def test_constrained_region_validation():
