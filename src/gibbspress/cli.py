@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,9 @@ def _build_model(args) -> tuple[Interaction, dict]:
         "k": args.k,
         "beta": args.beta,
     }
+    for name in ("lambda", "beta"):
+        if given[name] is not None and not math.isfinite(given[name]):
+            raise UsageError(f"--{name} must be finite")
 
     def reject_foreign(allowed: set[str]):
         foreign = [name for name, val in given.items() if val is not None and name not in allowed]
@@ -111,13 +115,16 @@ def _build_point(selector: str, phi: Interaction) -> PeriodicPoint:
     return point
 
 
-def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, args) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", args)
 
 
 def _cmd_check(args) -> int:
@@ -212,6 +219,8 @@ def _cmd_study(args) -> int:
         lo, hi = (int(s) for s in args.n_range.split(":"))
     except ValueError as exc:
         raise UsageError("--n-range must look like A:B") from exc
+    if lo < 1:
+        raise UsageError("--n-range must start at 1 or above")
     if hi < lo:
         raise UsageError("empty n range")
     buf = io.StringIO()
@@ -229,12 +238,7 @@ def _cmd_study(args) -> int:
             writer.writerow([n, "", "", "", "", f"budget: {exc}"])
         except HypothesisError as exc:
             writer.writerow([n, "", "", "", "", f"hypothesis: {exc}"])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), args)
     return EXIT_OK if successes else EXIT_HYPOTHESIS
 
 

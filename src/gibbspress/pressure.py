@@ -24,7 +24,7 @@ from .sft import (
     random_locally_admissible,
     region_components,
 )
-from .transfer import DEFAULT_BUDGET, LOG_ZERO, RegionEngine, logsumexp
+from .transfer import DEFAULT_BUDGET, LOG_ZERO, RegionEngine, logsumexp, product_matrix
 
 
 @dataclass(frozen=True)
@@ -102,13 +102,8 @@ def admissible_configurations(
         raise BudgetError(
             f"enumeration needs up to {q ** len(sites)} configurations, over the budget {budget}"
         )
-    if not sites:
-        return np.zeros((1, 0), dtype=np.int64)
     if not phi.has_hard_constraints():
-        total = q ** len(sites)
-        idx = np.arange(total)
-        cols = [(idx // q ** (len(sites) - 1 - j)) % q for j in range(len(sites))]
-        return np.stack(cols, axis=1).astype(np.int64)
+        return product_matrix([range(q)] * len(sites))
 
     col_of = {s: j for j, s in enumerate(sites)}
 
@@ -126,14 +121,10 @@ def admissible_configurations(
         raise BudgetError(
             f"enumeration yields {total} configurations, over the budget {budget}"
         )
+    pick = product_matrix([np.arange(len(rows)) for _, rows in comps])
     out = np.empty((total, len(sites)), dtype=np.int64)
-    idx = np.arange(total)
-    stride = total
-    for comp_sites, rows in comps:
-        stride //= len(rows)
-        pick = rows[(idx // stride) % len(rows)]
-        for j, site in enumerate(comp_sites):
-            out[:, col_of[site]] = pick[:, j]
+    for k, (comp_sites, rows) in enumerate(comps):
+        out[:, [col_of[s] for s in comp_sites]] = rows[pick[:, k]]
     return out
 
 
@@ -272,10 +263,10 @@ def finite_positivity_probe(
     domain = [s for s in past_in_box(past_radius) if s in b_n or s in ring]
     best = math.inf
     evals = 0
+    engine = RegionEngine(b_n, phi, budget=budget)
     for v in orbit_sites(z):
         x = z.shift(v)
         a0 = x.value((0, 0))
-        engine = RegionEngine(b_n, phi, budget=budget)
         pin0 = engine.terms_from_pins({(0, 0): a0})
         for mask in range(1 << len(domain)):
             chosen = [domain[i] for i in range(len(domain)) if mask >> i & 1]

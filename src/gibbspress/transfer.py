@@ -77,22 +77,28 @@ class _Row:
         self.internal: np.ndarray | None = None
 
 
+def product_matrix(choices: Sequence[Sequence[int]]) -> np.ndarray:
+    """Cartesian product of 1-D integer choices as a (total, len(choices))
+    int64 matrix, one member per row; the first column is the most
+    significant."""
+    shape = [len(c) for c in choices]
+    out = np.empty((prod(shape), len(shape)), dtype=np.int64)
+    grid = out.reshape(*shape, len(shape))
+    for j, c in enumerate(choices):
+        grid[..., j] = np.reshape(c, [n if i == j else 1 for i, n in enumerate(shape)])
+    return out
+
+
 def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, budget: int):
     """Fill row.configs / row.internal, pruning states with forbidden
     internal horizontal edges."""
-    choices = [np.asarray(allowed[v], dtype=np.int64) for v in row.sites]
+    choices = [allowed[v] for v in row.sites]
     total = prod(len(c) for c in choices)
     if total > budget:
         raise BudgetError(
             f"row at y={row.y} needs {total} states, over the limit {budget}"
         )
-    idx = np.arange(total)
-    cols = []
-    stride = total
-    for c in choices:
-        stride //= len(c)
-        cols.append(c[(idx // stride) % len(c)])
-    cfg = np.stack(cols, axis=1) if cols else np.zeros((1, 0), dtype=np.int64)
+    cfg = product_matrix(choices)
     energy = np.zeros(len(cfg))
     h = phi.horizontal
     for j in range(len(row.sites) - 1):
@@ -159,7 +165,7 @@ class RegionEngine:
             for i in range(len(self.rows) - 1)
         ]
         self._ext = [self._exterior_map(row) for row in self.rows]
-        self._site_term_cache: dict[tuple[Site, ...], list] = {}
+        self._site_term_cache: dict[Site, list[np.ndarray | None]] = {}
 
         if target is not None and self.rows:
             last = self.rows[-1]
@@ -214,22 +220,13 @@ class RegionEngine:
     def terms_from_boundary(self, config: Configuration) -> list[np.ndarray | None]:
         """Per-row log-weight vectors for edges into a pinned exterior
         configuration. Exterior sites not adjacent to the region are ignored."""
-        terms: list[np.ndarray | None] = []
-        for row, ext in zip(self.rows, self._ext):
-            vec = None
-            for v, a in config.symbols.items():
-                if not 0 <= a < self.phi.q:
-                    raise ValueError("boundary symbol out of alphabet range")
-                hits = ext.get(v)
-                if not hits:
-                    continue
-                if vec is None:
-                    vec = np.zeros(len(row.configs))
-                for j, axis, ext_first in hits:
-                    table = self.phi.tables[axis]
-                    col = row.configs[:, j]
-                    vec = vec - (table[a, col] if ext_first else table[col, a])
-            terms.append(vec)
+        terms: list[np.ndarray | None] = [None] * len(self.rows)
+        for v, a in config.symbols.items():
+            if not 0 <= a < self.phi.q:
+                raise ValueError("boundary symbol out of alphabet range")
+            for i, arr in enumerate(self._site_terms(v)):
+                if arr is not None:
+                    terms[i] = arr[a] if terms[i] is None else terms[i] + arr[a]
         return terms
 
     def terms_from_pins(self, pins: Mapping[Site, int]) -> list[np.ndarray | None]:
@@ -247,29 +244,26 @@ class RegionEngine:
             terms.append(vec)
         return terms
 
-    def _site_terms(self, sites: tuple[Site, ...]):
-        """Per-row [(delta column, (q, n_states) vectors)] for fast ensembles."""
-        cached = self._site_term_cache.get(sites)
+    def _site_terms(self, v: Site) -> list[np.ndarray | None]:
+        """Per-row (q, n_states) log-weights of the edges from exterior site
+        v, indexed by v's symbol; None for rows v does not touch."""
+        cached = self._site_term_cache.get(v)
         if cached is not None:
             return cached
-        q = self.phi.q
-        per_row = []
+        cached = []
         for row, ext in zip(self.rows, self._ext):
-            entries = []
-            for d, v in enumerate(sites):
-                hits = ext.get(v)
-                if not hits:
-                    continue
-                arr = np.zeros((q, len(row.configs)))
-                for j, axis, ext_first in hits:
+            arr = None
+            if v in ext:
+                arr = np.zeros((self.phi.q, len(row.configs)))
+                for j, axis, ext_first in ext[v]:
                     table = self.phi.tables[axis]
                     col = row.configs[:, j]
-                    for a in range(q):
+                    for a in range(self.phi.q):
                         arr[a] -= table[a, col] if ext_first else table[col, a]
-                entries.append((d, arr))
-            per_row.append(entries)
-        self._site_term_cache[sites] = per_row
-        return per_row
+                arr.flags.writeable = False  # terms_from_boundary hands out views
+            cached.append(arr)
+        self._site_term_cache[v] = cached
+        return cached
 
     # -- sweeps ------------------------------------------------------------
 
@@ -307,20 +301,7 @@ class RegionEngine:
         Each argument is a per-row list of additive log-weight vectors as
         produced by terms_from_boundary / terms_from_pins.
         """
-        if not self.rows:
-            return 0.0
-        if self.infeasible:
-            if self._target_masks is None:
-                return LOG_ZERO
-            return np.full(self.phi.q, LOG_ZERO)
-        vecs = []
-        for i, row in enumerate(self.rows):
-            vec = row.internal
-            for terms in term_lists:
-                if terms[i] is not None:
-                    vec = vec + terms[i]
-            vecs.append(vec)
-        out = self._finalize(self._sweep(vecs))
+        out = self.evaluate_deltas(term_lists, (), np.zeros((1, 0), dtype=np.int64))[0]
         return out if self._target_masks is not None else float(out)
 
     def evaluate_deltas(
@@ -328,7 +309,6 @@ class RegionEngine:
         static_terms: Sequence[Sequence[np.ndarray | None]],
         delta_sites: Sequence[Site],
         delta_matrix: np.ndarray,
-        block: int | None = None,
     ) -> np.ndarray:
         """Evaluate a whole ensemble of exterior configurations.
 
@@ -336,22 +316,19 @@ class RegionEngine:
         delta_sites. Returns (n_deltas,) log partitions, or (n_deltas, q)
         split by the target symbol when a target is set.
         """
-        sites = tuple(delta_sites)
         delta_matrix = np.asarray(delta_matrix, dtype=np.int64)
         n = len(delta_matrix)
-        if block is None:
-            cost = max(
-                (t[1].size for t in self._trans if t[0] == "dense"),
-                default=max((len(r.configs) for r in self.rows), default=1),
-            )
-            block = max(64, min(4096, 4_000_000 // max(cost, 1)))
-        q = self.phi.q
-        out_shape = (n, q) if self._target_masks is not None else (n,)
+        out_shape = (n, self.phi.q) if self._target_masks is not None else (n,)
         if not self.rows:
             return np.zeros(out_shape)
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
-        per_row_terms = self._site_terms(sites)
+        cost = max(
+            (t[1].size for t in self._trans if t[0] == "dense"),
+            default=max(len(r.configs) for r in self.rows),
+        )
+        block = max(64, min(4096, 4_000_000 // cost))
+        site_terms = [self._site_terms(v) for v in delta_sites]
         base = []
         for i, row in enumerate(self.rows):
             vec = row.internal
@@ -364,13 +341,24 @@ class RegionEngine:
             dm = delta_matrix[lo : lo + block]
             vecs = []
             for i in range(len(self.rows)):
-                vec = np.broadcast_to(base[i], (len(dm), len(base[i])))
-                for d, arr in per_row_terms[i]:
-                    vec = vec + arr[dm[:, d]]
-                vecs.append(np.ascontiguousarray(vec))
+                # sum the exterior terms before adding the base, as
+                # terms_from_boundary does, so both paths round alike; the
+                # gathers are fresh arrays, so they are summed in place
+                vec = None
+                for d, per_row in enumerate(site_terms):
+                    if per_row[i] is not None:
+                        t = per_row[i][dm[:, d]]
+                        if vec is None:
+                            vec = t
+                        else:
+                            vec += t
+                if vec is None:
+                    vec = np.repeat(base[i][None, :], len(dm), axis=0)
+                else:
+                    vec += base[i]
+                vecs.append(vec)
             out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs))
         return out
-
 
 def log_partition(
     cr: ConstrainedRegion,
@@ -387,7 +375,9 @@ def log_partition(
     return engine.evaluate(engine.terms_from_boundary(cr.boundary))
 
 
-def _check_full_boundary(cr: ConstrainedRegion) -> None:
+def _conditioned(cr: ConstrainedRegion, phi: Interaction, budget: int):
+    """Engine, boundary terms and log denominator for conditioning on cr's
+    boundary, which must cover the region's full exterior boundary."""
     if not len(cr.region):
         raise ValueError("conditional probability needs a nonempty region")
     missing = boundary(cr.region).sites - cr.boundary.region.sites
@@ -395,6 +385,12 @@ def _check_full_boundary(cr: ConstrainedRegion) -> None:
         raise ValueError(
             f"boundary must cover the full exterior boundary; missing {sorted(missing)}"
         )
+    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
+    bterms = engine.terms_from_boundary(cr.boundary)
+    denom = engine.evaluate(bterms)
+    if denom == LOG_ZERO:
+        raise HypothesisError("boundary condition inadmissible")
+    return engine, bterms, denom
 
 
 def conditional_probability(
@@ -408,15 +404,10 @@ def conditional_probability(
     Computed as a difference of log partition functions, never as a ratio
     of linear-domain weights.
     """
-    _check_full_boundary(cr)
     for v in event:
         if v not in cr.region:
             raise ValueError("event site outside the region")
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
-    bterms = engine.terms_from_boundary(cr.boundary)
-    denom = engine.evaluate(bterms)
-    if denom == LOG_ZERO:
-        raise HypothesisError("boundary condition inadmissible")
+    engine, bterms, denom = _conditioned(cr, phi, budget)
     num = engine.evaluate(bterms, engine.terms_from_pins(event))
     return min(float(np.exp(num - denom)), 1.0)
 
@@ -432,12 +423,7 @@ def conditional_sum_check(
     The denominator is computed as its own unconstrained partition function,
     so summing the returned entries to 1 is a genuine consistency check.
     """
-    _check_full_boundary(cr)
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
-    bterms = engine.terms_from_boundary(cr.boundary)
-    denom = engine.evaluate(bterms)
-    if denom == LOG_ZERO:
-        raise HypothesisError("boundary condition inadmissible")
+    engine, bterms, denom = _conditioned(cr, phi, budget)
     probs = np.empty(phi.q)
     for a in range(phi.q):
         num = engine.evaluate(bterms, engine.terms_from_pins({site: a}))

@@ -154,6 +154,11 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "0")[0] == 2
     assert run_cli(capsys, "study", "--model", "hardsquare", "--n-range", "3:1")[0] == 2
     assert run_cli(capsys, "pressure", "--model", "hardsquare", "--nu", "diag3", "--n", "1")[0] == 2
+    assert run_cli(capsys, "study", "--model", "hardsquare", "--n-range", "0:2")[0] == 2
+    assert run_cli(capsys, "study", "--model", "hardsquare", "--n-range=-1:2")[0] == 2
+    for value in ("nan", "inf", "-inf"):
+        assert run_cli(capsys, "check", "--model", "hardsquare", f"--lambda={value}")[0] == 2
+        assert run_cli(capsys, "pressure", "--model", "ising", f"--beta={value}", "--n", "1")[0] == 2
 
 
 def test_hypothesis_failures_exit_3(capsys):

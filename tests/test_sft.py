@@ -3,7 +3,8 @@ import pytest
 
 from gibbspress.errors import HypothesisError
 from gibbspress.interaction import Configuration, build_checkerboard, build_full_shift, build_hard_square, build_ising
-from gibbspress.lattice import Region, box, site_key
+from gibbspress.lattice import Region, box, canopy_decomposition, site_key
+from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
     NEIGHBOR_ORDER,
     PeriodicPoint,
@@ -187,7 +188,8 @@ def test_annulus_fill_check_heuristic():
 
 def test_admissible_assignments_match_filtered_product():
     """Backtracking yields exactly the admissible members of the full
-    product, in its lexicographic (site_key) order, around fixed symbols."""
+    product, in its lexicographic (site_key) order, around fixed symbols,
+    and admissible_configurations keeps itertools.product order."""
     from itertools import product
 
     sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
@@ -200,6 +202,31 @@ def test_admissible_assignments_match_filtered_product():
             if is_locally_admissible(Configuration(Region(symbols), symbols), phi):
                 expected.append(syms)
         assert list(admissible_assignments(sites, phi, fixed)) == expected != []
+
+    # admissible_configurations: columns in the region's order, rows in
+    # itertools.product order over the components (first most significant)
+    ising = build_ising(0.3)
+    region = Region(sites)
+    assert admissible_configurations(region, ising).tolist() == [
+        list(syms) for syms in product(range(ising.q), repeat=len(region))
+    ]
+    canopy = canopy_decomposition(2)[2]
+    comps = region_components(canopy)
+    assert len(comps) > 1
+    for phi in (build_hard_square(1.0), build_checkerboard(3)):
+        per_comp = []
+        for comp in comps:
+            order = list(comp)
+            per_comp.append([
+                dict(zip(order, syms))
+                for syms in product(range(phi.q), repeat=len(order))
+                if is_locally_admissible(Configuration(comp, dict(zip(order, syms))), phi)
+            ])
+        expected = []
+        for parts in product(*per_comp):
+            merged = {k: a for part in parts for k, a in part.items()}
+            expected.append([merged[v] for v in canopy])
+        assert admissible_configurations(canopy, phi).tolist() == expected != []
 
 
 def test_region_components():

@@ -396,3 +396,37 @@ def test_engine_target_vector_matches_pinned_runs():
     for a in range(3):
         pinned = log_partition(ConstrainedRegion(region, {(0, 0): (a,)}), phi)
         assert zvec[a] == pytest.approx(pinned, abs=1e-12)
+
+
+def test_evaluate_is_a_one_member_ensemble(rng):
+    """evaluate on boundary terms equals evaluate_deltas on the same
+    symbols as a one-member ensemble, exactly."""
+
+    def check(engine, symbols):
+        sites = list(symbols)
+        one = engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), symbols)))
+        ens = engine.evaluate_deltas([], sites, [[symbols[v] for v in sites]])
+        assert ens.shape[0] == 1
+        if engine.target is None:
+            assert isinstance(one, float) and one == ens[0]
+        else:
+            assert np.array_equal(one, ens[0])
+        return one
+
+    for trial in range(40):
+        q = int(rng.integers(2, 4))
+        phi = random_interaction(q, rng)
+        region = SMALL_REGIONS[int(rng.integers(len(SMALL_REGIONS)))]
+        allowed = {v: (int(rng.integers(q)),) for v in region if rng.random() < 0.2}
+        target = min(region, key=lambda v: (v[1], v[0])) if trial % 2 else None
+        engine = RegionEngine(region, phi, allowed=allowed, target=target)
+        ring = [v for v in boundary(region) if rng.random() < 0.7]
+        check(engine, {v: int(rng.integers(q)) for v in ring})
+
+    hs = build_hard_square(1.0)
+    row = Region([(0, 0), (1, 0)])
+    for target in (None, (0, 0)):
+        infeasible = RegionEngine(row, hs, allowed={(0, 0): (1,), (1, 0): (1,)}, target=target)
+        assert infeasible.infeasible
+        assert np.all(check(infeasible, {(0, 1): 0, (2, 0): 1}) == LOG_ZERO)
+    assert check(RegionEngine(Region([]), hs), {(0, 0): 1}) == 0.0
