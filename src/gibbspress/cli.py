@@ -18,8 +18,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import BudgetError, HypothesisError, UsageError
 from .interaction import Interaction, build_checkerboard, build_full_shift, build_hard_square, build_ising, load_model_file
 from .pressure import gk_pressure
@@ -102,10 +100,9 @@ def _build_point(selector: str, phi: Interaction) -> PeriodicPoint:
                 obj = json.load(f)
             p1, p2 = (int(v) for v in obj["periods"])
             rows = obj["cell"]  # rows indexed by y, entries by x
-            cell = np.array([[int(rows[y][x]) for y in range(p2)] for x in range(p1)])
+            point = PeriodicPoint([[int(rows[y][x]) for y in range(p2)] for x in range(p1)])
         except (OSError, KeyError, IndexError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read point file {path}: {exc}") from exc
-        point = PeriodicPoint(cell)
     else:
         raise UsageError(f"unknown point selector {selector!r}")
     if int(point.cell.max()) >= phi.q:

@@ -31,13 +31,10 @@ class Alphabet:
     """Finite alphabet of q >= 2 symbols, indexed 0..q-1."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 2:
             raise ValueError("alphabet needs at least two symbols")
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("label count does not match alphabet size")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +77,6 @@ class Interaction:
         """Largest finite table entry."""
         vals = np.concatenate([t[np.isfinite(t)] for t in self.tables])
         return float(vals.max())
-
-    def edge_energy(self, axis: int, a: int, b: int) -> float:
-        return float(self.tables[axis][a, b])
 
     def has_hard_constraints(self) -> bool:
         return bool(np.isposinf(self.horizontal).any() or np.isposinf(self.vertical).any())

@@ -18,6 +18,7 @@ from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
 from .lattice import Region, Site, boundary, box, canopy_decomposition, past_in_box
 from .sft import (
+    MAX_TRIES,
     PeriodicPoint,
     admissible_assignments,
     orbit_sites,
@@ -305,7 +306,6 @@ def ssm_gap_probe(
     phi: Interaction,
     trials: int,
     seed: int = 0,
-    max_tries: int = 10000,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """Empirical mixing diagnostic: worst origin-distribution discrepancy
@@ -322,8 +322,8 @@ def ssm_gap_probe(
     pins = [engine.terms_from_pins({(0, 0): a}) for a in range(phi.q)]
 
     def origin_distribution() -> np.ndarray:
-        for _ in range(max_tries):
-            cfg = random_locally_admissible(ring, phi, rng, max_tries=max_tries)
+        for _ in range(MAX_TRIES):
+            cfg = random_locally_admissible(ring, phi, rng)
             bt = engine.terms_from_boundary(cfg)
             den = engine.evaluate(bt)
             if den == LOG_ZERO:

@@ -16,6 +16,9 @@ from .lattice import NEIGHBOR_OFFSETS, Region, Site, neighbors, site_key
 #: maps and counterexamples: (0,-1), (-1,0), (1,0), (0,1).
 NEIGHBOR_ORDER: tuple[Site, ...] = NEIGHBOR_OFFSETS
 
+#: Draws a rejection sampler makes before it gives up.
+MAX_TRIES = 10000
+
 
 class PeriodicPoint:
     """Fully periodic configuration given by a rectangular cell.
@@ -269,7 +272,6 @@ def random_locally_admissible(
     region: Region,
     phi: Interaction,
     rng: np.random.Generator,
-    max_tries: int = 10000,
 ) -> Configuration:
     """Rejection-sample a locally admissible configuration, per component.
 
@@ -280,7 +282,7 @@ def random_locally_admissible(
     symbols: dict[Site, int] = {}
     for comp in region_components(region):
         sites = list(comp)
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             draw = rng.integers(phi.q, size=len(sites))
             cand = {v: int(a) for v, a in zip(sites, draw)}
             if is_locally_admissible(Configuration(comp, cand), phi):

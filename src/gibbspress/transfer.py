@@ -90,23 +90,29 @@ def product_matrix(choices: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, budget: int):
-    """Fill row.configs / row.internal, pruning states with forbidden
-    internal horizontal edges."""
-    choices = [allowed[v] for v in row.sites]
-    total = prod(len(c) for c in choices)
-    if total > budget:
-        raise BudgetError(
-            f"row at y={row.y} needs {total} states, over the limit {budget}"
-        )
-    cfg = product_matrix(choices)
-    energy = np.zeros(len(cfg))
+    """Fill row.configs / row.internal site by site, dropping a state as soon
+    as it has a forbidden internal horizontal edge. States come out in
+    lexicographic order (first site most significant); the budget bounds the
+    states held at each site."""
     h = phi.horizontal
-    for j in range(len(row.sites) - 1):
-        if row.sites[j + 1][0] == row.sites[j][0] + 1:
-            energy = energy + h[cfg[:, j], cfg[:, j + 1]]
-    keep = ~np.isposinf(energy)
-    row.configs = cfg[keep]
-    row.internal = -energy[keep]
+    cfg = np.zeros((1, 0), dtype=np.int64)
+    energy = np.zeros(1)
+    for j, v in enumerate(row.sites):
+        syms = np.asarray(allowed[v], dtype=np.int64)
+        n = len(cfg) * len(syms)
+        if n > budget:
+            raise BudgetError(
+                f"row at y={row.y} needs {n} transfer states at site {j + 1} of "
+                f"{len(row.sites)}, over the limit {budget}"
+            )
+        cfg = np.column_stack([np.repeat(cfg, len(syms), axis=0), np.tile(syms, len(cfg))])
+        energy = np.repeat(energy, len(syms))
+        if j and v[0] == row.sites[j - 1][0] + 1:
+            energy = energy + h[cfg[:, j - 1], cfg[:, j]]
+            keep = ~np.isposinf(energy)
+            cfg, energy = cfg[keep], energy[keep]
+    row.configs = cfg
+    row.internal = -energy
 
 
 class RegionEngine:
@@ -456,44 +462,6 @@ class StripBounds:
         return self.per_site_upper - self.per_site_lower
 
 
-def _row_internal_energy(m: int, phi: Interaction) -> np.ndarray:
-    """(q^m,) energies of the horizontal edges inside one width-m row."""
-    q = phi.q
-    h = phi.horizontal
-    e = np.zeros(1)
-    for j in range(m):
-        if j == 0:
-            e = np.repeat(e, q)
-        else:
-            last = np.arange(e.size) % q
-            e = (e[:, None] + h[last]).reshape(-1)
-    return e
-
-
-def _strip_apply(x: np.ndarray, m: int, phi: Interaction) -> np.ndarray:
-    """One application of the row-to-row transfer operator, site by site.
-
-    x indexes width-m rows in base-q (first site most significant); the
-    result accumulates the new row's internal energy and the inter-row
-    vertical energies, all in the log domain.
-    """
-    q = phi.q
-    neg_v = -phi.vertical
-    neg_h = -phi.horizontal
-    w = x.reshape(1, q, q ** (m - 1))
-    for j in range(m):
-        p = q**j
-        s = q ** (m - 1 - j)
-        w = w.reshape(p, q, s)
-        tmp = w[:, :, :, None] + neg_v[None, :, None, :]
-        if j > 0:
-            last = np.arange(p) % q
-            tmp = tmp + neg_h[last][:, None, None, :]
-        w = logsumexp(tmp, axis=1)
-        w = np.moveaxis(w, -1, 1)
-    return w.reshape(-1)
-
-
 def strip_pressure(
     m: int,
     phi: Interaction,
@@ -507,22 +475,49 @@ def strip_pressure(
     admissible rows and returns Collatz-Wielandt bounds on log(lambda_max),
     stopping when the per-site gap drops below tol. Degenerate strips (no
     admissible row survives) yield a [-inf, -inf] bracket.
+
+    The operator is applied site by site. After j sites a state is a row
+    with new symbols on sites 0..j-1 and old ones on sites j..m-1, and no
+    edge between sites j-1 and j; the next step swaps the old symbol b at
+    site j for a new symbol a with log-weight -V[b, a].
     """
     if m < 1:
         raise ValueError("strip width must be positive")
     q = phi.q
-    if q ** (m + 1) > budget:
-        raise BudgetError(
-            f"width {m} needs {q ** (m + 1)} transfer states, over the limit {budget}"
-        )
-    internal = _row_internal_energy(m, phi)
-    x = np.where(np.isposinf(internal), LOG_ZERO, 0.0)
+    if q ** min(m, 63) > 1 << 62:  # q >= 2: every m > 62 is over, so cap the power
+        raise BudgetError(f"width {m} needs {q}^{m} row codes, over the int64 limit 2^62")
+    full = tuple(range(q))
+    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    symbols = np.arange(q)[:, None]
+    steps = []
+    for j in range(m + 1):
+        # the gap in x after site j-1 leaves no edge across the break
+        row = _Row(0, [(x + (x >= j), 0) for x in range(m)])
+        try:
+            _enumerate_row(row, dict.fromkeys(row.sites, full), phi, budget)
+        except BudgetError as exc:
+            raise BudgetError(f"strip of width {m}: {exc}") from None
+        if not len(row.configs):
+            return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
+        codes = row.configs @ place
+        if j:
+            # the predecessor of a state for old symbol b has b at site j-1;
+            # rows are lexicographic, so the codes are sorted
+            new = row.configs[:, j - 1]
+            pred = codes + (symbols - new) * place[j - 1]
+            idx = np.searchsorted(prev, pred)
+            found = prev[np.minimum(idx, len(prev) - 1)] == pred
+            steps.append((np.where(found, idx, len(prev)), -phi.vertical[:, new]))
+        prev = codes
+    x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
-    if not np.isfinite(x).any():
-        return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
     it = 0
     for it in range(1, max_iter + 1):
-        y = _strip_apply(x, m, phi)
+        y = x
+        for idx, logw in steps:
+            # index len(y) reads the appended -inf: no admissible predecessor
+            y = logsumexp(np.append(y, LOG_ZERO)[idx] + logw, axis=0)
+        y = y + row.internal
         mask = np.isfinite(x) & np.isfinite(y)
         if not mask.any():
             return StripBounds(m, LOG_ZERO, LOG_ZERO, it)

@@ -89,3 +89,14 @@ def brute_origin_interval(region, u_config, canopy, deltas, phi, a0):
             continue
         lo, hi = min(lo, p), max(hi, p)
     return lo, hi
+
+
+def brute_strip_log_lambda(m: int, phi: Interaction) -> float:
+    """log spectral radius of the dense row-to-row transfer matrix of the
+    width-m strip over all q^m rows; -inf when no row is admissible."""
+    sym = enumerate_symbols(range(m), [range(phi.q)] * m)
+    h_energy = sum((phi.horizontal[sym[:, j], sym[:, j + 1]] for j in range(m - 1)), np.zeros(len(sym)))
+    v_energy = phi.vertical[sym[:, None, :], sym[None, :, :]].sum(axis=2)
+    t = np.exp(-(v_energy + h_energy[None, :]))  # old row -> new row
+    rho = float(np.abs(np.linalg.eigvals(t)).max())
+    return math.log(rho) if rho > 0 else LOG_ZERO

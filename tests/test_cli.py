@@ -198,11 +198,12 @@ def test_point_file(capsys, tmp_path):
     assert len(doc["per_site"]) == 4
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    code, _, _ = run_cli(
-        capsys, "pressure", "--model", "hardsquare", "--nu", f"file:{bad}", "--n", "1"
-    )
-    assert code == 2
+    for doc in ({}, {"periods": [1, 1], "cell": [[-1]]}, {"periods": [0, 1], "cell": [[]]}):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "pressure", "--model", "hardsquare", "--nu", f"file:{bad}", "--n", "1"
+        )
+        assert code == 2 and "cannot read point file" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -1,12 +1,13 @@
 import math
-from itertools import product
 
 import numpy as np
 import pytest
 
 from gibbspress.errors import BudgetError, HypothesisError
 from gibbspress.interaction import (
+    Alphabet,
     Configuration,
+    Interaction,
     build_checkerboard,
     build_full_shift,
     build_hard_square,
@@ -28,7 +29,7 @@ from gibbspress.transfer import (
 )
 
 from conftest import model_gallery, random_interaction
-from oracles import brute_conditional, brute_log_partition
+from oracles import brute_log_partition, brute_strip_log_lambda
 
 GOLDEN_RATIO_LOG = math.log((1 + math.sqrt(5)) / 2)
 
@@ -236,16 +237,30 @@ def test_strip_width_one_is_golden_ratio():
     assert sb.per_site_lower <= sb.per_site_upper
 
 
-def test_strip_matches_dense_eigenvalue():
-    hs = build_hard_square(1.0)
-    rows = [c for c in product((0, 1), repeat=3) if not any(c[i] and c[i + 1] for i in range(2))]
-    arr = np.array(rows)
-    t = ((arr[:, None, :] & arr[None, :, :]).sum(axis=2) == 0).astype(float)
-    lam = max(abs(np.linalg.eigvals(t)))
-    sb = strip_pressure(3, hs)
-    assert sb.log_lambda_lower <= math.log(lam) + 1e-12
-    assert sb.log_lambda_upper >= math.log(lam) - 1e-12
-    assert sb.gap < 1e-9
+def test_strip_matches_dense_eigenvalue(rng):
+    """The strip bracket contains log lambda_max of the dense q^m x q^m row
+    transfer matrix, at widths 1-4."""
+    inf = math.inf
+    # symbol 2 sits only on 0, and 0 never sits next to 0: from width 2 on,
+    # the admissible row (2, 2) has no admissible predecessor
+    orphan = Interaction(
+        Alphabet(3),
+        [[inf, 0, 0], [0, 0.5, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, inf], [0, 0.3, inf]],
+        name="orphan",
+    )
+    # a 0 must be followed by a 1 and a 1 by nothing: no row of width 3
+    dead_end = Interaction(Alphabet(2), [[inf, 0], [inf, inf]], np.zeros((2, 2)), name="dead-end")
+    randoms = [random_interaction(q, rng) for q in (2, 2, 3, 3)]
+    for phi in model_gallery() + randoms + [orphan, dead_end]:
+        for m in (1, 2, 3, 4):
+            want = brute_strip_log_lambda(m, phi)
+            sb = strip_pressure(m, phi)
+            if want == LOG_ZERO:
+                assert sb.log_lambda_lower == sb.log_lambda_upper == LOG_ZERO, (phi.name, m)
+                continue
+            assert sb.log_lambda_lower - 1e-12 <= want <= sb.log_lambda_upper + 1e-12, (phi.name, m)
+            assert sb.log_lambda_upper - sb.log_lambda_lower < 1e-9, (phi.name, m)
 
 
 def test_strip_bounds_ordered_across_gallery():
@@ -256,10 +271,12 @@ def test_strip_bounds_ordered_across_gallery():
 
 def test_strip_checkerboard2_is_frozen():
     cb2 = build_checkerboard(2)
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 62):  # two rows at any width; 2^62 base-2 codes fit int64
         sb = strip_pressure(m, cb2)
         assert sb.per_site_lower == pytest.approx(0.0, abs=1e-12)
         assert sb.per_site_upper == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(BudgetError, match="int64"):
+        strip_pressure(63, cb2)
 
 
 def test_strip_budget_guard():
@@ -366,6 +383,15 @@ def test_row_state_budget_guard():
     region = Region([(x, 0) for x in range(30)])
     with pytest.raises(BudgetError, match="states"):
         log_partition(ConstrainedRegion(region), build_full_shift(3), budget=1000)
+
+
+def test_budgets_count_the_states_held():
+    """The budget bounds the pruned states held, not q^sites."""
+    row = Region([(x, 0) for x in range(20)])  # 2^20 rows, F(22) of them admissible
+    got = log_partition(ConstrainedRegion(row), build_hard_square(1.0), budget=1 << 15)
+    assert got == pytest.approx(math.log(17711), abs=1e-12)
+    cb3 = build_checkerboard(3)  # 3^12 rows, 3 * 2^11 admissible
+    assert strip_pressure(12, cb3, budget=1 << 15) == strip_pressure(12, cb3)
 
 
 def test_constrained_region_validation():
