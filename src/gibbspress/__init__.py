@@ -22,7 +22,6 @@ from .pressure import (
     gk_pressure,
     p_interval,
     representation_residual,
-    ssm_gap_probe,
     width_decay_diagnostic,
 )
 from .sft import (
@@ -88,7 +87,6 @@ __all__ = [
     "representation_residual",
     "safe_symbol_check",
     "ssf_check",
-    "ssm_gap_probe",
     "strip_pressure",
     "strip_sequence",
     "width_decay_diagnostic",

@@ -78,9 +78,6 @@ class Interaction:
         vals = np.concatenate([t[np.isfinite(t)] for t in self.tables])
         return float(vals.max())
 
-    def has_hard_constraints(self) -> bool:
-        return bool(np.isposinf(self.horizontal).any() or np.isposinf(self.vertical).any())
-
 
 @dataclass(frozen=True)
 class Configuration:

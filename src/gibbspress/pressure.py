@@ -17,15 +17,8 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
 from .lattice import Region, Site, boundary, box, canopy_decomposition, past_in_box
-from .sft import (
-    MAX_TRIES,
-    PeriodicPoint,
-    admissible_assignments,
-    orbit_sites,
-    random_locally_admissible,
-    region_components,
-)
-from .transfer import DEFAULT_BUDGET, LOG_ZERO, RegionEngine, logsumexp, product_matrix
+from .sft import PeriodicPoint, admissible_states, orbit_sites, region_components
+from .transfer import DEFAULT_BUDGET, RegionEngine, logsumexp, product_matrix
 
 
 @dataclass(frozen=True)
@@ -93,28 +86,22 @@ def admissible_configurations(
 
     Rows are configurations, columns follow the region's canonical site
     order. `context` pins exterior (or interior) sites that constrain the
-    enumeration. The order is deterministic: connected components are
-    enumerated depth-first with symbols ascending and combined as a
-    cartesian product in canonical component order.
+    enumeration. The order is deterministic: each connected component's
+    states are extended site by site in canonical order with symbols
+    ascending, and the components are combined as a cartesian product in
+    canonical component order. The budget bounds the states held per
+    component and the size of the product.
     """
     sites = list(region)
-    q = phi.q
-    if q ** len(sites) > budget:
-        raise BudgetError(
-            f"enumeration needs up to {q ** len(sites)} configurations, over the budget {budget}"
-        )
-    if not phi.has_hard_constraints():
-        return product_matrix([range(q)] * len(sites))
-
     col_of = {s: j for j, s in enumerate(sites)}
 
     # components only interact through the fixed context, so enumerate each
-    # one separately and take the cartesian product; assignments come in the
-    # component's own (site_key) order
+    # one separately and take the cartesian product
     comps = []
     for comp in region_components(region):
-        rows = list(admissible_assignments(comp, phi, context))
-        comps.append((list(comp), np.asarray(rows, dtype=np.int64).reshape(len(rows), len(comp))))
+        comp_sites = list(comp)
+        rows, _ = admissible_states(comp_sites, phi, budget, fixed=context)
+        comps.append((comp_sites, rows))
     total = math.prod(len(rows) for _, rows in comps)
     if total == 0:
         return np.zeros((0, len(sites)), dtype=np.int64)
@@ -148,15 +135,13 @@ def p_interval(
     if not z.is_point_of(phi):
         raise HypothesisError("point not in the underlying constraint set")
     s_n, u_n, c_n = canopy_decomposition(n)
-    q = phi.q
-    if q ** len(c_n) > budget:
-        raise BudgetError(
-            f"canopy ensemble needs up to {q ** len(c_n)} members, over the budget {budget}"
-        )
     x = z.shift(v)
     x_u = x.restrict(u_n)
     a0 = x.value((0, 0))
-    deltas = admissible_configurations(c_n, phi, budget=budget)
+    try:
+        deltas = admissible_configurations(c_n, phi, budget=budget)
+    except BudgetError as exc:
+        raise BudgetError(f"canopy ensemble: {exc}") from None
     engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
     zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], list(c_n), deltas)
     den = logsumexp(zvec, axis=1)
@@ -299,43 +284,3 @@ def finite_positivity_probe(
     if not math.isfinite(best):
         raise HypothesisError("no admissible bracket found")
     return best
-
-
-def ssm_gap_probe(
-    n: int,
-    phi: Interaction,
-    trials: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Empirical mixing diagnostic: worst origin-distribution discrepancy
-    between random admissible boundary pairs on the box(n) ring.
-
-    A report decreasing in n suggests (but does not prove) spatial mixing.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    b_n = box(n)
-    ring = boundary(b_n)
-    engine = RegionEngine(b_n, phi, budget=budget)
-    pins = [engine.terms_from_pins({(0, 0): a}) for a in range(phi.q)]
-
-    def origin_distribution() -> np.ndarray:
-        for _ in range(MAX_TRIES):
-            cfg = random_locally_admissible(ring, phi, rng)
-            bt = engine.terms_from_boundary(cfg)
-            den = engine.evaluate(bt)
-            if den == LOG_ZERO:
-                continue
-            return np.exp(
-                np.array([engine.evaluate(bt, pin) for pin in pins]) - den
-            )
-        raise HypothesisError("sampling failure: no admissible boundary found")
-
-    gap = 0.0
-    for _ in range(trials):
-        p1 = origin_distribution()
-        p2 = origin_distribution()
-        gap = max(gap, float(np.abs(p1 - p2).max()))
-    return gap

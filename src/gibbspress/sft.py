@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction
 from .lattice import NEIGHBOR_OFFSETS, Region, Site, neighbors, site_key
 
@@ -185,67 +185,60 @@ def diagonal_3coloring_point() -> PeriodicPoint:
     return PeriodicPoint(cell)
 
 
-def admissible_assignments(
-    sites: Iterable[Site],
+def admissible_states(
+    sites: Sequence[Site],
     phi: Interaction,
+    budget: int,
+    allowed: Mapping[Site, Sequence[int]] | None = None,
     fixed: Mapping[Site, int] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Locally admissible assignments of `sites` around fixed symbols.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locally admissible configurations of `sites` around fixed symbols,
+    with their energies.
 
-    Backtracks over the sites in canonical (site_key) order with symbols
-    ascending, so assignments come out lexicographically in that order, as
-    tuples of symbols in that order. An edge is checked once both its ends
-    are assigned or fixed; fixed symbols on the given sites are ignored.
+    States are extended site by site in the given order, with symbols
+    ascending or taken from the site's allowed set. Each new site adds the
+    energy of its edges to already-placed and fixed sites, and a state is
+    dropped as soon as that energy is +inf. Returns the (n, len(sites))
+    symbol matrix, lexicographic with the first site most significant, and
+    the n energies. Fixed symbols on the given sites are ignored; the budget
+    bounds the states held at each site.
     """
-    free = set(sites)
-    order = sorted(free, key=site_key)
-    assigned = {v: a for v, a in (fixed or {}).items() if v not in free}
+    col = {v: j for j, v in enumerate(sites)}
+    fixed = {v: a for v, a in (fixed or {}).items() if v not in col}
+    allowed = allowed or {}
     h, vt = phi.tables
-
-    def consistent(v: Site, a: int) -> bool:
-        x, y = v
-        for table, fwd, bwd in ((h, (x + 1, y), (x - 1, y)), (vt, (x, y + 1), (x, y - 1))):
-            b = assigned.get(fwd)
-            if b is not None and np.isposinf(table[a, b]):
-                return False
-            b = assigned.get(bwd)
-            if b is not None and np.isposinf(table[b, a]):
-                return False
-        return True
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
-            yield tuple(assigned[v] for v in order)
-            return
-        v = order[i]
-        for a in range(phi.q):
-            if consistent(v, a):
-                assigned[v] = a
-                yield from extend(i + 1)
-                del assigned[v]
-
-    return extend(0)
-
-
-def annulus_fill_check(w: Configuration, phi: Interaction, width: int = 2) -> bool:
-    """Heuristic global-admissibility evidence by bounded fill-in search.
-
-    Tries to complete `width` boundary layers around w's region by
-    backtracking; success means w extends admissibly that far out. This is
-    only a heuristic: exact global admissibility is not decidable in general.
-    """
-    from .lattice import boundary
-
-    if not is_locally_admissible(w, phi):
-        return False
-    ring_sites: list[Site] = []
-    covered = Region(w.region.sites)
-    for _ in range(width):
-        ring = boundary(covered)
-        ring_sites.extend(ring)
-        covered = covered.union(ring)
-
-    return next(admissible_assignments(ring_sites, phi, w.symbols), None) is not None
+    full = range(phi.q)
+    cfg = np.zeros((1, 0), dtype=np.int64)
+    energy = np.zeros(1)
+    for j, (x, y) in enumerate(sites):
+        syms = np.asarray(allowed.get((x, y), full), dtype=np.int64)
+        k = len(syms)
+        if len(cfg) * k > budget:
+            raise BudgetError(
+                f"needs {len(cfg) * k} states at site {j + 1} of {len(sites)}, "
+                f"over the limit {budget}"
+            )
+        # e[i, s]: energy of state i extended by symbol syms[s]
+        e = energy[:, None]
+        for table, u, new_first in (
+            (h, (x - 1, y), False),
+            (h, (x + 1, y), True),
+            (vt, (x, y - 1), False),
+            (vt, (x, y + 1), True),
+        ):
+            i = col.get(u)
+            if i is not None and i < j:
+                b = cfg[:, i, None]
+            elif u in fixed:
+                b = fixed[u]
+            else:
+                continue
+            e = e + (table[syms, b] if new_first else table[b, syms])
+        e = np.broadcast_to(e, (len(cfg), k)).ravel()
+        keep = np.flatnonzero(~np.isposinf(e))
+        cfg = np.column_stack([cfg[keep // k], syms[keep % k]])
+        energy = e[keep]
+    return cfg, energy
 
 
 def region_components(region: Region) -> list[Region]:

@@ -17,11 +17,13 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import EMPTY_CONFIGURATION, Configuration, Interaction
 from .lattice import Region, Site, boundary
+from .sft import admissible_states
 
 LOG_ZERO = -inf
 
 #: The one resource limit: the most configurations a single enumeration may
-#: hold (canopy members, row states, strip states or probe evaluations).
+#: hold (canopy members, row states, strip states, transition entries or
+#: probe evaluations).
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -90,28 +92,12 @@ def product_matrix(choices: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, budget: int):
-    """Fill row.configs / row.internal site by site, dropping a state as soon
-    as it has a forbidden internal horizontal edge. States come out in
-    lexicographic order (first site most significant); the budget bounds the
-    states held at each site."""
-    h = phi.horizontal
-    cfg = np.zeros((1, 0), dtype=np.int64)
-    energy = np.zeros(1)
-    for j, v in enumerate(row.sites):
-        syms = np.asarray(allowed[v], dtype=np.int64)
-        n = len(cfg) * len(syms)
-        if n > budget:
-            raise BudgetError(
-                f"row at y={row.y} needs {n} transfer states at site {j + 1} of "
-                f"{len(row.sites)}, over the limit {budget}"
-            )
-        cfg = np.column_stack([np.repeat(cfg, len(syms), axis=0), np.tile(syms, len(cfg))])
-        energy = np.repeat(energy, len(syms))
-        if j and v[0] == row.sites[j - 1][0] + 1:
-            energy = energy + h[cfg[:, j - 1], cfg[:, j]]
-            keep = ~np.isposinf(energy)
-            cfg, energy = cfg[keep], energy[keep]
-    row.configs = cfg
+    """Fill row.configs / row.internal with the row's admissible states, in
+    lexicographic order (first site most significant)."""
+    try:
+        row.configs, energy = admissible_states(row.sites, phi, budget, allowed=allowed)
+    except BudgetError as exc:
+        raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
     row.internal = -energy
 
 
@@ -167,7 +153,7 @@ class RegionEngine:
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         self._trans = [
-            self._transition(self.rows[i], self.rows[i + 1])
+            self._transition(self.rows[i], self.rows[i + 1], budget)
             for i in range(len(self.rows) - 1)
         ]
         self._ext = [self._exterior_map(row) for row in self.rows]
@@ -182,13 +168,19 @@ class RegionEngine:
 
     # -- construction helpers -------------------------------------------
 
-    def _transition(self, r: _Row, s: _Row):
+    def _transition(self, r: _Row, s: _Row, budget: int):
         v_table = self.phi.vertical
         if abs(s.y - r.y) != 1:
             return ("const", 0.0, len(s.configs))
         shared_x = sorted({v[0] for v in r.sites} & {v[0] for v in s.sites})
         if not shared_x:
             return ("const", 0.0, len(s.configs))
+        entries = len(r.configs) * len(s.configs)
+        if entries > budget:
+            raise BudgetError(
+                f"transition from row y={r.y} to y={s.y} needs {entries} entries, "
+                f"over the limit {budget}"
+            )
         t = np.zeros((len(r.configs), len(s.configs)))
         for x in shared_x:
             a = r.configs[:, r.col[(x, r.y)]][:, None]

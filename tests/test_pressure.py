@@ -12,7 +12,6 @@ from gibbspress.interaction import (
     build_checkerboard,
     build_full_shift,
     build_hard_square,
-    build_ising,
 )
 from gibbspress.lattice import Region, canopy_decomposition
 from gibbspress.pressure import (
@@ -24,7 +23,6 @@ from gibbspress.pressure import (
     gk_pressure,
     p_interval,
     representation_residual,
-    ssm_gap_probe,
 )
 from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, periodic_point_from_ssf
 
@@ -314,21 +312,3 @@ def test_finite_positivity_probe_frozen_point_never_negative():
 def test_finite_positivity_probe_budget_guard():
     with pytest.raises(BudgetError):
         finite_positivity_probe(ZEROS, 2, build_hard_square(1.0), past_radius=2, budget=1000)
-
-
-def test_ssm_gap_probe_product_measure_is_zero():
-    assert ssm_gap_probe(1, build_full_shift(2), trials=5, seed=11) == 0.0
-
-
-def test_ssm_gap_probe_decreases_for_hard_square():
-    hs = build_hard_square(1.0)
-    g1 = ssm_gap_probe(1, hs, trials=10, seed=3)
-    g3 = ssm_gap_probe(3, hs, trials=10, seed=3)
-    assert g1 > g3 > 0.0
-
-
-def test_ssm_gap_probe_detects_low_temperature_ordering():
-    frozen_gap = ssm_gap_probe(2, build_ising(2.0), trials=10, seed=3)
-    assert frozen_gap > 0.5  # no decay at desk scale in the ordered phase
-    mild_gap = ssm_gap_probe(3, build_ising(0.3), trials=10, seed=3)
-    assert mild_gap < frozen_gap

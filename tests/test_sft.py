@@ -8,8 +8,6 @@ from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
     NEIGHBOR_ORDER,
     PeriodicPoint,
-    admissible_assignments,
-    annulus_fill_check,
     diagonal_3coloring_point,
     is_locally_admissible,
     orbit_sites,
@@ -169,51 +167,42 @@ def test_witness_extension_keeps_admissibility(rng):
             assert is_locally_admissible(grown, phi)
 
 
-def test_annulus_fill_check_heuristic():
-    hs = build_hard_square(1.0)
-    single_one = Configuration(Region([(0, 0)]), {(0, 0): 1})
-    assert annulus_fill_check(single_one, hs)
-    bad = Configuration(Region([(0, 0), (1, 0)]), {(0, 0): 1, (1, 0): 1})
-    assert not annulus_fill_check(bad, hs)
-
-    cb = build_checkerboard(3)
-    window = Region([(x, y) for x in range(3) for y in range(3)])
-    assert annulus_fill_check(diagonal_3coloring_point().restrict(window), cb, width=1)
-
-    # locally admissible, but (1, 0) has neighbours 0, 0 and 1: no 2-colouring fills it
-    trapped = Configuration(Region([(0, 0), (2, 0), (1, 1)]), {(0, 0): 0, (2, 0): 0, (1, 1): 1})
-    assert is_locally_admissible(trapped, build_checkerboard(2))
-    assert not annulus_fill_check(trapped, build_checkerboard(2), width=1)
-
-
 def test_admissible_assignments_match_filtered_product():
-    """Backtracking yields exactly the admissible members of the full
-    product, in its lexicographic (site_key) order, around fixed symbols,
-    and admissible_configurations keeps itertools.product order."""
+    """admissible_configurations yields exactly the admissible members of
+    the full product around fixed symbols, in itertools.product order over
+    the components (first most significant), with columns in the region's
+    order."""
     from itertools import product
 
     sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
-    order = sorted(sites, key=site_key)
-    cases = [(build_hard_square(1.0), {}), (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2})]
+    region = Region(sites)
+    assert len(region_components(region)) == 1
+    cases = [
+        (build_hard_square(1.0), {}),
+        (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2}),
+        # a fixed symbol on a region site is ignored
+        (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2, (0, 0): 0}),
+        (build_hard_square(1.0), {(3, 0): 1, (0, -1): 1, (1, 2): 1}),
+    ]
     for phi, fixed in cases:
+        context = {v: a for v, a in fixed.items() if v not in region}
         expected = []
-        for syms in product(range(phi.q), repeat=len(order)):
-            symbols = {**dict(zip(order, syms)), **fixed}
+        for syms in product(range(phi.q), repeat=len(region)):
+            symbols = {**dict(zip(region, syms)), **context}
             if is_locally_admissible(Configuration(Region(symbols), symbols), phi):
-                expected.append(syms)
-        assert list(admissible_assignments(sites, phi, fixed)) == expected != []
+                expected.append(list(syms))
+        assert admissible_configurations(region, phi, context=fixed).tolist() == expected != []
 
     # admissible_configurations: columns in the region's order, rows in
     # itertools.product order over the components (first most significant)
     ising = build_ising(0.3)
-    region = Region(sites)
     assert admissible_configurations(region, ising).tolist() == [
         list(syms) for syms in product(range(ising.q), repeat=len(region))
     ]
     canopy = canopy_decomposition(2)[2]
     comps = region_components(canopy)
     assert len(comps) > 1
-    for phi in (build_hard_square(1.0), build_checkerboard(3)):
+    for phi in (build_hard_square(1.0), build_checkerboard(3), ising):
         per_comp = []
         for comp in comps:
             order = list(comp)

@@ -15,6 +15,8 @@ from gibbspress.interaction import (
     constant_configuration,
 )
 from gibbspress.lattice import Region, boundary, box
+from gibbspress.pressure import p_interval
+from gibbspress.sft import PeriodicPoint
 from gibbspress.transfer import (
     LOG_ZERO,
     ConstrainedRegion,
@@ -392,6 +394,12 @@ def test_budgets_count_the_states_held():
     assert got == pytest.approx(math.log(17711), abs=1e-12)
     cb3 = build_checkerboard(3)  # 3^12 rows, 3 * 2^11 admissible
     assert strip_pressure(12, cb3, budget=1 << 15) == strip_pressure(12, cb3)
+    # 2^14 canopy configurations at n = 3, 1360 of them admissible
+    zeros = PeriodicPoint([[0]])
+    hs = build_hard_square(1.0)
+    got = p_interval(zeros, (0, 0), 3, hs, budget=2000)
+    assert got == p_interval(zeros, (0, 0), 3, hs)
+    assert got.canopy_count + got.skipped_count == 1360
 
 
 def test_constrained_region_validation():
