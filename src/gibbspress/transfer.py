@@ -22,8 +22,8 @@ from .sft import admissible_states
 LOG_ZERO = -inf
 
 #: The one resource limit: the most configurations a single enumeration may
-#: hold (canopy members, row states, strip states, transition entries or
-#: probe evaluations).
+#: hold (canopy members, row or transfer states, probe evaluations); a
+#: transition is kept as a matrix only when its S_r * S_s entries fit it.
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -101,14 +101,62 @@ def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interac
     row.internal = -energy
 
 
+def _transfer_steps(old: _Row, new: _Row, table, allowed, phi: Interaction, budget: int) -> list:
+    """Site-by-site steps (idx, logw) of the transfer from the enumerated,
+    nonempty row `old` to `new`, one per column in x order. After k columns
+    a state holds the new symbols left of the cut and the old ones from the
+    cut on, shifted one x right so that no edge crosses the cut. A column in
+    both rows swaps the old symbol b for the new symbol a with log-weight
+    -table[b, a] (0 when table is None), one only in the old row sums its
+    symbol out and one only in the new row inserts it. idx[b, i] is state
+    i's predecessor with old symbol b, and logw[b, i] is -inf if that one
+    is not admissible."""
+    q = phi.q
+    old_x, new_x = ({v[0]: v for v in row.sites} for row in (old, new))
+    columns = sorted(old_x.keys() | new_x.keys())
+    if q ** min(len(columns), 63) > 1 << 62:  # q >= 2: cap the power
+        raise BudgetError(f"{len(columns)} columns need {q}^{len(columns)} row codes, over the int64 limit 2^62")
+    prev_place = q ** np.arange(len(old.sites) - 1, -1, -1, dtype=np.int64)
+    prev = old.configs @ prev_place
+    steps = []
+    for k, x in enumerate(columns, 1):
+        stage = new
+        if k < len(columns):
+            at = {(u, 0): new_x[u] for u in columns[:k] if u in new_x}
+            at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
+            stage = _Row(new.y, list(at))
+            _enumerate_row(stage, {w: allowed[v] for w, v in at.items()}, phi, budget)
+        p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages
+        place = q ** np.arange(len(stage.sites) - 1, -1, -1, dtype=np.int64)
+        kept = np.delete(stage.configs, p, axis=1) if x in new_x else stage.configs
+        pred = (kept @ (np.delete(prev_place, p) if x in old_x else prev_place))[None, :]
+        if x in old_x:
+            pred = pred + np.arange(q)[:, None] * prev_place[p]
+        logw = -table[:, stage.configs[:, p]] if x in old_x and x in new_x and table is not None else 0.0
+        # rows are lexicographic, so the codes are sorted
+        idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
+        steps.append((idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
+        prev, prev_place = stage.configs @ place, place
+    return steps
+
+
+def _run_steps(v: np.ndarray, steps) -> np.ndarray:
+    """Apply transfer steps to log-weight vectors along the last axis."""
+    for idx, logw in steps:
+        v = logsumexp(np.take(v, idx, axis=-1) + logw, axis=-2)
+    return v
+
+
 class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
-    Rows are processed in y-order; per-call boundary conditions and pinned
-    sites enter as additive per-row log-weight vectors, so one engine serves
-    an entire ensemble of boundary conditions. With `target` set, evaluation
-    returns the vector of log partition functions split by the target site's
-    symbol (the target must lie in the first or last row).
+    Rows are processed from the top down; per-call boundary conditions and
+    pinned sites enter as additive per-row log-weight vectors, so one engine
+    serves an entire ensemble of boundary conditions. With `target` set,
+    evaluation returns the vector of log partition functions split by the
+    target site's symbol (the target must lie in the lowest row). Each
+    transition is the steps of `_transfer_steps` plus, where it fits the
+    budget, the matrix they give on BLAS; equal row pairs share one.
     """
 
     def __init__(
@@ -127,35 +175,30 @@ class RegionEngine:
         for v, syms in allowed.items():
             if any(not 0 <= s < phi.q for s in syms):
                 raise ValueError("allowed symbol out of alphabet range")
-        self._allowed = {v: tuple(allowed.get(v, full)) for v in region}
+        # sorted, so the row states and their codes are lexicographic
+        self._allowed = {v: tuple(sorted(set(allowed.get(v, full)))) for v in region}
 
         by_y: dict[int, list[Site]] = {}
         for v in region:
             by_y.setdefault(v[1], []).append(v)
-        ys = sorted(by_y)
-        descending = True
+        ys = sorted(by_y, reverse=True)
         if target is not None:
             if target not in region:
                 raise ValueError("target site outside the region")
-            if ys and target[1] == ys[0]:
-                descending = True
-            elif ys and target[1] == ys[-1]:
-                descending = False
-            else:
-                raise ValueError("target site must lie in an extremal row")
-        if descending:
-            ys = ys[::-1]
+            if target[1] != ys[-1]:
+                raise ValueError("target site must lie in the lowest row")
         self.rows = [_Row(y, sorted(by_y[y])) for y in ys]
-        self._descending = descending
 
         for row in self.rows:
             _enumerate_row(row, self._allowed, phi, budget)
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
-        self._trans = [
-            self._transition(self.rows[i], self.rows[i + 1], budget)
-            for i in range(len(self.rows) - 1)
-        ]
+        self._trans, shared = [], {}
+        for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
+            key = (r.y - s.y, *(tuple((v[0], self._allowed[v]) for v in row.sites) for row in (r, s)))
+            if key not in shared:
+                shared[key] = self._transition(r, s, budget)
+            self._trans.append(shared[key])
         self._ext = [self._exterior_map(row) for row in self.rows]
         self._site_term_cache: dict[Site, list[np.ndarray | None]] = {}
 
@@ -169,36 +212,20 @@ class RegionEngine:
     # -- construction helpers -------------------------------------------
 
     def _transition(self, r: _Row, s: _Row, budget: int):
-        v_table = self.phi.vertical
-        if abs(s.y - r.y) != 1:
-            return ("const", 0.0, len(s.configs))
-        shared_x = sorted({v[0] for v in r.sites} & {v[0] for v in s.sites})
-        if not shared_x:
-            return ("const", 0.0, len(s.configs))
-        entries = len(r.configs) * len(s.configs)
-        if entries > budget:
-            raise BudgetError(
-                f"transition from row y={r.y} to y={s.y} needs {entries} entries, "
-                f"over the limit {budget}"
-            )
-        t = np.zeros((len(r.configs), len(s.configs)))
-        for x in shared_x:
-            a = r.configs[:, r.col[(x, r.y)]][:, None]
-            b = s.configs[:, s.col[(x, s.y)]][None, :]
-            if self._descending:  # s is below r: ordered pair (s, r)
-                t = t + v_table[b, a]
-            else:  # s is above r: ordered pair (r, s)
-                t = t + v_table[a, b]
-        if t.size and np.all(t == t.flat[0]):
-            return ("const", float(-t.flat[0]), len(s.configs))
-        logw = -t
+        """(steps, matrix) from row r down to row s; matrix is None or (exp-shifted weights, shift)."""
+        # s lies below r, so the vertical edge is the ordered pair (s, r)
+        table = self.phi.vertical.T if r.y - s.y == 1 else None
+        steps = _transfer_steps(r, s, table, self._allowed, self.phi, budget)
+        if len(r.configs) * len(s.configs) > budget:
+            return steps, None
+        logw = _run_steps(np.where(np.eye(len(r.configs), dtype=bool), 0.0, LOG_ZERO), steps)
         finite = logw[np.isfinite(logw)]
-        if finite.size and float(finite.max() - finite.min()) <= 400.0:
-            # narrow spread: exp/matmul loses at most e^-345 relative mass,
-            # invisible at double precision, and runs on BLAS
-            shift = float(finite.max())
-            return ("dense_lin", (np.exp(logw - shift), shift), len(s.configs))
-        return ("dense", logw, len(s.configs))
+        if not finite.size or float(finite.max() - finite.min()) > 400.0:
+            return steps, None
+        # narrow spread: exp/matmul loses at most e^-345 relative mass,
+        # invisible at double precision, and runs on BLAS
+        shift = float(finite.max())
+        return steps, (np.exp(logw - shift), shift)
 
     def _exterior_map(self, row: _Row):
         """site -> [(column, axis, exterior_comes_first)] for sites outside
@@ -229,6 +256,8 @@ class RegionEngine:
 
     def terms_from_pins(self, pins: Mapping[Site, int]) -> list[np.ndarray | None]:
         """Per-row vectors forcing region sites to fixed symbols."""
+        if any(not 0 <= a < self.phi.q for a in pins.values()):
+            raise ValueError("pin symbol out of alphabet range")
         terms: list[np.ndarray | None] = []
         for row in self.rows:
             vec = None
@@ -265,26 +294,19 @@ class RegionEngine:
 
     # -- sweeps ------------------------------------------------------------
 
-    @staticmethod
-    def _apply(v: np.ndarray, trans) -> np.ndarray:
-        kind, data, n_next = trans
-        if kind == "const":
-            base = logsumexp(v, axis=-1)
-            return np.asarray(base)[..., None] + np.full(n_next, data)
-        if kind == "dense_lin":
-            expw, shift = data
-            vmax = np.max(v, axis=-1)
-            vm_safe = np.where(np.isfinite(vmax), vmax, 0.0)
-            lin = np.exp(v - vm_safe[..., None])
-            sums = lin @ expw
-            with np.errstate(divide="ignore"):
-                return np.log(sums) + vm_safe[..., None] + shift
-        return logsumexp(v[..., :, None] + data, axis=-2)
-
     def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
         v = row_vecs[0]
-        for i in range(1, len(self.rows)):
-            v = self._apply(v, self._trans[i - 1]) + row_vecs[i]
+        for (steps, matrix), vec in zip(self._trans, row_vecs[1:]):
+            if matrix is None:
+                v = _run_steps(v, steps)
+            else:
+                expw, shift = matrix
+                vmax = np.max(v, axis=-1)
+                vm_safe = np.where(np.isfinite(vmax), vmax, 0.0)
+                sums = np.exp(v - vm_safe[..., None]) @ expw
+                with np.errstate(divide="ignore"):
+                    v = np.log(sums) + vm_safe[..., None] + shift
+            v = v + vec
         return v
 
     def _finalize(self, v: np.ndarray):
@@ -321,11 +343,7 @@ class RegionEngine:
             return np.zeros(out_shape)
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
-        cost = max(
-            (t[1].size for t in self._trans if t[0] == "dense"),
-            default=max(len(r.configs) for r in self.rows),
-        )
-        block = max(64, min(4096, 4_000_000 // cost))
+        block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
         site_terms = [self._site_terms(v) for v in delta_sites]
         base = []
         for i, row in enumerate(self.rows):
@@ -421,6 +439,8 @@ def conditional_sum_check(
     The denominator is computed as its own unconstrained partition function,
     so summing the returned entries to 1 is a genuine consistency check.
     """
+    if site not in cr.region:
+        raise ValueError("site outside the region")
     engine, bterms, denom = _conditioned(cr, phi, budget)
     probs = np.empty(phi.q)
     for a in range(phi.q):
@@ -468,48 +488,25 @@ def strip_pressure(
     stopping when the per-site gap drops below tol. Degenerate strips (no
     admissible row survives) yield a [-inf, -inf] bracket.
 
-    The operator is applied site by site. After j sites a state is a row
-    with new symbols on sites 0..j-1 and old ones on sites j..m-1, and no
-    edge between sites j-1 and j; the next step swaps the old symbol b at
-    site j for a new symbol a with log-weight -V[b, a].
+    The operator is applied as the site-by-site steps of `_transfer_steps`
+    from the row to itself.
     """
     if m < 1:
         raise ValueError("strip width must be positive")
-    q = phi.q
-    if q ** min(m, 63) > 1 << 62:  # q >= 2: every m > 62 is over, so cap the power
-        raise BudgetError(f"width {m} needs {q}^{m} row codes, over the int64 limit 2^62")
-    full = tuple(range(q))
-    place = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    symbols = np.arange(q)[:, None]
-    steps = []
-    for j in range(m + 1):
-        # the gap in x after site j-1 leaves no edge across the break
-        row = _Row(0, [(x + (x >= j), 0) for x in range(m)])
-        try:
-            _enumerate_row(row, dict.fromkeys(row.sites, full), phi, budget)
-        except BudgetError as exc:
-            raise BudgetError(f"strip of width {m}: {exc}") from None
+    row = _Row(0, [(x, 0) for x in range(m)])
+    allowed = dict.fromkeys(row.sites, tuple(range(phi.q)))
+    try:
+        _enumerate_row(row, allowed, phi, budget)
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        codes = row.configs @ place
-        if j:
-            # the predecessor of a state for old symbol b has b at site j-1;
-            # rows are lexicographic, so the codes are sorted
-            new = row.configs[:, j - 1]
-            pred = codes + (symbols - new) * place[j - 1]
-            idx = np.searchsorted(prev, pred)
-            found = prev[np.minimum(idx, len(prev) - 1)] == pred
-            steps.append((np.where(found, idx, len(prev)), -phi.vertical[:, new]))
-        prev = codes
+        steps = _transfer_steps(row, row, phi.vertical, allowed, phi, budget)
+    except BudgetError as exc:
+        raise BudgetError(f"strip of width {m}: {exc}") from None
     x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
     it = 0
     for it in range(1, max_iter + 1):
-        y = x
-        for idx, logw in steps:
-            # index len(y) reads the appended -inf: no admissible predecessor
-            y = logsumexp(np.append(y, LOG_ZERO)[idx] + logw, axis=0)
-        y = y + row.internal
+        y = _run_steps(x, steps) + row.internal
         mask = np.isfinite(x) & np.isfinite(y)
         if not mask.any():
             return StripBounds(m, LOG_ZERO, LOG_ZERO, it)

@@ -176,9 +176,11 @@ def test_budget_refusal_exit_4(capsys, monkeypatch):
     )
     assert code == 4
 
-    # 17711 states per row: each transition would hold 17711^2 entries
-    code, out, err = run_cli(capsys, "oracle", "--model", "hardsquare", "--mode", "box", "--width", "20")
-    assert code == 4 and "entries" in err
+    # 17711 states per row, over the budget of 10000
+    code, out, err = run_cli(
+        capsys, "oracle", "--model", "hardsquare", "--mode", "box", "--width", "20", "--budget", "10000"
+    )
+    assert code == 4 and "transfer states" in err
 
     monkeypatch.setenv("GPRESS_BUDGET", "10")
     code, out, err = run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2")

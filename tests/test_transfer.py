@@ -14,8 +14,8 @@ from gibbspress.interaction import (
     build_ising,
     constant_configuration,
 )
-from gibbspress.lattice import Region, boundary, box
-from gibbspress.pressure import p_interval
+from gibbspress.lattice import Region, boundary, box, canopy_decomposition
+from gibbspress.pressure import admissible_configurations, p_interval
 from gibbspress.sft import PeriodicPoint
 from gibbspress.transfer import (
     LOG_ZERO,
@@ -361,7 +361,8 @@ def test_box_log_partition_examples():
 
 def test_box_values_decrease_toward_strip_value():
     hs = build_hard_square(1.0)
-    values = [box_log_partition(m, hs) for m in (1, 2, 3, 4, 5)]
+    # from width 17 on a transition's matrix is over the default budget
+    values = [box_log_partition(m, hs) for m in (1, 2, 3, 4, 5, 17, 20)]
     assert all(a > b for a, b in zip(values, values[1:]))
     ratio = strip_sequence(hs, [8])[0]
     assert values[-1] > ratio.ratio_lower  # free boxes approach from above
@@ -464,3 +465,69 @@ def test_evaluate_is_a_one_member_ensemble(rng):
         assert infeasible.infeasible
         assert np.all(check(infeasible, {(0, 1): 0, (2, 0): 1}) == LOG_ZERO)
     assert check(RegionEngine(Region([]), hs), {(0, 0): 1}) == 0.0
+
+
+def test_transfer_steps_and_matrices_agree(rng):
+    """A transition run as site-by-site steps (its matrix over the budget)
+    agrees with the same transition run as a matrix."""
+    hs = build_hard_square(1.0)
+    # 377 states per row: 377^2 entries are over a budget of 100000
+    assert box_log_partition(12, hs, budget=100_000) == pytest.approx(box_log_partition(12, hs), abs=1e-12)
+
+    s_3, u_3, c_3 = canopy_decomposition(3)
+    deltas = admissible_configurations(c_3, hs)
+    upper = PeriodicPoint([[0]]).restrict(u_3)
+    got = []
+    for budget in (1000, 1 << 24):  # 34 states in the widest row
+        engine = RegionEngine(s_3, hs, target=(0, 0), budget=budget)
+        got.append(engine.evaluate_deltas([engine.terms_from_boundary(upper)], list(c_3), deltas))
+    np.testing.assert_allclose(got[0], got[1], rtol=0, atol=1e-12)
+
+    # rows of at most 3 columns; a budget of q^3 holds every state but sends
+    # the larger transitions through their steps
+    regions = [r for r in SMALL_REGIONS if len({x for x, _ in r}) <= 3]
+    for trial in range(30):
+        q = int(rng.integers(2, 4))
+        phi = random_interaction(q, rng)
+        region = regions[int(rng.integers(len(regions)))]
+        allowed = {
+            v: tuple(sorted(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False).tolist(), reverse=True))
+            for v in region
+            if rng.random() < 0.5
+        }
+        ring = [v for v in boundary(region) if rng.random() < 0.6]
+        bcfg = Configuration(Region(ring), {v: int(rng.integers(q)) for v in ring})
+        cr = ConstrainedRegion(region, allowed, bcfg)
+        want = brute_log_partition(cr, phi)
+        for budget in (q**3, 1 << 24):
+            assert log_partition(cr, phi, budget=budget) == pytest.approx(want, abs=1e-10)
+        target = min(region, key=lambda v: (v[1], v[0]))
+        small, large = (RegionEngine(region, phi, allowed=allowed, target=target, budget=b) for b in (q**3, 1 << 24))
+        np.testing.assert_allclose(
+            small.evaluate(small.terms_from_boundary(bcfg)),
+            large.evaluate(large.terms_from_boundary(bcfg)),
+            rtol=1e-12,
+            atol=0,
+        )
+
+
+def test_engine_rows_share_the_int64_code_limit():
+    cb2 = build_checkerboard(2)  # two configurations on any connected region
+    wide = Region((x, y) for x in range(62) for y in range(2))
+    assert log_partition(ConstrainedRegion(wide), cb2) == pytest.approx(math.log(2), abs=1e-12)
+    wider = Region((x, y) for x in range(63) for y in range(2))
+    with pytest.raises(BudgetError, match="int64"):
+        log_partition(ConstrainedRegion(wider), cb2)
+
+
+def test_out_of_range_inputs_are_refused():
+    hs = build_hard_square(1.0)
+    origin = Region([(0, 0)])
+    cr = ConstrainedRegion(origin, {}, constant_configuration(boundary(origin), 0))
+    with pytest.raises(ValueError, match="outside the region"):
+        conditional_sum_check(cr, hs, (5, 5))
+    with pytest.raises(ValueError, match="alphabet"):
+        conditional_probability({(0, 0): 7}, cr, hs)
+    engine = RegionEngine(origin, hs)
+    with pytest.raises(ValueError, match="alphabet"):
+        engine.terms_from_pins({(0, 0): -1})
