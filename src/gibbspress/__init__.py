@@ -22,7 +22,6 @@ from .pressure import (
     gk_pressure,
     p_interval,
     representation_residual,
-    width_decay_diagnostic,
 )
 from .sft import (
     PeriodicPoint,
@@ -89,5 +88,4 @@ __all__ = [
     "ssf_check",
     "strip_pressure",
     "strip_sequence",
-    "width_decay_diagnostic",
 ]

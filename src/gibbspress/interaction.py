@@ -66,18 +66,6 @@ class Interaction:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.horizontal, self.vertical)
 
-    @property
-    def finite_min(self) -> float:
-        """Smallest finite table entry."""
-        vals = np.concatenate([t[np.isfinite(t)] for t in self.tables])
-        return float(vals.min())
-
-    @property
-    def finite_max(self) -> float:
-        """Largest finite table entry."""
-        vals = np.concatenate([t[np.isfinite(t)] for t in self.tables])
-        return float(vals.max())
-
 
 @dataclass(frozen=True)
 class Configuration:

@@ -186,27 +186,6 @@ def assemble_pressure_interval(terms: list[SiteTerm], n: int, model: str) -> Pre
     return PressureEstimate(lower=lower, upper=upper, per_site=tuple(terms), n=n, model=model)
 
 
-def width_decay_diagnostic(estimates: list[PressureEstimate]) -> dict:
-    """Least-squares fit of log(width) against n, as a convergence report.
-
-    Purely diagnostic: the per-model rate constants are unknown, so nothing
-    is extrapolated from the fit and the certified intervals stand alone.
-    """
-    if len(estimates) < 2:
-        raise ValueError("need at least two estimates to fit")
-    ns = np.array([e.n for e in estimates], dtype=float)
-    widths = np.array([e.width for e in estimates])
-    if (widths <= 0).any():
-        return {"slope": -math.inf, "intercept": -math.inf, "r_squared": 1.0}
-    logs = np.log(widths)
-    slope, intercept = np.polyfit(ns, logs, 1)
-    fitted = slope * ns + intercept
-    ss_res = float(((logs - fitted) ** 2).sum())
-    ss_tot = float(((logs - logs.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return {"slope": float(slope), "intercept": float(intercept), "r_squared": r2}
-
-
 def representation_residual(
     z: PeriodicPoint,
     z_ref: PeriodicPoint,

@@ -22,8 +22,7 @@ from .sft import admissible_states
 LOG_ZERO = -inf
 
 #: The one resource limit: the most configurations a single enumeration may
-#: hold (canopy members, row or transfer states, probe evaluations); a
-#: transition is kept as a matrix only when its S_r * S_s entries fit it.
+#: hold (canopy members, row or transfer states, probe evaluations).
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -101,6 +100,14 @@ def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interac
     row.internal = -energy
 
 
+def _columns(old: _Row, new: _Row, q: int) -> list[int]:
+    """Sorted x columns of the transfer between two rows, if int64 codes fit."""
+    columns = sorted({v[0] for row in (old, new) for v in row.sites})
+    if q ** min(len(columns), 63) > 1 << 62:  # q >= 2: cap the power
+        raise BudgetError(f"{len(columns)} columns need {q}^{len(columns)} row codes, over the int64 limit 2^62")
+    return columns
+
+
 def _transfer_steps(old: _Row, new: _Row, table, allowed, phi: Interaction, budget: int) -> list:
     """Site-by-site steps (idx, logw) of the transfer from the enumerated,
     nonempty row `old` to `new`, one per column in x order. After k columns
@@ -113,9 +120,7 @@ def _transfer_steps(old: _Row, new: _Row, table, allowed, phi: Interaction, budg
     is not admissible."""
     q = phi.q
     old_x, new_x = ({v[0]: v for v in row.sites} for row in (old, new))
-    columns = sorted(old_x.keys() | new_x.keys())
-    if q ** min(len(columns), 63) > 1 << 62:  # q >= 2: cap the power
-        raise BudgetError(f"{len(columns)} columns need {q}^{len(columns)} row codes, over the int64 limit 2^62")
+    columns = _columns(old, new, q)
     prev_place = q ** np.arange(len(old.sites) - 1, -1, -1, dtype=np.int64)
     prev = old.configs @ prev_place
     steps = []
@@ -147,6 +152,20 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
     return v
 
 
+def _matrix(steps, size: int):
+    """(exp-shifted weights, shift) of the transition from a row of `size`
+    states, got by running its steps on the log identity; () when its
+    log-weights spread too wide for exp/matmul."""
+    logw = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), steps)
+    finite = logw[np.isfinite(logw)]
+    if not finite.size or float(finite.max() - finite.min()) > 400.0:
+        return ()
+    # narrow spread: exp/matmul loses at most e^-345 relative mass,
+    # invisible at double precision, and runs on BLAS
+    shift = float(finite.max())
+    return np.exp(logw - shift), shift
+
+
 class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
@@ -155,8 +174,9 @@ class RegionEngine:
     serves an entire ensemble of boundary conditions. With `target` set,
     evaluation returns the vector of log partition functions split by the
     target site's symbol (the target must lie in the lowest row). Each
-    transition is the steps of `_transfer_steps` plus, where it fits the
-    budget, the matrix they give on BLAS; equal row pairs share one.
+    transition is the steps of `_transfer_steps`; equal row pairs share one.
+    A sweep of at least S_r members (the upper row's states) builds and keeps
+    the S_r x S_s matrix of those steps for BLAS; smaller ones run the steps.
     """
 
     def __init__(
@@ -189,15 +209,20 @@ class RegionEngine:
                 raise ValueError("target site must lie in the lowest row")
         self.rows = [_Row(y, sorted(by_y[y])) for y in ys]
 
+        for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
+            _columns(r, s, phi.q)
         for row in self.rows:
             _enumerate_row(row, self._allowed, phi, budget)
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
+        # [steps, matrix] per row pair; evaluate_deltas builds the matrices
         self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple((v[0], self._allowed[v]) for v in row.sites) for row in (r, s)))
             if key not in shared:
-                shared[key] = self._transition(r, s, budget)
+                # s lies below r, so the vertical edge is the ordered pair (s, r)
+                table = phi.vertical.T if r.y - s.y == 1 else None
+                shared[key] = [_transfer_steps(r, s, table, self._allowed, phi, budget), None]
             self._trans.append(shared[key])
         self._ext = [self._exterior_map(row) for row in self.rows]
         self._site_term_cache: dict[Site, list[np.ndarray | None]] = {}
@@ -210,22 +235,6 @@ class RegionEngine:
             self._target_masks = None
 
     # -- construction helpers -------------------------------------------
-
-    def _transition(self, r: _Row, s: _Row, budget: int):
-        """(steps, matrix) from row r down to row s; matrix is None or (exp-shifted weights, shift)."""
-        # s lies below r, so the vertical edge is the ordered pair (s, r)
-        table = self.phi.vertical.T if r.y - s.y == 1 else None
-        steps = _transfer_steps(r, s, table, self._allowed, self.phi, budget)
-        if len(r.configs) * len(s.configs) > budget:
-            return steps, None
-        logw = _run_steps(np.where(np.eye(len(r.configs), dtype=bool), 0.0, LOG_ZERO), steps)
-        finite = logw[np.isfinite(logw)]
-        if not finite.size or float(finite.max() - finite.min()) > 400.0:
-            return steps, None
-        # narrow spread: exp/matmul loses at most e^-345 relative mass,
-        # invisible at double precision, and runs on BLAS
-        shift = float(finite.max())
-        return steps, (np.exp(logw - shift), shift)
 
     def _exterior_map(self, row: _Row):
         """site -> [(column, axis, exterior_comes_first)] for sites outside
@@ -297,7 +306,7 @@ class RegionEngine:
     def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
         v = row_vecs[0]
         for (steps, matrix), vec in zip(self._trans, row_vecs[1:]):
-            if matrix is None:
+            if not matrix:
                 v = _run_steps(v, steps)
             else:
                 expw, shift = matrix
@@ -344,6 +353,11 @@ class RegionEngine:
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
         block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
+        # a matrix costs S_r step runs, so it pays from S_r members on; built
+        # before the block's vectors, it holds no more floats than they do
+        for row, trans in zip(self.rows, self._trans):
+            if trans[1] is None and min(n, block) >= len(row.configs):
+                trans[1] = _matrix(trans[0], len(row.configs))
         site_terms = [self._site_terms(v) for v in delta_sites]
         base = []
         for i, row in enumerate(self.rows):

@@ -25,8 +25,6 @@ from gibbspress.interaction import (
 from gibbspress.lattice import Region, boundary
 from gibbspress.sft import PeriodicPoint
 
-from conftest import model_gallery
-
 
 def cfg(mapping):
     return Configuration(Region(mapping), dict(mapping))
@@ -80,14 +78,6 @@ def test_ising_tables():
     ib = build_ising(0.3)
     assert ib.horizontal[1, 1] == pytest.approx(-0.3)
     assert ib.horizontal[0, 1] == pytest.approx(0.3)
-
-
-def test_finite_bounds_exposed_for_gallery():
-    for phi in model_gallery():
-        assert phi.finite_min <= phi.finite_max
-    ib = build_ising(0.3)
-    assert ib.finite_min == pytest.approx(-0.3)
-    assert ib.finite_max == pytest.approx(0.3)
 
 
 def test_energy_examples():

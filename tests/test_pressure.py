@@ -265,22 +265,6 @@ def test_sandwich_weighted_average_inside_interval(rng):
         assert pi.lower - 1e-12 <= avg <= pi.upper + 1e-12
 
 
-def test_width_decay_diagnostic():
-    from gibbspress.pressure import width_decay_diagnostic
-
-    hs = build_hard_square(1.0)
-    estimates = [gk_pressure(ZEROS, n, hs) for n in (1, 2, 3)]
-    fit = width_decay_diagnostic(estimates)
-    assert fit["slope"] < -0.4  # exponential shrinkage
-    assert fit["r_squared"] > 0.99
-    with pytest.raises(ValueError):
-        width_decay_diagnostic(estimates[:1])
-
-    fs = build_full_shift(2)
-    degenerate = width_decay_diagnostic([gk_pressure(ZEROS, n, fs) for n in (1, 2)])
-    assert degenerate["slope"] == -math.inf  # exact intervals have zero width
-
-
 def test_representation_residual():
     hs = build_hard_square(1.0)
     same = representation_residual(ZEROS, ZEROS, 2, hs)

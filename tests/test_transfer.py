@@ -16,6 +16,7 @@ from gibbspress.interaction import (
 )
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
 from gibbspress.pressure import admissible_configurations, p_interval
+import gibbspress.transfer as transfer
 from gibbspress.sft import PeriodicPoint
 from gibbspress.transfer import (
     LOG_ZERO,
@@ -361,7 +362,7 @@ def test_box_log_partition_examples():
 
 def test_box_values_decrease_toward_strip_value():
     hs = build_hard_square(1.0)
-    # from width 17 on a transition's matrix is over the default budget
+    # one-member sweeps: every width runs its transitions as steps
     values = [box_log_partition(m, hs) for m in (1, 2, 3, 4, 5, 17, 20)]
     assert all(a > b for a, b in zip(values, values[1:]))
     ratio = strip_sequence(hs, [8])[0]
@@ -467,57 +468,77 @@ def test_evaluate_is_a_one_member_ensemble(rng):
     assert check(RegionEngine(Region([]), hs), {(0, 0): 1}) == 0.0
 
 
-def test_transfer_steps_and_matrices_agree(rng):
-    """A transition run as site-by-site steps (its matrix over the budget)
-    agrees with the same transition run as a matrix."""
+def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
+    """A sweep of fewer members than a transition's upper-row states runs
+    its steps and builds no matrix; a sweep of at least that many builds
+    the matrix, and both agree."""
+    built = []
+    make = transfer._matrix
+    monkeypatch.setattr(transfer, "_matrix", lambda steps, size: built.append(size) or make(steps, size))
     hs = build_hard_square(1.0)
-    # 377 states per row: 377^2 entries are over a budget of 100000
-    assert box_log_partition(12, hs, budget=100_000) == pytest.approx(box_log_partition(12, hs), abs=1e-12)
+    one = box_log_partition(12, hs)
+    engine = RegionEngine(Region((x, y) for x in range(12) for y in range(12)), hs)
+    assert engine.evaluate() == pytest.approx(144 * one, abs=1e-12)
+    assert built == [] and all(matrix is None for _, matrix in engine._trans)
+    # 377 states per row; the 11 equal row pairs share one matrix
+    many = engine.evaluate_deltas([], [], np.zeros((377, 0), dtype=np.int64))
+    assert built == [377] and all(matrix for _, matrix in engine._trans)
+    np.testing.assert_allclose(many, 144 * one, rtol=1e-12, atol=0)
 
     s_3, u_3, c_3 = canopy_decomposition(3)
     deltas = admissible_configurations(c_3, hs)
+    assert len(deltas) == 1360
     upper = PeriodicPoint([[0]]).restrict(u_3)
-    got = []
-    for budget in (1000, 1 << 24):  # 34 states in the widest row
-        engine = RegionEngine(s_3, hs, target=(0, 0), budget=budget)
-        got.append(engine.evaluate_deltas([engine.terms_from_boundary(upper)], list(c_3), deltas))
-    np.testing.assert_allclose(got[0], got[1], rtol=0, atol=1e-12)
+    ensemble, single = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
+    assert max(len(row.configs) for row in ensemble.rows) == 34
+    got = ensemble.evaluate_deltas([ensemble.terms_from_boundary(upper)], list(c_3), deltas)
+    assert all(matrix for _, matrix in ensemble._trans)
+    static = [single.terms_from_boundary(upper)]
+    ones = np.concatenate([single.evaluate_deltas(static, list(c_3), d[None]) for d in deltas])
+    assert all(matrix is None for _, matrix in single._trans)
+    np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
 
-    # rows of at most 3 columns; a budget of q^3 holds every state but sends
-    # the larger transitions through their steps
-    regions = [r for r in SMALL_REGIONS if len({x for x, _ in r}) <= 3]
     for trial in range(30):
         q = int(rng.integers(2, 4))
         phi = random_interaction(q, rng)
-        region = regions[int(rng.integers(len(regions)))]
+        region = SMALL_REGIONS[int(rng.integers(len(SMALL_REGIONS)))]
         allowed = {
             v: tuple(sorted(rng.choice(q, size=int(rng.integers(1, q + 1)), replace=False).tolist(), reverse=True))
             for v in region
             if rng.random() < 0.5
         }
         ring = [v for v in boundary(region) if rng.random() < 0.6]
-        bcfg = Configuration(Region(ring), {v: int(rng.integers(q)) for v in ring})
-        cr = ConstrainedRegion(region, allowed, bcfg)
-        want = brute_log_partition(cr, phi)
-        for budget in (q**3, 1 << 24):
-            assert log_partition(cr, phi, budget=budget) == pytest.approx(want, abs=1e-10)
-        target = min(region, key=lambda v: (v[1], v[0]))
-        small, large = (RegionEngine(region, phi, allowed=allowed, target=target, budget=b) for b in (q**3, 1 << 24))
-        np.testing.assert_allclose(
-            small.evaluate(small.terms_from_boundary(bcfg)),
-            large.evaluate(large.terms_from_boundary(bcfg)),
-            rtol=1e-12,
-            atol=0,
-        )
+        target = min(region, key=lambda v: (v[1], v[0])) if trial % 2 else None
+        ensemble, single = (RegionEngine(region, phi, allowed=allowed, target=target) for _ in range(2))
+        members = max(len(row.configs) for row in ensemble.rows)  # at least S_r for every transition
+        deltas = rng.integers(q, size=(members, len(ring)))
+        got = ensemble.evaluate_deltas([], ring, deltas)
+        assert all(matrix for _, matrix in ensemble._trans)
+        for d, row in zip(deltas, got):
+            bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
+            one = single.evaluate(single.terms_from_boundary(bcfg))
+            np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
+            want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
+            assert logsumexp(one) == pytest.approx(want, abs=1e-10)
+        # one member pays only for the matrices of one-state rows
+        assert all((matrix is None) == (len(r.configs) > 1) for r, (_, matrix) in zip(single.rows, single._trans))
 
 
-def test_engine_rows_share_the_int64_code_limit():
+def test_engine_rows_share_the_int64_code_limit(monkeypatch):
     cb2 = build_checkerboard(2)  # two configurations on any connected region
     wide = Region((x, y) for x in range(62) for y in range(2))
     assert log_partition(ConstrainedRegion(wide), cb2) == pytest.approx(math.log(2), abs=1e-12)
     wider = Region((x, y) for x in range(63) for y in range(2))
     with pytest.raises(BudgetError, match="int64"):
         log_partition(ConstrainedRegion(wider), cb2)
+
+    # refused before any row is enumerated
+    def enumerate_row(*args):
+        raise AssertionError("a row was enumerated")
+
+    monkeypatch.setattr(transfer, "_enumerate_row", enumerate_row)
+    with pytest.raises(BudgetError, match="int64"):
+        box_log_partition(63, cb2)
 
 
 def test_out_of_range_inputs_are_refused():
