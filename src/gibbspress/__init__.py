@@ -21,7 +21,6 @@ from .pressure import (
     finite_positivity_probe,
     gk_pressure,
     p_interval,
-    representation_residual,
 )
 from .sft import (
     PeriodicPoint,
@@ -83,7 +82,6 @@ __all__ = [
     "past_in_box",
     "per_site_contribution",
     "periodic_point_from_ssf",
-    "representation_residual",
     "safe_symbol_check",
     "ssf_check",
     "strip_pressure",

@@ -112,6 +112,15 @@ def _build_point(selector: str, phi: Interaction) -> PeriodicPoint:
     return point
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be written, before any computation."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write --out {path}: it is a directory")
+    existing = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if not os.access(existing, os.W_OK):
+        raise UsageError(f"cannot write --out {path}: no such directory or no write permission")
+
+
 def _write(text: str, args) -> None:
     if args.out:
         with open(args.out, "w") as f:
@@ -305,6 +314,8 @@ def main(argv=None) -> int:
         print("gibbspress: --width must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except UsageError as exc:
         print(f"gibbspress: {exc}", file=sys.stderr)

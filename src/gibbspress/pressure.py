@@ -186,24 +186,6 @@ def assemble_pressure_interval(terms: list[SiteTerm], n: int, model: str) -> Pre
     return PressureEstimate(lower=lower, upper=upper, per_site=tuple(terms), n=n, model=model)
 
 
-def representation_residual(
-    z: PeriodicPoint,
-    z_ref: PeriodicPoint,
-    n: int,
-    phi: Interaction,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[float, float]:
-    """Interval difference of the pressure estimates of two periodic points.
-
-    When the representation holds for every shift-invariant measure the
-    residual interval must contain 0; for a frozen point it reproduces the
-    failure gap instead.
-    """
-    a = gk_pressure(z, n, phi, budget=budget)
-    b = gk_pressure(z_ref, n, phi, budget=budget)
-    return (a.lower - b.upper, a.upper - b.lower)
-
-
 def finite_positivity_probe(
     z: PeriodicPoint,
     n: int,

@@ -189,30 +189,28 @@ def admissible_states(
     sites: Sequence[Site],
     phi: Interaction,
     budget: int,
-    allowed: Mapping[Site, Sequence[int]] | None = None,
     fixed: Mapping[Site, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locally admissible configurations of `sites` around fixed symbols,
     with their energies.
 
-    States are extended site by site in the given order, with symbols
-    ascending or taken from the site's allowed set. Each new site adds the
-    energy of its edges to already-placed and fixed sites, and a state is
-    dropped as soon as that energy is +inf. Returns the (n, len(sites))
-    symbol matrix, lexicographic with the first site most significant, and
-    the n energies. Fixed symbols on the given sites are ignored; the budget
-    bounds the states held at each site.
+    States are extended site by site in the given order, with every symbol
+    of the alphabet in ascending order. Each new site adds the energy of its
+    edges to already-placed and fixed sites, and a state is dropped as soon
+    as that energy is +inf. Returns the (n, len(sites)) symbol matrix,
+    lexicographic with the first site most significant, and the n energies.
+    Fixed symbols on the given sites are ignored; the budget bounds the
+    states held at each site. Callers that restrict a site to fewer symbols
+    do so afterwards, e.g. with `RegionEngine.terms_from_pins`.
     """
     col = {v: j for j, v in enumerate(sites)}
     fixed = {v: a for v, a in (fixed or {}).items() if v not in col}
-    allowed = allowed or {}
     h, vt = phi.tables
-    full = range(phi.q)
+    syms = np.arange(phi.q, dtype=np.int64)
+    k = phi.q
     cfg = np.zeros((1, 0), dtype=np.int64)
     energy = np.zeros(1)
     for j, (x, y) in enumerate(sites):
-        syms = np.asarray(allowed.get((x, y), full), dtype=np.int64)
-        k = len(syms)
         if len(cfg) * k > budget:
             raise BudgetError(
                 f"needs {len(cfg) * k} states at site {j + 1} of {len(sites)}, "

@@ -51,7 +51,12 @@ def logsumexp(a, axis=None):
 @dataclass(frozen=True)
 class ConstrainedRegion:
     """A region with optional per-site allowed symbol sets and a pinned
-    boundary configuration (disjoint from the region)."""
+    boundary configuration (disjoint from the region).
+
+    Allowed sets restrict symbols per call: they enter the engine's sums as
+    set-valued pins (`RegionEngine.terms_from_pins`), so the region's rows
+    are enumerated, and counted against the budget, over the full alphabet.
+    """
 
     region: Region
     allowed: Mapping[Site, tuple[int, ...]] = field(default_factory=dict)
@@ -90,11 +95,11 @@ def product_matrix(choices: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
-def _enumerate_row(row: _Row, allowed: dict[Site, tuple[int, ...]], phi: Interaction, budget: int):
+def _enumerate_row(row: _Row, phi: Interaction, budget: int):
     """Fill row.configs / row.internal with the row's admissible states, in
     lexicographic order (first site most significant)."""
     try:
-        row.configs, energy = admissible_states(row.sites, phi, budget, allowed=allowed)
+        row.configs, energy = admissible_states(row.sites, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
     row.internal = -energy
@@ -108,7 +113,7 @@ def _columns(old: _Row, new: _Row, q: int) -> list[int]:
     return columns
 
 
-def _transfer_steps(old: _Row, new: _Row, table, allowed, phi: Interaction, budget: int) -> list:
+def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) -> list:
     """Site-by-site steps (idx, logw) of the transfer from the enumerated,
     nonempty row `old` to `new`, one per column in x order. After k columns
     a state holds the new symbols left of the cut and the old ones from the
@@ -130,7 +135,7 @@ def _transfer_steps(old: _Row, new: _Row, table, allowed, phi: Interaction, budg
             at = {(u, 0): new_x[u] for u in columns[:k] if u in new_x}
             at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
             stage = _Row(new.y, list(at))
-            _enumerate_row(stage, {w: allowed[v] for w, v in at.items()}, phi, budget)
+            _enumerate_row(stage, phi, budget)
         p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages
         place = q ** np.arange(len(stage.sites) - 1, -1, -1, dtype=np.int64)
         kept = np.delete(stage.configs, p, axis=1) if x in new_x else stage.configs
@@ -169,9 +174,13 @@ def _matrix(steps, size: int):
 class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
-    Rows are processed from the top down; per-call boundary conditions and
-    pinned sites enter as additive per-row log-weight vectors, so one engine
-    serves an entire ensemble of boundary conditions. With `target` set,
+    Rows and transitions depend on the region's geometry and the model only.
+    Rows are processed from the top down; every per-call condition enters as
+    additive per-row log-weight vectors: region sites restricted to a symbol
+    or a set of symbols through `terms_from_pins`, exterior sites through
+    `terms_from_boundary` or the ensemble of `evaluate_deltas`, which share
+    one exterior sum. So one engine serves an entire ensemble of boundary
+    conditions. With `target` set,
     evaluation returns the vector of log partition functions split by the
     target site's symbol (the target must lie in the lowest row). Each
     transition is the steps of `_transfer_steps`; equal row pairs share one.
@@ -183,21 +192,12 @@ class RegionEngine:
         self,
         region: Region,
         phi: Interaction,
-        allowed: Mapping[Site, tuple[int, ...]] | None = None,
         target: Site | None = None,
         budget: int = DEFAULT_BUDGET,
     ):
         self.region = region
         self.phi = phi
         self.target = target
-        full = tuple(range(phi.q))
-        allowed = dict(allowed or {})
-        for v, syms in allowed.items():
-            if any(not 0 <= s < phi.q for s in syms):
-                raise ValueError("allowed symbol out of alphabet range")
-        # sorted, so the row states and their codes are lexicographic
-        self._allowed = {v: tuple(sorted(set(allowed.get(v, full)))) for v in region}
-
         by_y: dict[int, list[Site]] = {}
         for v in region:
             by_y.setdefault(v[1], []).append(v)
@@ -212,19 +212,18 @@ class RegionEngine:
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
         for row in self.rows:
-            _enumerate_row(row, self._allowed, phi, budget)
+            _enumerate_row(row, phi, budget)
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, matrix] per row pair; evaluate_deltas builds the matrices
         self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
-            key = (r.y - s.y, *(tuple((v[0], self._allowed[v]) for v in row.sites) for row in (r, s)))
+            key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
             if key not in shared:
                 # s lies below r, so the vertical edge is the ordered pair (s, r)
                 table = phi.vertical.T if r.y - s.y == 1 else None
-                shared[key] = [_transfer_steps(r, s, table, self._allowed, phi, budget), None]
+                shared[key] = [_transfer_steps(r, s, table, phi, budget), None]
             self._trans.append(shared[key])
-        self._ext = [self._exterior_map(row) for row in self.rows]
         self._site_term_cache: dict[Site, list[np.ndarray | None]] = {}
 
         if target is not None and self.rows:
@@ -234,38 +233,23 @@ class RegionEngine:
         else:
             self._target_masks = None
 
-    # -- construction helpers -------------------------------------------
-
-    def _exterior_map(self, row: _Row):
-        """site -> [(column, axis, exterior_comes_first)] for sites outside
-        the region adjacent to this row."""
-        out: dict[Site, list[tuple[int, int, bool]]] = {}
-        for v, j in row.col.items():
-            x, y = v
-            for axis, fwd, bwd in ((0, (x + 1, y), (x - 1, y)), (1, (x, y + 1), (x, y - 1))):
-                if fwd not in self.region:
-                    out.setdefault(fwd, []).append((j, axis, False))
-                if bwd not in self.region:
-                    out.setdefault(bwd, []).append((j, axis, True))
-        return out
-
     # -- per-call term builders ------------------------------------------
 
     def terms_from_boundary(self, config: Configuration) -> list[np.ndarray | None]:
         """Per-row log-weight vectors for edges into a pinned exterior
-        configuration. Exterior sites not adjacent to the region are ignored."""
-        terms: list[np.ndarray | None] = [None] * len(self.rows)
-        for v, a in config.symbols.items():
-            if not 0 <= a < self.phi.q:
-                raise ValueError("boundary symbol out of alphabet range")
-            for i, arr in enumerate(self._site_terms(v)):
-                if arr is not None:
-                    terms[i] = arr[a] if terms[i] is None else terms[i] + arr[a]
-        return terms
+        configuration. Exterior sites not adjacent to the region, and sites
+        inside it, are ignored."""
+        sites = list(config.symbols)
+        symbols = np.array([[config.symbols[v] for v in sites]], dtype=np.int64)
+        if ((symbols < 0) | (symbols >= self.phi.q)).any():
+            raise ValueError("boundary symbol out of alphabet range")
+        return [None if vec is None else vec[0] for vec in self._exterior(sites, symbols)]
 
-    def terms_from_pins(self, pins: Mapping[Site, int]) -> list[np.ndarray | None]:
-        """Per-row vectors forcing region sites to fixed symbols."""
-        if any(not 0 <= a < self.phi.q for a in pins.values()):
+    def terms_from_pins(self, pins: Mapping[Site, int | Sequence[int]]) -> list[np.ndarray | None]:
+        """Per-row vectors restricting region sites to a symbol, or to a
+        tuple of allowed symbols. Sites outside the region are ignored."""
+        pins = {v: np.asarray(a, dtype=np.int64) for v, a in pins.items()}
+        if any(((a < 0) | (a >= self.phi.q)).any() for a in pins.values()):
             raise ValueError("pin symbol out of alphabet range")
         terms: list[np.ndarray | None] = []
         for row in self.rows:
@@ -276,30 +260,52 @@ class RegionEngine:
                     continue
                 if vec is None:
                     vec = np.zeros(len(row.configs))
-                vec = vec + np.where(row.configs[:, j] == a, 0.0, LOG_ZERO)
+                vec = vec + np.where(np.isin(row.configs[:, j], a), 0.0, LOG_ZERO)
             terms.append(vec)
         return terms
 
     def _site_terms(self, v: Site) -> list[np.ndarray | None]:
         """Per-row (q, n_states) log-weights of the edges from exterior site
-        v, indexed by v's symbol; None for rows v does not touch."""
+        v to its region neighbours, indexed by v's symbol; None for rows v
+        does not touch, and for every row when v lies in the region."""
         cached = self._site_term_cache.get(v)
         if cached is not None:
             return cached
+        x, y = v
+        # (neighbour, axis, v comes first in the edge's ordered pair)
+        edges = (((x - 1, y), 0, False), ((x + 1, y), 0, True), ((x, y - 1), 1, False), ((x, y + 1), 1, True))
         cached = []
-        for row, ext in zip(self.rows, self._ext):
+        for row in self.rows:
             arr = None
-            if v in ext:
-                arr = np.zeros((self.phi.q, len(row.configs)))
-                for j, axis, ext_first in ext[v]:
-                    table = self.phi.tables[axis]
-                    col = row.configs[:, j]
-                    for a in range(self.phi.q):
-                        arr[a] -= table[a, col] if ext_first else table[col, a]
-                arr.flags.writeable = False  # terms_from_boundary hands out views
+            for u, axis, ext_first in () if v in self.region else edges:
+                j = row.col.get(u)
+                if j is None:
+                    continue
+                if arr is None:
+                    arr = np.zeros((self.phi.q, len(row.configs)))
+                table, col = self.phi.tables[axis], row.configs[:, j]
+                arr -= table[:, col] if ext_first else table[col].T
             cached.append(arr)
         self._site_term_cache[v] = cached
         return cached
+
+    def _exterior(self, sites: Sequence[Site], symbols: np.ndarray) -> list[np.ndarray | None]:
+        """Per-row (len(symbols), n_states) sums of the exterior terms of
+        `sites`, one member per row of `symbols` (one column per site);
+        None for rows no site touches. Summed in site order."""
+        per_site = [self._site_terms(v) for v in sites]
+        out = []
+        for i in range(len(self.rows)):
+            vec = None
+            for d, terms in enumerate(per_site):
+                if terms[i] is not None:
+                    t = terms[i][symbols[:, d]]  # a fresh array, so summed in place
+                    if vec is None:
+                        vec = t
+                    else:
+                        vec += t
+            out.append(vec)
+        return out
 
     # -- sweeps ------------------------------------------------------------
 
@@ -358,7 +364,6 @@ class RegionEngine:
         for row, trans in zip(self.rows, self._trans):
             if trans[1] is None and min(n, block) >= len(row.configs):
                 trans[1] = _matrix(trans[0], len(row.configs))
-        site_terms = [self._site_terms(v) for v in delta_sites]
         base = []
         for i, row in enumerate(self.rows):
             vec = row.internal
@@ -369,25 +374,12 @@ class RegionEngine:
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
-            vecs = []
-            for i in range(len(self.rows)):
-                # sum the exterior terms before adding the base, as
-                # terms_from_boundary does, so both paths round alike; the
-                # gathers are fresh arrays, so they are summed in place
-                vec = None
-                for d, per_row in enumerate(site_terms):
-                    if per_row[i] is not None:
-                        t = per_row[i][dm[:, d]]
-                        if vec is None:
-                            vec = t
-                        else:
-                            vec += t
-                if vec is None:
-                    vec = np.repeat(base[i][None, :], len(dm), axis=0)
-                else:
-                    vec += base[i]
-                vecs.append(vec)
+            vecs = [
+                np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
+                for v, b in zip(self._exterior(delta_sites, dm), base)
+            ]
             out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs))
+            del vecs  # release this block's vectors before the next block's are built
         return out
 
 def log_partition(
@@ -401,13 +393,14 @@ def log_partition(
     allowed sets, counting region-internal edges and edges into the pinned
     boundary. -inf means no admissible configuration.
     """
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
-    return engine.evaluate(engine.terms_from_boundary(cr.boundary))
+    engine = RegionEngine(cr.region, phi, budget=budget)
+    return engine.evaluate(engine.terms_from_boundary(cr.boundary), engine.terms_from_pins(cr.allowed))
 
 
 def _conditioned(cr: ConstrainedRegion, phi: Interaction, budget: int):
-    """Engine, boundary terms and log denominator for conditioning on cr's
-    boundary, which must cover the region's full exterior boundary."""
+    """Engine, static terms (boundary and allowed sets) and log denominator
+    for conditioning on cr's boundary, which must cover the region's full
+    exterior boundary."""
     if not len(cr.region):
         raise ValueError("conditional probability needs a nonempty region")
     missing = boundary(cr.region).sites - cr.boundary.region.sites
@@ -415,12 +408,12 @@ def _conditioned(cr: ConstrainedRegion, phi: Interaction, budget: int):
         raise ValueError(
             f"boundary must cover the full exterior boundary; missing {sorted(missing)}"
         )
-    engine = RegionEngine(cr.region, phi, allowed=cr.allowed, budget=budget)
-    bterms = engine.terms_from_boundary(cr.boundary)
-    denom = engine.evaluate(bterms)
+    engine = RegionEngine(cr.region, phi, budget=budget)
+    static = [engine.terms_from_boundary(cr.boundary), engine.terms_from_pins(cr.allowed)]
+    denom = engine.evaluate(*static)
     if denom == LOG_ZERO:
         raise HypothesisError("boundary condition inadmissible")
-    return engine, bterms, denom
+    return engine, static, denom
 
 
 def conditional_probability(
@@ -437,8 +430,8 @@ def conditional_probability(
     for v in event:
         if v not in cr.region:
             raise ValueError("event site outside the region")
-    engine, bterms, denom = _conditioned(cr, phi, budget)
-    num = engine.evaluate(bterms, engine.terms_from_pins(event))
+    engine, static, denom = _conditioned(cr, phi, budget)
+    num = engine.evaluate(*static, engine.terms_from_pins(event))
     return min(float(np.exp(num - denom)), 1.0)
 
 
@@ -455,10 +448,10 @@ def conditional_sum_check(
     """
     if site not in cr.region:
         raise ValueError("site outside the region")
-    engine, bterms, denom = _conditioned(cr, phi, budget)
+    engine, static, denom = _conditioned(cr, phi, budget)
     probs = np.empty(phi.q)
     for a in range(phi.q):
-        num = engine.evaluate(bterms, engine.terms_from_pins({site: a}))
+        num = engine.evaluate(*static, engine.terms_from_pins({site: a}))
         probs[a] = np.exp(num - denom)
     return probs
 
@@ -508,12 +501,11 @@ def strip_pressure(
     if m < 1:
         raise ValueError("strip width must be positive")
     row = _Row(0, [(x, 0) for x in range(m)])
-    allowed = dict.fromkeys(row.sites, tuple(range(phi.q)))
     try:
-        _enumerate_row(row, allowed, phi, budget)
+        _enumerate_row(row, phi, budget)
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        steps = _transfer_steps(row, row, phi.vertical, allowed, phi, budget)
+        steps = _transfer_steps(row, row, phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
     x = np.zeros(len(row.configs))
@@ -586,6 +578,8 @@ def box_log_partition(
     """Per-site log partition function of the free m x m box."""
     if m < 1:
         raise ValueError("box side must be positive")
+    top = _Row(m, [(x, m) for x in range(1, m + 1)])
+    _columns(top, top, phi.q)  # refuse over-wide rows before building the m^2 sites
     region = Region((x, y) for y in range(1, m + 1) for x in range(1, m + 1))
     value = log_partition(ConstrainedRegion(region), phi, budget=budget)
     return value / (m * m)

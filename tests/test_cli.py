@@ -212,9 +212,23 @@ def test_point_file(capsys, tmp_path):
         assert code == 2 and "cannot read point file" in err
 
 
-def test_out_flag_writes_file(capsys, tmp_path):
+def test_out_flag_writes_file(capsys, tmp_path, monkeypatch):
     out = tmp_path / "result.json"
     code, stdout, _ = run_cli(capsys, "check", "--model", "hardsquare", "--out", str(out))
     assert code == 0 and stdout == ""
     doc = json.loads(out.read_text())
     assert doc["ssf"] is True
+
+    # an unwritable --out is refused before anything is computed
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr("gibbspress.cli.ssf_check", fail)
+    monkeypatch.setattr("gibbspress.cli.box_log_partition", fail)
+    missing = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "check", "--model", "hardsquare", "--out", str(missing))
+    assert code == 2 and str(missing) in err and not missing.parent.exists()
+    code, _, err = run_cli(
+        capsys, "oracle", "--model", "hardsquare", "--mode", "box", "--width", "2", "--out", str(tmp_path)
+    )
+    assert code == 2 and str(tmp_path) in err

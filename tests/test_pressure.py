@@ -22,7 +22,6 @@ from gibbspress.pressure import (
     finite_positivity_probe,
     gk_pressure,
     p_interval,
-    representation_residual,
 )
 from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, periodic_point_from_ssf
 
@@ -263,18 +262,6 @@ def test_sandwich_weighted_average_inside_interval(rng):
         w /= w.sum()
         avg = float(w @ values)
         assert pi.lower - 1e-12 <= avg <= pi.upper + 1e-12
-
-
-def test_representation_residual():
-    hs = build_hard_square(1.0)
-    same = representation_residual(ZEROS, ZEROS, 2, hs)
-    est = gk_pressure(ZEROS, 2, hs)
-    assert same[0] == pytest.approx(-est.width)
-    assert same[1] == pytest.approx(est.width)
-
-    parity = periodic_point_from_ssf(hs, 1)
-    lo, hi = representation_residual(ZEROS, parity, 2, hs)
-    assert lo <= 0.0 <= hi
 
 
 def test_finite_positivity_probe_values():

@@ -436,12 +436,13 @@ def test_engine_target_vector_matches_pinned_runs():
 
 def test_evaluate_is_a_one_member_ensemble(rng):
     """evaluate on boundary terms equals evaluate_deltas on the same
-    symbols as a one-member ensemble, exactly."""
+    symbols as a one-member ensemble, exactly, also with pinned sites."""
 
-    def check(engine, symbols):
+    def check(engine, symbols, pins=None):
         sites = list(symbols)
-        one = engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), symbols)))
-        ens = engine.evaluate_deltas([], sites, [[symbols[v] for v in sites]])
+        static = [engine.terms_from_pins(pins or {})]
+        one = engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), symbols)), *static)
+        ens = engine.evaluate_deltas(static, sites, [[symbols[v] for v in sites]])
         assert ens.shape[0] == 1
         if engine.target is None:
             assert isinstance(one, float) and one == ens[0]
@@ -455,17 +456,47 @@ def test_evaluate_is_a_one_member_ensemble(rng):
         region = SMALL_REGIONS[int(rng.integers(len(SMALL_REGIONS)))]
         allowed = {v: (int(rng.integers(q)),) for v in region if rng.random() < 0.2}
         target = min(region, key=lambda v: (v[1], v[0])) if trial % 2 else None
-        engine = RegionEngine(region, phi, allowed=allowed, target=target)
+        engine = RegionEngine(region, phi, target=target)
         ring = [v for v in boundary(region) if rng.random() < 0.7]
-        check(engine, {v: int(rng.integers(q)) for v in ring})
+        check(engine, {v: int(rng.integers(q)) for v in ring}, allowed)
 
     hs = build_hard_square(1.0)
-    row = Region([(0, 0), (1, 0)])
+    # only the horizontal pair (0, 1) is allowed, so no 3-site row is admissible
+    only01 = Interaction(Alphabet(2), [[np.inf, 0.0], [np.inf, np.inf]], np.zeros((2, 2)))
+    row = Region([(0, 0), (1, 0), (2, 0)])
     for target in (None, (0, 0)):
-        infeasible = RegionEngine(row, hs, allowed={(0, 0): (1,), (1, 0): (1,)}, target=target)
+        infeasible = RegionEngine(row, only01, target=target)
         assert infeasible.infeasible
-        assert np.all(check(infeasible, {(0, 1): 0, (2, 0): 1}) == LOG_ZERO)
+        assert np.all(check(infeasible, {(0, 1): 0, (3, 0): 1}) == LOG_ZERO)
+        excluded = RegionEngine(row, hs, target=target)
+        assert not excluded.infeasible
+        assert np.all(check(excluded, {(0, 1): 0, (3, 0): 1}, {(0, 0): (1,), (1, 0): (1,)}) == LOG_ZERO)
     assert check(RegionEngine(Region([]), hs), {(0, 0): 1}) == 0.0
+
+
+def test_allowed_sets_are_set_valued_pins(monkeypatch):
+    """A pin to a set of symbols is the logsumexp of the pins to each one,
+    and out-of-range symbols are refused. Rows ignore allowed sets, so an
+    allowed set never splits a shared transition."""
+    region = Region([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1)])
+    ring = boundary(region)
+    for phi in (build_ising(0.4), build_checkerboard(3)):
+        engine = RegionEngine(region, phi)
+        bterms = engine.terms_from_boundary(Configuration(ring, {v: (v[0] + v[1]) % 2 for v in ring}))
+        pins = {(1, 0): tuple(range(phi.q - 1, -1, -1)), (0, 1): 1}
+        both = engine.evaluate(bterms, engine.terms_from_pins(pins))
+        singles = [engine.evaluate(bterms, engine.terms_from_pins({**pins, (1, 0): a})) for a in pins[(1, 0)]]
+        assert math.isfinite(both)
+        assert both == pytest.approx(logsumexp(singles), rel=0, abs=1e-12)
+    with pytest.raises(ValueError, match="alphabet"):
+        log_partition(ConstrainedRegion(region, {(1, 0): (0, 2)}), build_ising(0.4))
+
+    calls = []
+    steps = transfer._transfer_steps
+    monkeypatch.setattr(transfer, "_transfer_steps", lambda *args: calls.append(args) or steps(*args))
+    box6 = Region((x, y) for x in range(6) for y in range(6))
+    assert math.isfinite(log_partition(ConstrainedRegion(box6, {(2, 3): (0,)}), build_hard_square(1.0)))
+    assert len(calls) == 1
 
 
 def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
@@ -509,14 +540,14 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         }
         ring = [v for v in boundary(region) if rng.random() < 0.6]
         target = min(region, key=lambda v: (v[1], v[0])) if trial % 2 else None
-        ensemble, single = (RegionEngine(region, phi, allowed=allowed, target=target) for _ in range(2))
+        ensemble, single = (RegionEngine(region, phi, target=target) for _ in range(2))
         members = max(len(row.configs) for row in ensemble.rows)  # at least S_r for every transition
         deltas = rng.integers(q, size=(members, len(ring)))
-        got = ensemble.evaluate_deltas([], ring, deltas)
+        got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], ring, deltas)
         assert all(matrix for _, matrix in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
-            one = single.evaluate(single.terms_from_boundary(bcfg))
+            one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
             np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
             assert logsumexp(one) == pytest.approx(want, abs=1e-10)
@@ -537,6 +568,14 @@ def test_engine_rows_share_the_int64_code_limit(monkeypatch):
         raise AssertionError("a row was enumerated")
 
     monkeypatch.setattr(transfer, "_enumerate_row", enumerate_row)
+    with pytest.raises(BudgetError, match="int64"):
+        box_log_partition(63, cb2)
+
+    # and the box oracle refuses before it builds its m^2 sites
+    def region(*args):
+        raise AssertionError("a region was built")
+
+    monkeypatch.setattr(transfer, "Region", region)
     with pytest.raises(BudgetError, match="int64"):
         box_log_partition(63, cb2)
 
