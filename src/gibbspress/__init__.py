@@ -26,6 +26,7 @@ from .sft import (
     PeriodicPoint,
     diagonal_3coloring_point,
     is_locally_admissible,
+    monotone_check,
     orbit_sites,
     periodic_point_from_ssf,
     safe_symbol_check,
@@ -77,6 +78,7 @@ __all__ = [
     "inner_boundary",
     "is_locally_admissible",
     "log_partition",
+    "monotone_check",
     "orbit_sites",
     "p_interval",
     "past_in_box",

@@ -169,6 +169,7 @@ def _cmd_pressure(args) -> int:
                 "edge_term": t.edge_term,
                 "canopy_count": t.p.canopy_count,
                 "skipped_count": t.p.skipped_count,
+                "canopy_path": t.p.canopy_path,
             }
             for t in est.per_site
         ],

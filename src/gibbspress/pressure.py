@@ -2,7 +2,8 @@
 
 The estimator brackets the conditional probability of the origin symbol
 given the upper-layer part of the boundary by taking min/max over all
-locally admissible canopy configurations, then assembles the per-site
+locally admissible canopy configurations (or over the ensemble's two
+extremes, for a model `monotone_check` certifies), then assembles the per-site
 information and edge terms into a certified [lower, upper] interval for the
 pressure.
 """
@@ -17,7 +18,14 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
 from .lattice import Region, Site, boundary, box, canopy_decomposition, past_in_box
-from .sft import PeriodicPoint, admissible_states, orbit_sites, region_components
+from .sft import (
+    PeriodicPoint,
+    admissible_states,
+    is_locally_admissible,
+    monotone_check,
+    orbit_sites,
+    region_components,
+)
 from .transfer import DEFAULT_BUDGET, RegionEngine, logsumexp, product_matrix
 
 
@@ -30,6 +38,9 @@ class PInterval:
     n: int
     canopy_count: int
     skipped_count: int
+    #: "extremes" when only the ensemble's rankwise bottom and top were
+    #: evaluated (`canopy_count` is then 2), "ensemble" otherwise.
+    canopy_path: str = "ensemble"
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper <= 1.0):
@@ -116,34 +127,24 @@ def admissible_configurations(
     return out
 
 
-def p_interval(
-    z: PeriodicPoint,
-    v: Site,
-    n: int,
-    phi: Interaction,
-    budget: int = DEFAULT_BUDGET,
-) -> PInterval:
-    """Bracket the conditional probability of the origin symbol of the
-    v-shift of z, given the upper layer, over the canopy ensemble.
+def _canopy_extremes(
+    sites: list[Site], order: tuple[tuple[int, ...], tuple[int, ...]], phi: Interaction
+) -> np.ndarray | None:
+    """The rankwise bottom and top configurations on `sites` under a
+    per-parity symbol order, as a (2, len(sites)) symbol matrix; None when
+    either is not locally admissible."""
+    parity = [(x + y) % 2 for x, y in sites]
+    extremes = np.array([[order[p][k] for p in parity] for k in (0, -1)], dtype=np.int64)
+    region = Region(sites)
+    for row in extremes:
+        if not is_locally_admissible(Configuration(region, dict(zip(sites, row.tolist()))), phi):
+            return None
+    return extremes
 
-    Canopy configurations whose conditional denominator vanishes are skipped
-    and counted rather than treated as errors; outside single-site-fillable
-    models such configurations can legitimately occur.
-    """
-    if n < 1:
-        raise ValueError("radius n must be positive")
-    if not z.is_point_of(phi):
-        raise HypothesisError("point not in the underlying constraint set")
-    s_n, u_n, c_n = canopy_decomposition(n)
-    x = z.shift(v)
-    x_u = x.restrict(u_n)
-    a0 = x.value((0, 0))
-    try:
-        deltas = admissible_configurations(c_n, phi, budget=budget)
-    except BudgetError as exc:
-        raise BudgetError(f"canopy ensemble: {exc}") from None
-    engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
-    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], list(c_n), deltas)
+
+def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
+    """Min/max of the origin conditional over members with a finite
+    denominator; the others are counted as skipped."""
     den = logsumexp(zvec, axis=1)
     ok = np.isfinite(den)
     if not ok.any():
@@ -155,7 +156,54 @@ def p_interval(
         n=n,
         canopy_count=int(ok.sum()),
         skipped_count=int((~ok).sum()),
+        canopy_path=path,
     )
+
+
+def p_interval(
+    z: PeriodicPoint,
+    v: Site,
+    n: int,
+    phi: Interaction,
+    budget: int = DEFAULT_BUDGET,
+) -> PInterval:
+    """Bracket the conditional probability of the origin symbol of the
+    v-shift of z, given the upper layer, over the canopy ensemble.
+
+    When `monotone_check` certifies the model for the origin symbol, the
+    conditional is monotone in the canopy, so its min and max over the
+    ensemble are reached at the ensemble's rankwise bottom and top: only
+    those two are evaluated, provided both are locally admissible and both
+    denominators are finite. Otherwise the whole ensemble is enumerated;
+    canopy configurations whose conditional denominator vanishes are then
+    skipped and counted rather than treated as errors; outside
+    single-site-fillable models such configurations can legitimately occur.
+    """
+    if n < 1:
+        raise ValueError("radius n must be positive")
+    if not z.is_point_of(phi):
+        raise HypothesisError("point not in the underlying constraint set")
+    s_n, u_n, c_n = canopy_decomposition(n)
+    x = z.shift(v)
+    x_u = x.restrict(u_n)
+    a0 = x.value((0, 0))
+    csites = list(c_n)
+    order = monotone_check(phi, target=a0)
+    extremes = None if order is None else _canopy_extremes(csites, order, phi)
+    engine = None
+    if extremes is not None:
+        engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
+        zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], csites, extremes)
+        if np.isfinite(logsumexp(zvec, axis=1)).all():
+            return _bracket(zvec, a0, n, "extremes")
+    try:
+        deltas = admissible_configurations(c_n, phi, budget=budget)
+    except BudgetError as exc:
+        raise BudgetError(f"canopy ensemble: {exc}") from None
+    if engine is None:
+        engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
+    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], csites, deltas)
+    return _bracket(zvec, a0, n, "ensemble")
 
 
 def gk_pressure(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -174,6 +174,65 @@ def periodic_point_from_ssf(phi: Interaction, b: int) -> PeriodicPoint:
     if not point.is_point_of(phi):  # certified by fillability, re-checked anyway
         raise HypothesisError("SSF prerequisite failed")
     return point
+
+
+def _attractive(logw: np.ndarray) -> bool:
+    """True iff rank-indexed log-weights (-inf: forbidden pair) make the
+    allowed pairs closed under rankwise min and max, and are supermodular
+    on them: for ranks i < i' and j < j' with (i, j') and (i', j) allowed,
+    (i, j) and (i', j') are allowed and L[i, j] + L[i', j'] >= L[i, j'] +
+    L[i', j]. The sums are compared exactly, as rationals."""
+    from fractions import Fraction  # not at module level: keeps the package import lean
+
+    rows, cols = logw.shape
+    for i, i2 in combinations(range(rows), 2):
+        for j, j2 in combinations(range(cols), 2):
+            cross = (logw[i, j2], logw[i2, j])
+            if not np.isfinite(cross).all():
+                continue
+            meet, join = logw[i, j], logw[i2, j2]
+            if not (np.isfinite(meet) and np.isfinite(join)):
+                return False
+            if Fraction(meet) + Fraction(join) < Fraction(cross[0]) + Fraction(cross[1]):
+                return False
+    return True
+
+
+def monotone_check(
+    phi: Interaction, target: int | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """A per-parity symbol order under which phi is attractive, or None.
+
+    Tries the identity order, then the identity on even sites (x + y even)
+    with the order reversed on odd sites (the bipartite flip). Returns the
+    first that certifies, as (even, odd) tuples of symbols from lowest to
+    highest rank:
+
+    - both tables' log-weights -table are supermodular on their finite
+      entries under the order, with either parity on the edge's left or
+      lower site;
+    - the allowed pairs are closed under rankwise min and max (Holley's
+      lattice condition), so the support is a distributive lattice;
+    - `target`, if given, is the lowest or highest symbol on even sites, so
+      that "the origin carries `target`" is a monotone event (always true
+      for q = 2).
+
+    Then the conditional probability of that event given a boundary is
+    monotone in the boundary (Holley, Comm. Math. Phys. 1974), so over any
+    set of boundary configurations it is extremal at the set's rankwise
+    bottom and top, when those belong to it.
+    """
+    identity = tuple(range(phi.q))
+    for order in ((identity, identity), (identity, identity[::-1])):
+        if target is not None and target not in (order[0][0], order[0][-1]):
+            continue
+        if all(
+            _attractive(-table[np.ix_(first, second)])
+            for table in phi.tables
+            for first, second in (order, order[::-1])
+        ):
+            return order
+    return None
 
 
 def diagonal_3coloring_point() -> PeriodicPoint:

@@ -61,12 +61,17 @@ def test_pressure_hard_square(capsys):
     assert doc["pressure_lower"] <= doc["pressure_upper"]
     assert doc["canopy_count"] > 0
     assert doc["per_site"][0]["site"] == [0, 0]
+    # monotone: two canopy members per site, none skipped
+    assert doc["per_site"][0]["canopy_path"] == "extremes"
+    assert (doc["canopy_count"], doc["skipped_count"]) == (2, 0)
 
 
 def test_pressure_counterexample(capsys):
     doc = run_json(capsys, "pressure", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n", "1")
+    jsonschema.validate(doc, load_schema("pressure.schema.json"))
     assert doc["pressure_lower"] == 0.0 and doc["pressure_upper"] == 0.0
     assert doc["skipped_count"] > 0
+    assert {t["canopy_path"] for t in doc["per_site"]} == {"ensemble"}
 
 
 def test_pressure_deterministic_modulo_wall_time(capsys):
@@ -136,15 +141,16 @@ def test_study_exit_3_when_nothing_succeeds(capsys):
 
 
 def test_study_records_budget_failures(capsys):
+    # the 3-colouring enumerates its canopy: 216 members at n = 1, 3456 at n = 2
     code, out, err = run_cli(
         capsys,
-        "study", "--model", "hardsquare", "--nu", "zeros", "--n-range", "1:4",
+        "study", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n-range", "1:2",
         "--budget", "2000",
     )
     assert code == 0  # some rows succeeded
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows[0]["status"] == "ok"
-    assert rows[-1]["status"].startswith("budget")
+    assert rows[-1]["status"].startswith("budget: canopy ensemble")
 
 
 def test_usage_errors(capsys):

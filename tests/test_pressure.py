@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gibbspress.pressure as pressure_mod
 from gibbspress.errors import BudgetError, HypothesisError
@@ -12,6 +14,7 @@ from gibbspress.interaction import (
     build_checkerboard,
     build_full_shift,
     build_hard_square,
+    build_ising,
 )
 from gibbspress.lattice import Region, canopy_decomposition
 from gibbspress.pressure import (
@@ -23,11 +26,36 @@ from gibbspress.pressure import (
     gk_pressure,
     p_interval,
 )
-from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, periodic_point_from_ssf
+from gibbspress.sft import (
+    PeriodicPoint,
+    diagonal_3coloring_point,
+    monotone_check,
+    orbit_sites,
+    periodic_point_from_ssf,
+)
+from gibbspress.transfer import RegionEngine, logsumexp
 
 from oracles import brute_origin_interval
 
 ZEROS = PeriodicPoint([[0]])
+
+
+def ensemble_interval(z, v, n, phi):
+    """The origin bracket over the whole canopy ensemble, computed here from
+    admissible_configurations and one RegionEngine sweep."""
+    s_n, u_n, c_n = canopy_decomposition(n)
+    x = z.shift(v)
+    a0 = x.value((0, 0))
+    deltas = admissible_configurations(c_n, phi)
+    engine = RegionEngine(s_n, phi, target=(0, 0))
+    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x.restrict(u_n))], list(c_n), deltas)
+    den = logsumexp(zvec, axis=1)
+    ok = np.isfinite(den)
+    p = np.exp(np.minimum(zvec[ok, a0] - den[ok], 0.0))
+    return PInterval(
+        lower=float(p.min()), upper=float(p.max()), n=n,
+        canopy_count=int(ok.sum()), skipped_count=int((~ok).sum()),
+    )
 
 
 def test_pinterval_validation():
@@ -78,7 +106,12 @@ def test_p_interval_brute_validation_hard_square():
     assert pi.lower == pytest.approx(lo, abs=1e-12)
     assert pi.upper == pytest.approx(hi, abs=1e-12)
     assert (pi.lower, pi.upper) == (pytest.approx(0.5, abs=1e-12), pytest.approx(0.8, abs=1e-12))
-    assert pi.canopy_count == 30 and pi.skipped_count == 0
+    # the hard square is monotone, so p_interval evaluates the two extremes;
+    # the whole ensemble has 30 members, none skipped, and the same bracket
+    assert (pi.canopy_path, pi.canopy_count, pi.skipped_count) == ("extremes", 2, 0)
+    ens = ensemble_interval(ZEROS, (0, 0), 1, hs)
+    assert ens.canopy_count == 30 and ens.skipped_count == 0
+    assert (ens.lower, ens.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
 
 
 def test_p_interval_brute_validation_random_model(rng):
@@ -119,19 +152,20 @@ def test_p_interval_rejects_bad_point():
 
 
 def test_p_interval_budget_guard():
+    # the middle symbol of three is no monotone event, so the ensemble is enumerated
     with pytest.raises(BudgetError, match="canopy ensemble"):
-        p_interval(ZEROS, (0, 0), 3, build_full_shift(3), budget=1000)
+        p_interval(PeriodicPoint([[1]]), (0, 0), 3, build_full_shift(3), budget=1000)
 
 
 def test_empty_canopy_ensemble_raises(monkeypatch):
-    hs = build_hard_square(1.0)
+    cb = build_checkerboard(3)  # not monotone: p_interval enumerates the ensemble
 
     def empty(region, phi, budget=0, context=None):
         return np.zeros((0, len(region)), dtype=np.int64)
 
     monkeypatch.setattr(pressure_mod, "admissible_configurations", empty)
     with pytest.raises(HypothesisError, match="empty canopy ensemble"):
-        p_interval(ZEROS, (0, 0), 1, hs)
+        p_interval(diagonal_3coloring_point(), (0, 0), 1, cb)
 
 
 def test_gk_pressure_product_measure_exact():
@@ -283,3 +317,140 @@ def test_finite_positivity_probe_frozen_point_never_negative():
 def test_finite_positivity_probe_budget_guard():
     with pytest.raises(BudgetError):
         finite_positivity_probe(ZEROS, 2, build_hard_square(1.0), past_radius=2, budget=1000)
+
+
+PARITY = PeriodicPoint([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "phi, point, radii",
+    [
+        pytest.param(build_hard_square(1.0), ZEROS, (1, 2, 3, 4), id="hardsquare1-zeros"),
+        pytest.param(build_hard_square(3.0), ZEROS, (1, 2, 3, 4), id="hardsquare3-zeros"),
+        pytest.param(build_hard_square(1.0), PARITY, (1, 2, 3), id="hardsquare1-parity"),
+        pytest.param(build_hard_square(3.0), PARITY, (1, 2, 3), id="hardsquare3-parity"),
+        pytest.param(build_ising(0.4), ZEROS, (1, 2, 3), id="ising0.4-zeros"),
+        pytest.param(build_ising(0.4), PeriodicPoint([[1]]), (1, 2), id="ising0.4-ones"),
+        pytest.param(build_full_shift(2), ZEROS, (1, 2), id="fullshift-zeros"),
+        pytest.param(build_full_shift(2), PARITY, (1, 2), id="fullshift-parity"),
+    ],
+)
+def test_extremes_equal_the_ensemble(phi, point, radii):
+    """For a monotone model p_interval evaluates two canopy members and
+    brackets exactly as the whole ensemble does, to rounding."""
+    for n in radii:
+        for v in orbit_sites(point):
+            pi = p_interval(point, v, n, phi)
+            ens = ensemble_interval(point, v, n, phi)
+            assert (pi.canopy_path, pi.canopy_count, pi.skipped_count) == ("extremes", 2, 0)
+            assert abs(pi.lower - ens.lower) <= 1e-14 and abs(pi.upper - ens.upper) <= 1e-14
+
+
+def test_fallback_when_an_extreme_has_a_vanishing_denominator():
+    """The 2-colouring passes monotone_check under the bipartite flip, and
+    both canopy extremes are locally admissible; but one of them is the
+    chessboard phase the upper layer excludes, so its denominator is -inf
+    and p_interval falls back to the ensemble."""
+    cb2 = build_checkerboard(2)
+    order = monotone_check(cb2)
+    assert order == ((0, 1), (1, 0))
+    for n in (1, 2):
+        s_n, u_n, c_n = canopy_decomposition(n)
+        csites = list(c_n)
+        extremes = pressure_mod._canopy_extremes(csites, order, cb2)
+        assert extremes is not None
+        for v in orbit_sites(PARITY):
+            x = PARITY.shift(v)
+            engine = RegionEngine(s_n, cb2, target=(0, 0))
+            zvec = engine.evaluate_deltas([engine.terms_from_boundary(x.restrict(u_n))], csites, extremes)
+            assert np.isneginf(logsumexp(zvec, axis=1)).sum() == 1
+            pi = p_interval(PARITY, v, n, cb2)
+            assert pi.canopy_path == "ensemble" and pi.skipped_count > 0
+            assert pi == ensemble_interval(PARITY, v, n, cb2)
+
+
+def test_fallback_when_an_extreme_is_inadmissible():
+    """A right neighbour must carry 1: attractive under the identity order,
+    but the all-0 bottom canopy has forbidden horizontal pairs, so
+    p_interval enumerates the ensemble."""
+    phi = Interaction(
+        Alphabet(2), np.array([[math.inf, 0.0], [math.inf, 0.0]]), np.zeros((2, 2)), name="right-is-one"
+    )
+    order = monotone_check(phi)
+    assert order == ((0, 1), (0, 1))
+    ones = PeriodicPoint([[1]])
+    for n in (1, 2):
+        assert pressure_mod._canopy_extremes(list(canopy_decomposition(n)[2]), order, phi) is None
+        pi = p_interval(ones, (0, 0), n, phi)
+        assert pi.canopy_path == "ensemble"
+        assert pi == ensemble_interval(ones, (0, 0), n, phi)
+
+
+def test_extremes_path_enumerates_no_canopy(monkeypatch):
+    """The extremes path never enumerates the ensemble, so the canopy budget
+    cannot refuse it: hard-square n = 7 runs at a budget far below its
+    canopy, which the ensemble path refuses."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the canopy ensemble was enumerated")
+
+    hs = build_hard_square(1.0)
+    monkeypatch.setattr(pressure_mod, "admissible_configurations", refuse)
+    pi = p_interval(ZEROS, (0, 0), 7, hs, budget=5000)
+    assert pi.canopy_path == "extremes" and pi.lower <= pi.upper
+    with pytest.raises(BudgetError, match="2986390 configurations"):
+        admissible_configurations(canopy_decomposition(7)[2], hs, budget=5000)
+
+
+_UNIT = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _supermodular_tables(draw):
+    """Two 2-symbol tables whose log-weights are supermodular in rank order,
+    with at most one forbidden incomparable pair each; drawn under the
+    identity order or the bipartite flip."""
+    flip = draw(st.booleans())
+    tables = []
+    for _ in range(2):
+        a, b, c = draw(_UNIT), draw(_UNIT), draw(_UNIT)
+        rank = np.array([[a, b], [c, b + c - a + draw(st.floats(0.0, 2.0))]])
+        forbid = draw(st.sampled_from([None, (0, 1), (1, 0)]))
+        if forbid is not None:
+            rank[forbid] = -math.inf
+        tables.append(-rank[:, ::-1] if flip else -rank)
+    return Interaction(Alphabet(2), *tables, name="supermodular")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_supermodular_tables(), st.sampled_from([1, 2]))
+def test_ensemble_min_max_are_the_extremes(phi, n):
+    assume(monotone_check(phi) is not None)  # rounding can break b + c - a + m
+    point = ZEROS if ZEROS.is_point_of(phi) else PARITY
+    assert point.is_point_of(phi)
+    finite = np.isfinite(phi.horizontal).all() and np.isfinite(phi.vertical).all()
+    for v in orbit_sites(point)[:2]:
+        pi = p_interval(point, v, n, phi)
+        ens = ensemble_interval(point, v, n, phi)
+        assert pi.canopy_path == "extremes" or not finite
+        assert abs(pi.lower - ens.lower) <= 1e-14 and abs(pi.upper - ens.upper) <= 1e-14
+
+
+LOG_KAPPA = math.log(1.5030480824753323)  # hard-square entropy (Baxter 1999)
+
+
+def test_hard_square_intervals_at_large_radii():
+    """The extremes path takes the parity point to n = 6, 7 under the
+    default budget; every interval contains log kappa and the zeros widths
+    still shrink with n."""
+    hs = build_hard_square(1.0)
+    parity = periodic_point_from_ssf(hs, 1)
+    widths = []
+    for point, radii in ((ZEROS, range(1, 6)), (parity, (6, 7))):
+        for n in radii:
+            est = gk_pressure(point, n, hs)
+            assert est.lower <= LOG_KAPPA <= est.upper
+            assert {t.p.canopy_path for t in est.per_site} == {"extremes"}
+            widths.append(est.width)
+    assert widths == sorted(widths, reverse=True)
+    assert widths[-1] < 2.5e-3

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from gibbspress.errors import HypothesisError
-from gibbspress.interaction import Configuration, build_checkerboard, build_full_shift, build_hard_square, build_ising
+from gibbspress.interaction import (
+    Alphabet,
+    Configuration,
+    Interaction,
+    build_checkerboard,
+    build_full_shift,
+    build_hard_square,
+    build_ising,
+)
 from gibbspress.lattice import Region, box, canopy_decomposition, site_key
 from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
@@ -10,6 +18,7 @@ from gibbspress.sft import (
     PeriodicPoint,
     diagonal_3coloring_point,
     is_locally_admissible,
+    monotone_check,
     orbit_sites,
     periodic_point_from_ssf,
     random_locally_admissible,
@@ -236,3 +245,41 @@ def test_random_locally_admissible_is_deterministic_and_valid():
     full = build_full_shift(2)
     cfg = random_locally_admissible(box(1), full, np.random.default_rng(1))
     assert set(cfg.symbols) == box(1).sites
+
+
+IDENTITY = ((0, 1), (0, 1))
+FLIP = ((0, 1), (1, 0))
+
+
+def test_monotone_check_verdicts(rng):
+    # the hard square is attractive once the odd sublattice is reversed
+    for lam in (1.0, 3.0, 0.5):
+        assert monotone_check(build_hard_square(lam)) == FLIP
+    for beta in (0.0, 0.4, 2.0):
+        assert monotone_check(build_ising(beta)) == IDENTITY
+    assert monotone_check(build_ising(-0.4)) == FLIP  # the antiferromagnet, flipped
+    assert monotone_check(build_full_shift(2)) == IDENTITY
+    assert monotone_check(build_full_shift(3)) == ((0, 1, 2), (0, 1, 2))
+    # the allowed pairs {(0,1), (1,0)} of the 2-colouring are a lattice only
+    # after the flip: under the identity their min (0, 0) is forbidden
+    assert monotone_check(build_checkerboard(2)) == FLIP
+    for k in (3, 4, 5):
+        assert monotone_check(build_checkerboard(k)) is None
+
+    # 2 symbols: supermodular horizontally, submodular vertically
+    for _ in range(20):
+        h, v = rng.uniform(-2.0, 2.0, size=(2, 2, 2))
+        swing = -(h[0, 0] + h[1, 1] - h[0, 1] - h[1, 0])  # log-weight supermodularity of h
+        v[1, 1] = v[0, 1] + v[1, 0] - v[0, 0] + np.sign(swing)
+        assert monotone_check(Interaction(Alphabet(2), h, v)) is None
+    # 3 symbols with a strictly non-supermodular log-weight quadruple
+    table = rng.uniform(-2.0, 2.0, size=(3, 3))
+    table[0, 0] = table[0, 1] + table[1, 0] - table[1, 1] + 1.0
+    assert monotone_check(Interaction(Alphabet(3), table, table.T)) is None
+
+
+def test_monotone_check_target_must_be_extremal():
+    fs3 = build_full_shift(3)
+    assert monotone_check(fs3, target=0) == monotone_check(fs3, target=2) == ((0, 1, 2), (0, 1, 2))
+    assert monotone_check(fs3, target=1) is None
+    assert monotone_check(build_hard_square(1.0), target=1) == FLIP  # q = 2: always extremal

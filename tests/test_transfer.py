@@ -17,7 +17,7 @@ from gibbspress.interaction import (
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
 from gibbspress.pressure import admissible_configurations, p_interval
 import gibbspress.transfer as transfer
-from gibbspress.sft import PeriodicPoint
+from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point
 from gibbspress.transfer import (
     LOG_ZERO,
     ConstrainedRegion,
@@ -399,9 +399,15 @@ def test_budgets_count_the_states_held():
     # 2^14 canopy configurations at n = 3, 1360 of them admissible
     zeros = PeriodicPoint([[0]])
     hs = build_hard_square(1.0)
+    assert len(admissible_configurations(canopy_decomposition(3)[2], hs, budget=2000)) == 1360
     got = p_interval(zeros, (0, 0), 3, hs, budget=2000)
     assert got == p_interval(zeros, (0, 0), 3, hs)
-    assert got.canopy_count + got.skipped_count == 1360
+    # the 3-colouring sweeps its ensemble: 3^10 canopy configurations at
+    # n = 2, 3456 of them admissible
+    cb3, diag = build_checkerboard(3), diagonal_3coloring_point()
+    got = p_interval(diag, (0, 0), 2, cb3, budget=5000)
+    assert got == p_interval(diag, (0, 0), 2, cb3)
+    assert got.canopy_path == "ensemble" and got.canopy_count + got.skipped_count == 3456
 
 
 def test_constrained_region_validation():
