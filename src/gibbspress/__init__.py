@@ -18,7 +18,6 @@ from .lattice import Region, Site, box, boundary, canopy_decomposition, inner_bo
 from .pressure import (
     PInterval,
     PressureEstimate,
-    finite_positivity_probe,
     gk_pressure,
     p_interval,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "diagonal_3coloring_point",
     "energy",
     "energy_with_boundary",
-    "finite_positivity_probe",
     "gk_pressure",
     "inner_boundary",
     "is_locally_admissible",

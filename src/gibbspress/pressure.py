@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
-from .lattice import Region, Site, boundary, box, canopy_decomposition, past_in_box
+from .lattice import Region, Site, canopy_decomposition
 from .sft import (
     PeriodicPoint,
     admissible_states,
@@ -91,27 +91,25 @@ def admissible_configurations(
     region: Region,
     phi: Interaction,
     budget: int = DEFAULT_BUDGET,
-    context: dict[Site, int] | None = None,
 ) -> np.ndarray:
     """All locally admissible configurations on a region, as a symbol matrix.
 
     Rows are configurations, columns follow the region's canonical site
-    order. `context` pins exterior (or interior) sites that constrain the
-    enumeration. The order is deterministic: each connected component's
-    states are extended site by site in canonical order with symbols
-    ascending, and the components are combined as a cartesian product in
-    canonical component order. The budget bounds the states held per
-    component and the size of the product.
+    order. The order is deterministic: each connected component's states
+    are extended site by site in canonical order with symbols ascending, and
+    the components are combined as a cartesian product in canonical
+    component order. The budget bounds the states held per component and
+    the size of the product.
     """
     sites = list(region)
     col_of = {s: j for j, s in enumerate(sites)}
 
-    # components only interact through the fixed context, so enumerate each
-    # one separately and take the cartesian product
+    # components do not interact, so enumerate each one separately and take
+    # the cartesian product
     comps = []
     for comp in region_components(region):
         comp_sites = list(comp)
-        rows, _ = admissible_states(comp_sites, phi, budget, fixed=context)
+        rows, _ = admissible_states(comp_sites, phi, budget)
         comps.append((comp_sites, rows))
     total = math.prod(len(rows) for _, rows in comps)
     if total == 0:
@@ -160,12 +158,56 @@ def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
     )
 
 
+class _Canopy:
+    """What the orbit sites of one estimate share: the radius-n split, the
+    S_n engine and the canopy ensemble, both built on first use, and one
+    bracket per distinct (origin symbol, upper layer) of the shifted point.
+    """
+
+    def __init__(self, n: int, phi: Interaction, budget: int = DEFAULT_BUDGET):
+        if n < 1:
+            raise ValueError("radius n must be positive")
+        self.n, self.phi, self.budget = n, phi, budget
+        self.s_n, self.u_n, self.c_n = canopy_decomposition(n)
+        self.sites = list(self.c_n)
+        self.brackets: dict[tuple, PInterval] = {}
+        self._engine: RegionEngine | None = None
+        self._deltas: np.ndarray | None = None
+
+    def engine(self) -> RegionEngine:
+        if self._engine is None:
+            self._engine = RegionEngine(self.s_n, self.phi, target=(0, 0), budget=self.budget)
+        return self._engine
+
+    def deltas(self) -> np.ndarray:
+        if self._deltas is None:
+            try:
+                self._deltas = admissible_configurations(self.c_n, self.phi, budget=self.budget)
+            except BudgetError as exc:
+                raise BudgetError(f"canopy ensemble: {exc}") from None
+        return self._deltas
+
+    def bracket(self, x_u: Configuration, a0: int) -> PInterval:
+        def sweep(members: np.ndarray) -> np.ndarray:
+            engine = self.engine()
+            return engine.evaluate_deltas([engine.terms_from_boundary(x_u)], self.sites, members)
+
+        order = monotone_check(self.phi, target=a0)
+        extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)
+        if extremes is not None:
+            zvec = sweep(extremes)
+            if np.isfinite(logsumexp(zvec, axis=1)).all():
+                return _bracket(zvec, a0, self.n, "extremes")
+        return _bracket(sweep(self.deltas()), a0, self.n, "ensemble")
+
+
 def p_interval(
     z: PeriodicPoint,
     v: Site,
     n: int,
     phi: Interaction,
     budget: int = DEFAULT_BUDGET,
+    canopy: _Canopy | None = None,
 ) -> PInterval:
     """Bracket the conditional probability of the origin symbol of the
     v-shift of z, given the upper layer, over the canopy ensemble.
@@ -178,32 +220,26 @@ def p_interval(
     canopy configurations whose conditional denominator vanishes are then
     skipped and counted rather than treated as errors; outside
     single-site-fillable models such configurations can legitimately occur.
+
+    The bracket depends on (z, v) only through the origin symbol and the
+    upper layer of the shifted point. `canopy`, shared by the calls of one
+    estimate, holds the engine, the ensemble and the brackets already
+    computed: a repeated (origin symbol, upper layer) returns the same
+    PInterval. It must have been built for this n, phi and budget.
     """
-    if n < 1:
-        raise ValueError("radius n must be positive")
+    if canopy is None:
+        canopy = _Canopy(n, phi, budget)
+    elif (canopy.n, canopy.budget) != (n, budget) or canopy.phi is not phi:
+        raise ValueError("shared canopy state was built for another n, phi or budget")
     if not z.is_point_of(phi):
         raise HypothesisError("point not in the underlying constraint set")
-    s_n, u_n, c_n = canopy_decomposition(n)
     x = z.shift(v)
-    x_u = x.restrict(u_n)
+    x_u = x.restrict(canopy.u_n)
     a0 = x.value((0, 0))
-    csites = list(c_n)
-    order = monotone_check(phi, target=a0)
-    extremes = None if order is None else _canopy_extremes(csites, order, phi)
-    engine = None
-    if extremes is not None:
-        engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
-        zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], csites, extremes)
-        if np.isfinite(logsumexp(zvec, axis=1)).all():
-            return _bracket(zvec, a0, n, "extremes")
-    try:
-        deltas = admissible_configurations(c_n, phi, budget=budget)
-    except BudgetError as exc:
-        raise BudgetError(f"canopy ensemble: {exc}") from None
-    if engine is None:
-        engine = RegionEngine(s_n, phi, target=(0, 0), budget=budget)
-    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x_u)], csites, deltas)
-    return _bracket(zvec, a0, n, "ensemble")
+    key = (a0, tuple(x_u.symbols[u] for u in canopy.u_n))
+    if key not in canopy.brackets:
+        canopy.brackets[key] = canopy.bracket(x_u, a0)
+    return canopy.brackets[key]
 
 
 def gk_pressure(
@@ -214,12 +250,15 @@ def gk_pressure(
 ) -> PressureEstimate:
     """Certified pressure interval from the orbit measure of z at radius n.
 
-    A per-site UPPER bound on the conditional becomes a LOWER pressure
-    contribution through -log, and vice versa.
+    All orbit sites share one S_n engine, one canopy ensemble and one
+    bracket per distinct shift (see `p_interval`). A per-site UPPER bound on
+    the conditional becomes a LOWER pressure contribution through -log, and
+    vice versa.
     """
+    canopy = _Canopy(n, phi, budget)
     terms = []
     for v in orbit_sites(z):
-        pi = p_interval(z, v, n, phi, budget=budget)
+        pi = p_interval(z, v, n, phi, budget=budget, canopy=canopy)
         if pi.lower <= 0.0:
             raise HypothesisError("positivity violated")
         terms.append(SiteTerm(site=v, p=pi, edge_term=per_site_contribution(z, v, phi)))
@@ -232,64 +271,3 @@ def assemble_pressure_interval(terms: list[SiteTerm], n: int, model: str) -> Pre
     lower = sum(-math.log(t.p.upper) + t.edge_term for t in terms) / count
     upper = sum(-math.log(t.p.lower) + t.edge_term for t in terms) / count
     return PressureEstimate(lower=lower, upper=upper, per_site=tuple(terms), n=n, model=model)
-
-
-def finite_positivity_probe(
-    z: PeriodicPoint,
-    n: int,
-    phi: Interaction,
-    past_radius: int = 2,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """Certified lower bound for the finite-past positivity constant.
-
-    For every orbit site and every subset S of the past within radius
-    `past_radius`, the conditional of the origin symbol given the point's
-    values on S is a weighted average over boundary configurations on the
-    enclosing box(n) ring; the probe returns the minimum over all of these
-    of the bracket's lower end. Subsets are deduplicated by their
-    intersection with box(n) and its ring, which leaves the value unchanged
-    (farther sites are screened by the ring).
-    """
-    if not z.is_point_of(phi):
-        raise HypothesisError("point not in the underlying constraint set")
-    b_n = box(n)
-    ring = boundary(b_n)
-    domain = [s for s in past_in_box(past_radius) if s in b_n or s in ring]
-    best = math.inf
-    evals = 0
-    engine = RegionEngine(b_n, phi, budget=budget)
-    for v in orbit_sites(z):
-        x = z.shift(v)
-        a0 = x.value((0, 0))
-        pin0 = engine.terms_from_pins({(0, 0): a0})
-        for mask in range(1 << len(domain)):
-            chosen = [domain[i] for i in range(len(domain)) if mask >> i & 1]
-            pins_in = {s: x.value(s) for s in chosen if s in b_n}
-            ring_pins = {s: x.value(s) for s in chosen if s in ring}
-            free_ring = Region(ring.sites - set(ring_pins))
-            deltas = admissible_configurations(
-                free_ring, phi, budget=budget, context=ring_pins
-            )
-            evals += max(len(deltas), 1)
-            if evals > budget:
-                raise BudgetError(
-                    f"positivity probe needs more than {budget} evaluations"
-                )
-            if len(deltas) == 0:
-                continue
-            static = [
-                engine.terms_from_boundary(Configuration(Region(ring_pins), ring_pins)),
-                engine.terms_from_pins(pins_in),
-            ]
-            csites = list(free_ring)
-            den = engine.evaluate_deltas(static, csites, deltas)
-            num = engine.evaluate_deltas(static + [pin0], csites, deltas)
-            ok = np.isfinite(den)
-            if not ok.any():
-                continue
-            p = np.exp(np.minimum(num[ok] - den[ok], 0.0))
-            best = min(best, float(p.min()))
-    if not math.isfinite(best):
-        raise HypothesisError("no admissible bracket found")
-    return best

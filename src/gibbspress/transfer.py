@@ -143,8 +143,10 @@ def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) 
         if x in old_x:
             pred = pred + np.arange(q)[:, None] * prev_place[p]
         logw = -table[:, stage.configs[:, p]] if x in old_x and x in new_x and table is not None else 0.0
-        # rows are lexicographic, so the codes are sorted
+        # rows are lexicographic, so the codes are sorted; int32 indices
+        # halve the steps' index memory whenever they fit
         idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
+        idx = idx.astype(np.int32 if len(prev) <= np.iinfo(np.int32).max else np.int64)
         steps.append((idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
         prev, prev_place = stage.configs @ place, place
     return steps
@@ -182,8 +184,9 @@ class RegionEngine:
     one exterior sum. So one engine serves an entire ensemble of boundary
     conditions. With `target` set,
     evaluation returns the vector of log partition functions split by the
-    target site's symbol (the target must lie in the lowest row). Each
-    transition is the steps of `_transfer_steps`; equal row pairs share one.
+    target site's symbol (the target must lie in the lowest row). Rows with
+    equal x columns share one enumeration of their states. Each transition
+    is the steps of `_transfer_steps`; equal row pairs share one.
     A sweep of at least S_r members (the upper row's states) builds and keeps
     the S_r x S_s matrix of those steps for BLAS; smaller ones run the steps.
     """
@@ -211,8 +214,12 @@ class RegionEngine:
 
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
+        enumerated: dict[tuple[int, ...], _Row] = {}  # rows with equal x columns share states
         for row in self.rows:
-            _enumerate_row(row, phi, budget)
+            first = enumerated.setdefault(tuple(v[0] for v in row.sites), row)
+            if first is row:
+                _enumerate_row(row, phi, budget)
+            row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, matrix] per row pair; evaluate_deltas builds the matrices
@@ -309,9 +316,9 @@ class RegionEngine:
 
     # -- sweeps ------------------------------------------------------------
 
-    def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
+    def _sweep(self, row_vecs: list[np.ndarray], trans: list) -> np.ndarray:
         v = row_vecs[0]
-        for (steps, matrix), vec in zip(self._trans, row_vecs[1:]):
+        for (steps, matrix), vec in zip(trans, row_vecs[1:]):
             if not matrix:
                 v = _run_steps(v, steps)
             else:
@@ -360,10 +367,15 @@ class RegionEngine:
             return np.full(out_shape, LOG_ZERO)
         block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
         # a matrix costs S_r step runs, so it pays from S_r members on; built
-        # before the block's vectors, it holds no more floats than they do
-        for row, trans in zip(self.rows, self._trans):
-            if trans[1] is None and min(n, block) >= len(row.configs):
-                trans[1] = _matrix(trans[0], len(row.configs))
+        # before the block's vectors, it holds no more floats than they do.
+        # A smaller sweep runs the steps even when an earlier sweep built the
+        # matrix, so a call's result does not depend on the calls before it.
+        trans = []
+        for row, pair in zip(self.rows, self._trans):
+            big = min(n, block) >= len(row.configs)
+            if big and pair[1] is None:
+                pair[1] = _matrix(pair[0], len(row.configs))
+            trans.append(pair if big else (pair[0], ()))
         base = []
         for i, row in enumerate(self.rows):
             vec = row.internal
@@ -378,7 +390,7 @@ class RegionEngine:
                 np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
                 for v, b in zip(self._exterior(delta_sites, dm), base)
             ]
-            out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs))
+            out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs, trans))
             del vecs  # release this block's vectors before the next block's are built
         return out
 
@@ -508,6 +520,9 @@ def strip_pressure(
         steps = _transfer_steps(row, row, phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
+    # the iteration runs these steps up to max_iter times, and np.take would
+    # convert int32 indices to intp on every run: convert them once
+    steps = [(idx.astype(np.intp), logw) for idx, logw in steps]
     x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
     it = 0

@@ -15,6 +15,7 @@ from gibbspress.interaction import (
     build_full_shift,
     build_hard_square,
     build_ising,
+    per_site_contribution,
 )
 from gibbspress.lattice import Region, canopy_decomposition
 from gibbspress.pressure import (
@@ -22,7 +23,6 @@ from gibbspress.pressure import (
     SiteTerm,
     admissible_configurations,
     assemble_pressure_interval,
-    finite_positivity_probe,
     gk_pressure,
     p_interval,
 )
@@ -33,11 +33,12 @@ from gibbspress.sft import (
     orbit_sites,
     periodic_point_from_ssf,
 )
-from gibbspress.transfer import RegionEngine, logsumexp
+from gibbspress.transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
 
 from oracles import brute_origin_interval
 
 ZEROS = PeriodicPoint([[0]])
+PARITY = PeriodicPoint([[0, 1], [1, 0]])
 
 
 def ensemble_interval(z, v, n, phi):
@@ -74,7 +75,9 @@ def test_admissible_configurations_counts():
 
 
 def test_admissible_configurations_are_admissible_and_deterministic():
-    from gibbspress.sft import is_locally_admissible
+    from itertools import product
+
+    from gibbspress.sft import admissible_states, is_locally_admissible
 
     _, _, c1 = canopy_decomposition(1)
     cb = build_checkerboard(3)
@@ -85,9 +88,17 @@ def test_admissible_configurations_are_admissible_and_deterministic():
     for row in rows_a[:50]:
         cfg = Configuration(c1, {v: int(a) for v, a in zip(sites, row)})
         assert is_locally_admissible(cfg, cb)
-    # context pins constrain the enumeration
-    ctx_rows = admissible_configurations(c1, cb, context={(2, 2): 1})
-    assert 0 < len(ctx_rows) < len(rows_a)
+    # fixed exterior symbols constrain the enumeration: exactly the members
+    # of the filtered product, in itertools.product order
+    fixed = {(2, 2): 1}
+    expected = []
+    for syms in product(range(cb.q), repeat=len(sites)):
+        symbols = {**dict(zip(sites, syms)), **fixed}
+        if is_locally_admissible(Configuration(Region(symbols), symbols), cb):
+            expected.append(list(syms))
+    fixed_rows, _ = admissible_states(sites, cb, 1 << 20, fixed=fixed)
+    assert fixed_rows.tolist() == expected
+    assert 0 < len(expected) < len(rows_a)
 
 
 def test_admissible_configurations_budget():
@@ -160,7 +171,7 @@ def test_p_interval_budget_guard():
 def test_empty_canopy_ensemble_raises(monkeypatch):
     cb = build_checkerboard(3)  # not monotone: p_interval enumerates the ensemble
 
-    def empty(region, phi, budget=0, context=None):
+    def empty(region, phi, budget=0):
         return np.zeros((0, len(region)), dtype=np.int64)
 
     monkeypatch.setattr(pressure_mod, "admissible_configurations", empty)
@@ -244,6 +255,55 @@ def test_gk_pressure_inverts_through_assemble():
         assert (est.lower, est.upper) == (lower / count, upper / count)
 
 
+def _spy(monkeypatch, owner, name):
+    """Count the calls of owner.name, passing them through."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "z, n, phi, enumerations, sweeps",
+    [
+        # 9 orbit sites with 3 distinct shifts, all on the ensemble path
+        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 1, 3, id="diag3"),
+        # 4 orbit sites with 2 distinct shifts, on the extremes path
+        pytest.param(PARITY, 3, build_hard_square(1.0), 0, 2, id="hardsquare-parity"),
+    ],
+)
+def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, phi, enumerations, sweeps):
+    """One estimate builds one S_n engine, enumerates the canopy at most
+    once and sweeps once per distinct shift; the estimate equals, field for
+    field, the one assembled from per-site p_interval calls that share
+    nothing."""
+    builds = _spy(monkeypatch, RegionEngine, "__init__")
+    enums = _spy(monkeypatch, pressure_mod, "admissible_configurations")
+    evals = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
+    est = gk_pressure(z, n, phi)
+    assert (len(builds), len(enums), len(evals)) == (1, enumerations, sweeps)
+    assert len({id(t.p) for t in est.per_site}) == sweeps  # equal shifts share one PInterval
+
+    terms = [SiteTerm(site=v, p=p_interval(z, v, n, phi), edge_term=per_site_contribution(z, v, phi)) for v in orbit_sites(z)]
+    assert len(builds) == 1 + len(terms)
+    assert est == assemble_pressure_interval(terms, n, phi.name)
+
+
+def test_p_interval_refuses_canopy_state_of_another_estimate():
+    hs = build_hard_square(1.0)
+    canopy = pressure_mod._Canopy(2, hs)
+    first = p_interval(ZEROS, (0, 0), 2, hs, canopy=canopy)
+    assert p_interval(ZEROS, (0, 0), 2, hs, canopy=canopy) is first
+    for n, phi, budget in ((3, hs, DEFAULT_BUDGET), (2, build_hard_square(1.0), DEFAULT_BUDGET), (2, hs, 1000)):
+        with pytest.raises(ValueError, match="another n, phi or budget"):
+            p_interval(ZEROS, (0, 0), n, phi, budget=budget, canopy=canopy)
+
+
 def test_widening_any_site_interval_widens_estimate(rng):
     base_terms = [
         SiteTerm(
@@ -296,30 +356,6 @@ def test_sandwich_weighted_average_inside_interval(rng):
         w /= w.sum()
         avg = float(w @ values)
         assert pi.lower - 1e-12 <= avg <= pi.upper + 1e-12
-
-
-def test_finite_positivity_probe_values():
-    assert finite_positivity_probe(ZEROS, 1, build_full_shift(2), past_radius=1) == pytest.approx(0.5, abs=1e-12)
-    hs_value = finite_positivity_probe(ZEROS, 1, build_hard_square(1.0), past_radius=1)
-    assert hs_value > 0.0
-    hs_full = finite_positivity_probe(ZEROS, 1, build_hard_square(1.0), past_radius=2)
-    assert 0.0 < hs_full <= hs_value
-
-
-def test_finite_positivity_probe_frozen_point_never_negative():
-    cb = build_checkerboard(3)
-    value = finite_positivity_probe(
-        diagonal_3coloring_point(), 1, cb, past_radius=1, budget=1 << 23
-    )
-    assert 0.0 <= value <= 1.0
-
-
-def test_finite_positivity_probe_budget_guard():
-    with pytest.raises(BudgetError):
-        finite_positivity_probe(ZEROS, 2, build_hard_square(1.0), past_radius=2, budget=1000)
-
-
-PARITY = PeriodicPoint([[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize(

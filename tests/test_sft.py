@@ -16,6 +16,7 @@ from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
     NEIGHBOR_ORDER,
     PeriodicPoint,
+    admissible_states,
     diagonal_3coloring_point,
     is_locally_admissible,
     monotone_check,
@@ -177,10 +178,11 @@ def test_witness_extension_keeps_admissibility(rng):
 
 
 def test_admissible_assignments_match_filtered_product():
-    """admissible_configurations yields exactly the admissible members of
-    the full product around fixed symbols, in itertools.product order over
-    the components (first most significant), with columns in the region's
-    order."""
+    """admissible_states yields exactly the admissible members of the full
+    product around fixed symbols, in itertools.product order, with columns
+    in the given site order; admissible_configurations yields them in
+    itertools.product order over the components (first most significant),
+    with columns in the region's order."""
     from itertools import product
 
     sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
@@ -200,7 +202,7 @@ def test_admissible_assignments_match_filtered_product():
             symbols = {**dict(zip(region, syms)), **context}
             if is_locally_admissible(Configuration(Region(symbols), symbols), phi):
                 expected.append(list(syms))
-        assert admissible_configurations(region, phi, context=fixed).tolist() == expected != []
+        assert admissible_states(list(region), phi, 1 << 20, fixed=fixed)[0].tolist() == expected != []
 
     # admissible_configurations: columns in the region's order, rows in
     # itertools.product order over the components (first most significant)

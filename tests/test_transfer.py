@@ -561,6 +561,45 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         assert all((matrix is None) == (len(r.configs) > 1) for r, (_, matrix) in zip(single.rows, single._trans))
 
 
+def test_rows_with_equal_x_columns_share_one_enumeration():
+    """Rows y = 1..n of S_n, and every row of a box, have the same x
+    columns: they share one configs and internal array."""
+    hs = build_hard_square(1.0)
+    engine = RegionEngine(canopy_decomposition(3)[0], hs, target=(0, 0))
+    assert [row.y for row in engine.rows] == [3, 2, 1, 0]
+    top, *middle, origin = engine.rows
+    for row in middle:
+        assert row.configs is top.configs and row.internal is top.internal
+    assert origin.configs is not top.configs and len(origin.configs) == 8
+
+    box8 = RegionEngine(Region((x, y) for x in range(8) for y in range(8)), hs)
+    assert all(row.configs is box8.rows[0].configs and row.internal is box8.rows[0].internal for row in box8.rows)
+    assert box8.evaluate() == pytest.approx(64 * box_log_partition(8, hs), abs=1e-12)
+
+
+def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
+    """Which arithmetic a sweep runs depends on its own size only, so a
+    small sweep on a shared engine equals, bit for bit, the same sweep on a
+    fresh one."""
+    hs = build_hard_square(1.0)
+    s_3, u_3, c_3 = canopy_decomposition(3)
+    deltas = admissible_configurations(c_3, hs)
+    shared, fresh = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
+    static = [shared.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_3))]
+    shared.evaluate_deltas(static, list(c_3), deltas)
+    assert all(matrix for _, matrix in shared._trans)
+    few = deltas[[0, -1]]
+    got = shared.evaluate_deltas(static, list(c_3), few)
+    assert np.array_equal(got, fresh.evaluate_deltas(static, list(c_3), few))
+    assert all(matrix is None for _, matrix in fresh._trans)
+
+
+def test_step_indices_are_int32():
+    hs = build_hard_square(1.0)
+    engine = RegionEngine(canopy_decomposition(4)[0], hs, target=(0, 0))
+    assert all(idx.dtype == np.int32 for steps, _ in engine._trans for idx, _ in steps)
+
+
 def test_engine_rows_share_the_int64_code_limit(monkeypatch):
     cb2 = build_checkerboard(2)  # two configurations on any connected region
     wide = Region((x, y) for x in range(62) for y in range(2))
