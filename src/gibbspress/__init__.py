@@ -14,7 +14,7 @@ from .interaction import (
     energy_with_boundary,
     per_site_contribution,
 )
-from .lattice import Region, Site, box, boundary, canopy_decomposition, inner_boundary, past_in_box
+from .lattice import Region, Site, box, boundary, canopy_decomposition, past_in_box
 from .pressure import (
     PInterval,
     PressureEstimate,
@@ -73,7 +73,6 @@ __all__ = [
     "energy",
     "energy_with_boundary",
     "gk_pressure",
-    "inner_boundary",
     "is_locally_admissible",
     "log_partition",
     "monotone_check",

@@ -291,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=None,
-            help="most configurations one enumeration may hold (canopy members, row "
-            f"or strip states); over it, exit 4 (default $GPRESS_BUDGET, else {DEFAULT_BUDGET})",
+            default=DEFAULT_BUDGET,
+            help="most states one enumeration may hold (canopy, row, transfer stage "
+            f"or strip), counted site by site; over it, exit 4 (default {DEFAULT_BUDGET})",
         )
     return parser
 
@@ -301,13 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if "budget" in args and args.budget is None:
-        env = os.environ.get("GPRESS_BUDGET")
-        try:
-            args.budget = int(env) if env else DEFAULT_BUDGET
-        except ValueError:
-            print(f"gibbspress: bad GPRESS_BUDGET value {env!r}", file=sys.stderr)
-            return EXIT_USAGE
     if getattr(args, "n", None) is not None and args.n < 1:
         print("gibbspress: --n must be positive", file=sys.stderr)
         return EXIT_USAGE

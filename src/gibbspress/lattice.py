@@ -103,15 +103,6 @@ def boundary(region: Region) -> Region:
     return Region(out)
 
 
-def inner_boundary(region: Region) -> Region:
-    """Sites of the region adjacent to its complement."""
-    if not len(region):
-        raise ValueError("inner boundary of an empty region")
-    return Region(
-        v for v in region if any(u not in region for u in neighbors(v))
-    )
-
-
 def canopy_decomposition(n: int) -> tuple[Region, Region, Region]:
     """Split needed by the pressure estimator, for radius n >= 1.
 

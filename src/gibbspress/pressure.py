@@ -24,9 +24,8 @@ from .sft import (
     is_locally_admissible,
     monotone_check,
     orbit_sites,
-    region_components,
 )
-from .transfer import DEFAULT_BUDGET, RegionEngine, logsumexp, product_matrix
+from .transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class PressureEstimate:
     def __post_init__(self):
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError("pressure bounds must be finite")
-        if self.lower > self.upper + 1e-15:
+        if self.lower > self.upper:
             raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -94,35 +93,11 @@ def admissible_configurations(
 ) -> np.ndarray:
     """All locally admissible configurations on a region, as a symbol matrix.
 
-    Rows are configurations, columns follow the region's canonical site
-    order. The order is deterministic: each connected component's states
-    are extended site by site in canonical order with symbols ascending, and
-    the components are combined as a cartesian product in canonical
-    component order. The budget bounds the states held per component and
-    the size of the product.
+    One `admissible_states` enumeration over the region's canonical site
+    order, under its budget rule: columns follow that order, and rows are
+    lexicographic with the first site most significant.
     """
-    sites = list(region)
-    col_of = {s: j for j, s in enumerate(sites)}
-
-    # components do not interact, so enumerate each one separately and take
-    # the cartesian product
-    comps = []
-    for comp in region_components(region):
-        comp_sites = list(comp)
-        rows, _ = admissible_states(comp_sites, phi, budget)
-        comps.append((comp_sites, rows))
-    total = math.prod(len(rows) for _, rows in comps)
-    if total == 0:
-        return np.zeros((0, len(sites)), dtype=np.int64)
-    if total > budget:
-        raise BudgetError(
-            f"enumeration yields {total} configurations, over the budget {budget}"
-        )
-    pick = product_matrix([np.arange(len(rows)) for _, rows in comps])
-    out = np.empty((total, len(sites)), dtype=np.int64)
-    for k, (comp_sites, rows) in enumerate(comps):
-        out[:, [col_of[s] for s in comp_sites]] = rows[pick[:, k]]
-    return out
+    return admissible_states(list(region), phi, budget)[0]
 
 
 def _canopy_extremes(
@@ -142,12 +117,13 @@ def _canopy_extremes(
 
 def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
     """Min/max of the origin conditional over members with a finite
-    denominator; the others are counted as skipped."""
+    denominator; the others are counted as skipped. p <= 1 holds in
+    floating point: den = m + log(sum) with m >= zvec[:, a0] and sum >= 1."""
     den = logsumexp(zvec, axis=1)
     ok = np.isfinite(den)
     if not ok.any():
         raise HypothesisError("empty canopy ensemble")
-    p = np.exp(np.minimum(zvec[ok, a0] - den[ok], 0.0))
+    p = np.exp(zvec[ok, a0] - den[ok])
     return PInterval(
         lower=float(p.min()),
         upper=float(p.max()),

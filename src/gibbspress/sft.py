@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, HypothesisError
-from .interaction import Configuration, Interaction
-from .lattice import NEIGHBOR_OFFSETS, Region, Site, neighbors, site_key
-
-#: Canonical (y-major) order of the four neighbor sites used to key witness
-#: maps and counterexamples: (0,-1), (-1,0), (1,0), (0,1).
-NEIGHBOR_ORDER: tuple[Site, ...] = NEIGHBOR_OFFSETS
+from .interaction import Configuration, Interaction, energy
+from .lattice import Region, Site, neighbors, site_key
 
 #: Draws a rejection sampler makes before it gives up.
 MAX_TRIES = 10000
@@ -78,20 +75,13 @@ def orbit_sites(z: PeriodicPoint) -> list[Site]:
 
 
 def is_locally_admissible(w: Configuration, phi: Interaction) -> bool:
-    """True iff no edge internal to w's region carries infinite energy."""
-    sym = w.symbols
-    for (x, y), a in sym.items():
-        b = sym.get((x + 1, y))
-        if b is not None and np.isposinf(phi.horizontal[a, b]):
-            return False
-        b = sym.get((x, y + 1))
-        if b is not None and np.isposinf(phi.vertical[a, b]):
-            return False
-    return True
+    """True iff w's energy is finite. +inf is absorbing, so that means no
+    edge internal to w's region is forbidden, unless finite energies overflow."""
+    return math.isfinite(energy(w, phi))
 
 
 def _fills(eta: tuple[int, ...], a: int, phi: Interaction) -> bool:
-    # eta in NEIGHBOR_ORDER: south, west, east, north
+    # eta in NEIGHBOR_OFFSETS order: south, west, east, north
     s, w, e, n = eta
     return bool(
         np.isfinite(phi.vertical[s, a])
@@ -105,9 +95,9 @@ def _fills(eta: tuple[int, ...], a: int, phi: Interaction) -> bool:
 class SsfResult:
     """Outcome of the single-site fillability scan.
 
-    `witness` maps each neighbor configuration (keyed in NEIGHBOR_ORDER) to
-    the smallest symbol filling it; `counterexample` is the first neighbor
-    configuration with no fill, in lexicographic scan order.
+    `witness` maps each neighbor configuration (keyed in NEIGHBOR_OFFSETS
+    order) to the smallest symbol filling it; `counterexample` is the first
+    neighbor configuration with no fill, in lexicographic scan order.
     """
 
     witness: dict[tuple[int, ...], int] | None
@@ -248,27 +238,27 @@ def admissible_states(
     sites: Sequence[Site],
     phi: Interaction,
     budget: int,
-    fixed: Mapping[Site, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Locally admissible configurations of `sites` around fixed symbols,
-    with their energies.
+    """Locally admissible configurations of `sites`, with their energies.
 
     States are extended site by site in the given order, with every symbol
     of the alphabet in ascending order. Each new site adds the energy of its
-    edges to already-placed and fixed sites, and a state is dropped as soon
-    as that energy is +inf. Returns the (n, len(sites)) symbol matrix,
-    lexicographic with the first site most significant, and the n energies.
-    Fixed symbols on the given sites are ignored; the budget bounds the
-    states held at each site. Callers that restrict a site to fewer symbols
-    do so afterwards, e.g. with `RegionEngine.terms_from_pins`.
+    edges to already-placed sites, and a state is dropped as soon as that
+    energy is +inf. Returns the (n, len(sites)) symbol matrix, lexicographic
+    with the first site most significant, and the n energies.
+
+    This is the package's one enumerator and its one budget rule, for
+    canopies, engine rows, transfer stages and strips alike: the states
+    held before a site, times q, must not exceed `budget`. Callers that
+    restrict a site to fewer symbols do so afterwards, e.g. with
+    `RegionEngine.terms_from_pins`.
     """
     col = {v: j for j, v in enumerate(sites)}
-    fixed = {v: a for v, a in (fixed or {}).items() if v not in col}
     h, vt = phi.tables
     syms = np.arange(phi.q, dtype=np.int64)
     k = phi.q
     cfg = np.zeros((1, 0), dtype=np.int64)
-    energy = np.zeros(1)
+    energies = np.zeros(1)
     for j, (x, y) in enumerate(sites):
         if len(cfg) * k > budget:
             raise BudgetError(
@@ -276,7 +266,7 @@ def admissible_states(
                 f"over the limit {budget}"
             )
         # e[i, s]: energy of state i extended by symbol syms[s]
-        e = energy[:, None]
+        e = energies[:, None]
         for table, u, new_first in (
             (h, (x - 1, y), False),
             (h, (x + 1, y), True),
@@ -284,18 +274,15 @@ def admissible_states(
             (vt, (x, y + 1), True),
         ):
             i = col.get(u)
-            if i is not None and i < j:
-                b = cfg[:, i, None]
-            elif u in fixed:
-                b = fixed[u]
-            else:
+            if i is None or i >= j:
                 continue
+            b = cfg[:, i, None]
             e = e + (table[syms, b] if new_first else table[b, syms])
         e = np.broadcast_to(e, (len(cfg), k)).ravel()
         keep = np.flatnonzero(~np.isposinf(e))
         cfg = np.column_stack([cfg[keep // k], syms[keep % k]])
-        energy = e[keep]
-    return cfg, energy
+        energies = e[keep]
+    return cfg, energies
 
 
 def region_components(region: Region) -> list[Region]:

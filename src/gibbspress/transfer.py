@@ -9,7 +9,7 @@ through logsumexp; exp() is only taken when reporting probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, prod
+from math import inf
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,21 +21,16 @@ from .sft import admissible_states
 
 LOG_ZERO = -inf
 
-#: The one resource limit: the most configurations a single enumeration may
-#: hold (canopy members, row or transfer states, probe evaluations).
+#: The one resource limit: the most states a single enumeration (canopy,
+#: row, transfer stage or strip) may hold as it extends its states site by
+#: site; see `sft.admissible_states`.
 DEFAULT_BUDGET = 1 << 24
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) with -inf-safe handling; empty sums give -inf."""
+def logsumexp(a, axis: int):
+    """log(sum(exp(a))) along `axis` with -inf-safe handling; empty sums
+    give -inf."""
     a = np.asarray(a, dtype=float)
-    if axis is None:
-        if a.size == 0:
-            return LOG_ZERO
-        m = float(np.max(a))
-        if m == -inf:
-            return LOG_ZERO
-        return m + float(np.log(np.sum(np.exp(a - m))))
     axis = axis % a.ndim
     if a.shape[axis] == 0:
         shape = list(a.shape)
@@ -81,18 +76,6 @@ class _Row:
         self.col = {v: j for j, v in enumerate(sites)}
         self.configs: np.ndarray | None = None
         self.internal: np.ndarray | None = None
-
-
-def product_matrix(choices: Sequence[Sequence[int]]) -> np.ndarray:
-    """Cartesian product of 1-D integer choices as a (total, len(choices))
-    int64 matrix, one member per row; the first column is the most
-    significant."""
-    shape = [len(c) for c in choices]
-    out = np.empty((prod(shape), len(shape)), dtype=np.int64)
-    grid = out.reshape(*shape, len(shape))
-    for j, c in enumerate(choices):
-        grid[..., j] = np.reshape(c, [n if i == j else 1 for i, n in enumerate(shape)])
-    return out
 
 
 def _enumerate_row(row: _Row, phi: Interaction, budget: int):
@@ -231,7 +214,6 @@ class RegionEngine:
                 table = phi.vertical.T if r.y - s.y == 1 else None
                 shared[key] = [_transfer_steps(r, s, table, phi, budget), None]
             self._trans.append(shared[key])
-        self._site_term_cache: dict[Site, list[np.ndarray | None]] = {}
 
         if target is not None and self.rows:
             last = self.rows[-1]
@@ -275,13 +257,10 @@ class RegionEngine:
         """Per-row (q, n_states) log-weights of the edges from exterior site
         v to its region neighbours, indexed by v's symbol; None for rows v
         does not touch, and for every row when v lies in the region."""
-        cached = self._site_term_cache.get(v)
-        if cached is not None:
-            return cached
         x, y = v
         # (neighbour, axis, v comes first in the edge's ordered pair)
         edges = (((x - 1, y), 0, False), ((x + 1, y), 0, True), ((x, y - 1), 1, False), ((x, y + 1), 1, True))
-        cached = []
+        terms = []
         for row in self.rows:
             arr = None
             for u, axis, ext_first in () if v in self.region else edges:
@@ -292,9 +271,8 @@ class RegionEngine:
                     arr = np.zeros((self.phi.q, len(row.configs)))
                 table, col = self.phi.tables[axis], row.configs[:, j]
                 arr -= table[:, col] if ext_first else table[col].T
-            cached.append(arr)
-        self._site_term_cache[v] = cached
-        return cached
+            terms.append(arr)
+        return terms
 
     def _exterior(self, sites: Sequence[Site], symbols: np.ndarray) -> list[np.ndarray | None]:
         """Per-row (len(symbols), n_states) sums of the exterior terms of
@@ -487,10 +465,6 @@ class StripBounds:
     @property
     def per_site_upper(self) -> float:
         return self.log_lambda_upper / self.width
-
-    @property
-    def gap(self) -> float:
-        return self.per_site_upper - self.per_site_lower
 
 
 def strip_pressure(

@@ -188,8 +188,17 @@ def test_budget_refusal_exit_4(capsys, monkeypatch):
     )
     assert code == 4 and "transfer states" in err
 
+    # the canopy ensemble is refused part-way through its one enumeration
+    code, out, err = run_cli(
+        capsys,
+        "pressure", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n", "2", "--budget", "5000",
+    )
+    assert code == 4 and "canopy ensemble: needs 5184 states" in err
+
+    # --budget is the only setter: the environment is not read
     monkeypatch.setenv("GPRESS_BUDGET", "10")
-    code, out, err = run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2")
+    assert run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2")[0] == 0
+    code, out, err = run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2", "--budget", "10")
     assert code == 4
 
 

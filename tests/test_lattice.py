@@ -8,7 +8,6 @@ from gibbspress.lattice import (
     box,
     canopy_decomposition,
     in_past,
-    inner_boundary,
     neighbors,
     past_in_box,
 )
@@ -68,29 +67,6 @@ def test_boundary_disjoint_from_region():
 def test_boundary_empty_region_rejected():
     with pytest.raises(ValueError):
         boundary(Region([]))
-    with pytest.raises(ValueError):
-        inner_boundary(Region([]))
-
-
-def test_inner_boundary_examples():
-    assert set(inner_boundary(Region([(0, 0)]))) == {(0, 0)}
-    assert set(inner_boundary(box(0))) == {(0, 0)}
-    perim = inner_boundary(box(2))
-    assert len(perim) == 16
-    assert all(max(abs(x), abs(y)) == 2 for x, y in perim)
-
-
-def test_inner_boundary_matches_boundary_of_complement_window():
-    region = Region([(0, 0), (1, 0), (1, 1), (3, 3)])
-    window = box(6)
-    complement = window.difference(region)
-    via_complement = {v for v in boundary(complement) if v in region}
-    assert via_complement == inner_boundary(region).sites
-
-
-def test_inner_boundary_subset_of_region():
-    region = box(3)
-    assert inner_boundary(region).sites <= region.sites
 
 
 def test_canopy_n1_sets():

@@ -11,10 +11,9 @@ from gibbspress.interaction import (
     build_hard_square,
     build_ising,
 )
-from gibbspress.lattice import Region, box, canopy_decomposition, site_key
+from gibbspress.lattice import NEIGHBOR_OFFSETS, Region, box, canopy_decomposition, site_key
 from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
-    NEIGHBOR_ORDER,
     PeriodicPoint,
     admissible_states,
     diagonal_3coloring_point,
@@ -59,7 +58,7 @@ def test_ssf_checkerboards():
 
 
 def test_neighbor_order_is_canonical():
-    assert NEIGHBOR_ORDER == ((0, -1), (-1, 0), (1, 0), (0, 1))
+    assert NEIGHBOR_OFFSETS == ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 def test_safe_symbols():
@@ -170,63 +169,44 @@ def test_witness_extension_keeps_admissibility(rng):
             symbols = dict(base.symbols)
             for v in sorted(box(3).difference(box(2)), key=site_key):
                 eta = tuple(
-                    symbols.get((v[0] + dx, v[1] + dy), 0) for dx, dy in NEIGHBOR_ORDER
+                    symbols.get((v[0] + dx, v[1] + dy), 0) for dx, dy in NEIGHBOR_OFFSETS
                 )
                 symbols[v] = witness[eta]
             grown = Configuration(box(3), symbols)
             assert is_locally_admissible(grown, phi)
 
 
-def test_admissible_assignments_match_filtered_product():
-    """admissible_states yields exactly the admissible members of the full
-    product around fixed symbols, in itertools.product order, with columns
-    in the given site order; admissible_configurations yields them in
-    itertools.product order over the components (first most significant),
-    with columns in the region's order."""
+def filtered_product(sites, phi):
+    """The locally admissible members of the full product over `sites`, in
+    itertools.product order (first site most significant)."""
     from itertools import product
 
-    sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
     region = Region(sites)
-    assert len(region_components(region)) == 1
-    cases = [
-        (build_hard_square(1.0), {}),
-        (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2}),
-        # a fixed symbol on a region site is ignored
-        (build_checkerboard(3), {(-1, 0): 1, (1, 2): 2, (0, 0): 0}),
-        (build_hard_square(1.0), {(3, 0): 1, (0, -1): 1, (1, 2): 1}),
+    return [
+        list(syms)
+        for syms in product(range(phi.q), repeat=len(sites))
+        if is_locally_admissible(Configuration(region, dict(zip(sites, syms))), phi)
     ]
-    for phi, fixed in cases:
-        context = {v: a for v, a in fixed.items() if v not in region}
-        expected = []
-        for syms in product(range(phi.q), repeat=len(region)):
-            symbols = {**dict(zip(region, syms)), **context}
-            if is_locally_admissible(Configuration(Region(symbols), symbols), phi):
-                expected.append(list(syms))
-        assert admissible_states(list(region), phi, 1 << 20, fixed=fixed)[0].tolist() == expected != []
 
-    # admissible_configurations: columns in the region's order, rows in
-    # itertools.product order over the components (first most significant)
-    ising = build_ising(0.3)
-    assert admissible_configurations(region, ising).tolist() == [
-        list(syms) for syms in product(range(ising.q), repeat=len(region))
-    ]
-    canopy = canopy_decomposition(2)[2]
-    comps = region_components(canopy)
-    assert len(comps) > 1
-    for phi in (build_hard_square(1.0), build_checkerboard(3), ising):
-        per_comp = []
-        for comp in comps:
-            order = list(comp)
-            per_comp.append([
-                dict(zip(order, syms))
-                for syms in product(range(phi.q), repeat=len(order))
-                if is_locally_admissible(Configuration(comp, dict(zip(order, syms))), phi)
-            ])
-        expected = []
-        for parts in product(*per_comp):
-            merged = {k: a for part in parts for k, a in part.items()}
-            expected.append([merged[v] for v in canopy])
-        assert admissible_configurations(canopy, phi).tolist() == expected != []
+
+def test_admissible_assignments_match_filtered_product():
+    """admissible_states yields exactly the admissible members of the full
+    product, in itertools.product order, with columns in the given site
+    order."""
+    sites = [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]
+    for phi in (build_hard_square(1.0), build_checkerboard(3), build_ising(0.3)):
+        assert admissible_states(sites, phi, 1 << 20)[0].tolist() == filtered_product(sites, phi) != []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_canopy_is_one_enumeration_over_canonical_sites(n):
+    """admissible_configurations is one site-by-site enumeration of the whole
+    canopy, components and all: the filtered product over its canonical
+    sites, in that order."""
+    canopy = canopy_decomposition(n)[2]
+    assert len(region_components(canopy)) > 1
+    for phi in (build_hard_square(1.0), build_checkerboard(3), build_ising(0.3)):
+        assert admissible_configurations(canopy, phi).tolist() == filtered_product(list(canopy), phi) != []
 
 
 def test_region_components():

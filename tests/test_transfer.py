@@ -53,9 +53,9 @@ SMALL_REGIONS = [
 
 
 def test_logsumexp_edge_cases():
-    assert logsumexp(np.array([])) == LOG_ZERO
-    assert logsumexp(np.array([-np.inf, -np.inf])) == LOG_ZERO
-    assert logsumexp(np.array([0.0, 0.0])) == pytest.approx(math.log(2))
+    assert logsumexp(np.array([]), axis=0) == LOG_ZERO
+    assert logsumexp(np.array([-np.inf, -np.inf]), axis=0) == LOG_ZERO
+    assert logsumexp(np.array([0.0, 0.0]), axis=0) == pytest.approx(math.log(2))
     arr = np.array([[0.0, -np.inf], [1.0, 2.0]])
     out = logsumexp(arr, axis=1)
     assert out[0] == pytest.approx(0.0)
@@ -403,9 +403,12 @@ def test_budgets_count_the_states_held():
     got = p_interval(zeros, (0, 0), 3, hs, budget=2000)
     assert got == p_interval(zeros, (0, 0), 3, hs)
     # the 3-colouring sweeps its ensemble: 3^10 canopy configurations at
-    # n = 2, 3456 of them admissible
+    # n = 2, 3456 of them admissible; one enumeration over the canopy holds
+    # at most 1728 states before a site, so it needs a budget of 3 * 1728
     cb3, diag = build_checkerboard(3), diagonal_3coloring_point()
-    got = p_interval(diag, (0, 0), 2, cb3, budget=5000)
+    with pytest.raises(BudgetError, match="canopy ensemble: needs 5184 states"):
+        p_interval(diag, (0, 0), 2, cb3, budget=5000)
+    got = p_interval(diag, (0, 0), 2, cb3, budget=6000)
     assert got == p_interval(diag, (0, 0), 2, cb3)
     assert got.canopy_path == "ensemble" and got.canopy_count + got.skipped_count == 3456
 
@@ -493,7 +496,7 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
         both = engine.evaluate(bterms, engine.terms_from_pins(pins))
         singles = [engine.evaluate(bterms, engine.terms_from_pins({**pins, (1, 0): a})) for a in pins[(1, 0)]]
         assert math.isfinite(both)
-        assert both == pytest.approx(logsumexp(singles), rel=0, abs=1e-12)
+        assert both == pytest.approx(logsumexp(singles, axis=0), rel=0, abs=1e-12)
     with pytest.raises(ValueError, match="alphabet"):
         log_partition(ConstrainedRegion(region, {(1, 0): (0, 2)}), build_ising(0.4))
 
@@ -556,7 +559,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
             one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
             np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
-            assert logsumexp(one) == pytest.approx(want, abs=1e-10)
+            assert logsumexp(np.atleast_1d(one), axis=0) == pytest.approx(want, abs=1e-10)
         # one member pays only for the matrices of one-state rows
         assert all((matrix is None) == (len(r.configs) > 1) for r, (_, matrix) in zip(single.rows, single._trans))
 
