@@ -245,7 +245,8 @@ def admissible_states(
     of the alphabet in ascending order. Each new site adds the energy of its
     edges to already-placed sites, and a state is dropped as soon as that
     energy is +inf. Returns the (n, len(sites)) symbol matrix, lexicographic
-    with the first site most significant, and the n energies.
+    with the first site most significant and int8 when q <= 127 (int64
+    otherwise), and the n energies.
 
     This is the package's one enumerator and its one budget rule, for
     canopies, engine rows, transfer stages and strips alike: the states
@@ -255,9 +256,9 @@ def admissible_states(
     """
     col = {v: j for j, v in enumerate(sites)}
     h, vt = phi.tables
-    syms = np.arange(phi.q, dtype=np.int64)
     k = phi.q
-    cfg = np.zeros((1, 0), dtype=np.int64)
+    syms = np.arange(k, dtype=np.int8 if k <= np.iinfo(np.int8).max else np.int64)
+    cfg = np.zeros((1, 0), dtype=syms.dtype)
     energies = np.zeros(1)
     for j, (x, y) in enumerate(sites):
         if len(cfg) * k > budget:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import EMPTY_CONFIGURATION, Configuration, Interaction
-from .lattice import Region, Site, boundary
+from .lattice import Region, Site, boundary, neighbors
 from .sft import admissible_states
 
 LOG_ZERO = -inf
@@ -172,6 +172,15 @@ class RegionEngine:
     is the steps of `_transfer_steps`; equal row pairs share one.
     A sweep of at least S_r members (the upper row's states) builds and keeps
     the S_r x S_s matrix of those steps for BLAS; smaller ones run the steps.
+
+    An ensemble sweep meets in the middle (`_halves`, `_combine`) when every
+    transition has its matrix and that costs fewer flops than a forward
+    sweep per member. Head sites touch the top row only; the rest are tail
+    sites. One backward sweep runs per distinct tail configuration and
+    target symbol, from the lowest row up; one exp-shifted GEMM over the top
+    row's states joins them to the distinct head vectors, and each member
+    gathers its entry. Otherwise, and when the two halves' log-weights
+    spread too wide for that GEMM, the forward sweep runs.
     """
 
     def __init__(
@@ -301,11 +310,9 @@ class RegionEngine:
                 v = _run_steps(v, steps)
             else:
                 expw, shift = matrix
-                vmax = np.max(v, axis=-1)
-                vm_safe = np.where(np.isfinite(vmax), vmax, 0.0)
-                sums = np.exp(v - vm_safe[..., None]) @ expw
+                scaled, m = _exp_shifted(v)
                 with np.errstate(divide="ignore"):
-                    v = np.log(sums) + vm_safe[..., None] + shift
+                    v = np.log(scaled @ expw) + m + shift
             v = v + vec
         return v
 
@@ -336,7 +343,7 @@ class RegionEngine:
         delta_sites. Returns (n_deltas,) log partitions, or (n_deltas, q)
         split by the target symbol when a target is set.
         """
-        delta_matrix = np.asarray(delta_matrix, dtype=np.int64)
+        delta_matrix = np.asarray(delta_matrix)
         n = len(delta_matrix)
         out_shape = (n, self.phi.q) if self._target_masks is not None else (n,)
         if not self.rows:
@@ -361,6 +368,11 @@ class RegionEngine:
                 if terms[i] is not None:
                     vec = vec + terms[i]
             base.append(vec)
+        halves = self._halves(delta_sites, delta_matrix, trans)
+        if halves is not None:
+            out = self._combine(base, trans, delta_sites, delta_matrix, *halves)
+            if out is not None:
+                return out
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
@@ -371,6 +383,102 @@ class RegionEngine:
             out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs, trans))
             del vecs  # release this block's vectors before the next block's are built
         return out
+
+    # -- meet in the middle ------------------------------------------------
+
+    def _halves(self, delta_sites: Sequence[Site], delta_matrix: np.ndarray, trans: list):
+        """Head and tail split of an ensemble for `_combine`, or None when
+        the forward sweep must run: some transition lacks its matrix, a
+        half's base-q codes overflow int64, or the combine's flops are not
+        below the forward sweep's. Head sites touch the top row only, tail
+        sites some other row; sites that touch no row are left out.
+        Returns (head, tail, head member index, head inverse, tail member
+        index, tail inverse), the indices and inverses of `np.unique` on
+        each half's codes. Decided from sizes alone, before any site term."""
+        if not all(matrix for _, matrix in trans):
+            return None
+        q = self.phi.q
+        row_of = {v: i for i, row in enumerate(self.rows) for v in row.sites}
+        head, tail = [], []
+        for d, v in enumerate(delta_sites):
+            touched = set() if v in row_of else {row_of[u] for u in neighbors(v) if u in row_of}
+            if touched == {0}:
+                head.append(d)
+            elif touched:
+                tail.append(d)
+        if q ** max(len(head), len(tail)) > 1 << 63:  # the largest code, q^k - 1, fits int64
+            return None
+        distinct = []
+        for part in (head, tail):
+            place = q ** np.arange(len(part) - 1, -1, -1, dtype=np.int64)
+            distinct.append(np.unique(delta_matrix[:, part] @ place, return_index=True, return_inverse=True)[1:])
+        (h_index, h_inverse), (t_index, t_inverse) = distinct
+        # multiply-adds: the backward sweeps and the combine against one
+        # forward sweep per member
+        sizes = [len(row.configs) for row in self.rows]
+        pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
+        outs = len(t_index) * (q if self._target_masks is not None else 1)
+        if outs * pairs + len(h_index) * sizes[0] * outs >= len(delta_matrix) * pairs:
+            return None
+        return head, tail, h_index, h_inverse, t_index, t_inverse
+
+    def _combine(self, base, trans, delta_sites, delta_matrix, head, tail, h_index, h_inverse, t_index, t_inverse):
+        """Meet-in-the-middle evaluation of an ensemble split by `_halves`.
+
+        `_backward` gives one vector per distinct tail configuration and
+        output; one exp-shifted GEMM over the top row's states then joins
+        every distinct head vector to every backward vector, and each member
+        gathers its entry. Returns None, for the forward sweep to run, when
+        the finite spread of a head vector plus that of a backward vector
+        exceeds 700: below that, every product of two finite exp-shifted
+        entries is at least e^-700, above the smallest normal double, so no
+        finite term underflows and zero weights stay exact zeros.
+        """
+        heads = self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)])[0]
+        if heads is None:
+            heads = np.zeros((len(h_index), len(self.rows[0].configs)))
+        tails = self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)])
+        vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
+        back = self._backward(vecs, trans)
+        if _finite_spread(heads) + _finite_spread(back) > 700.0:
+            return None
+        (eh, mh), (eb, mb) = _exp_shifted(heads), _exp_shifted(back)
+        with np.errstate(divide="ignore"):
+            z = np.log(eh @ eb.T) + mh + mb.T
+        z = z.reshape(len(h_index), len(t_index), -1)[h_inverse, t_inverse]
+        return z if self._target_masks is not None else z[:, 0]
+
+    def _backward(self, vecs: list[np.ndarray], trans: list) -> np.ndarray:
+        """The row sweep run from the lowest row up, through each
+        transition's matrix: from per-row (T or 1, n_states) vectors, the
+        (T * outputs, top-row states) log-weights of the rows below each top
+        state, tail major, one output per target symbol (one without a
+        target)."""
+        masks = np.array(self._target_masks if self._target_masks is not None else [True])
+        back = np.where(masks, vecs[-1][:, None, :], LOG_ZERO)
+        for (_, (expw, shift)), vec in zip(trans[::-1], vecs[-2::-1]):
+            scaled, m = _exp_shifted(back)
+            with np.errstate(divide="ignore"):
+                back = np.log(scaled @ expw.T) + m + shift + vec[:, None, :]
+        return back.reshape(-1, back.shape[-1])
+
+
+def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(a - m), m) with m the finite row maxima of `a` along its last
+    axis (0 for a row of -inf), kept as a trailing axis."""
+    m = np.max(a, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.exp(a - m), m
+
+
+def _finite_spread(a: np.ndarray) -> float:
+    """Largest max - min over the finite entries of a row of `a` (2-d);
+    -inf when no row has a finite entry."""
+    finite = np.isfinite(a)
+    hi = np.where(finite, a, -inf).max(axis=-1)
+    lo = np.where(finite, a, inf).min(axis=-1)
+    return float(np.max(hi - lo))
+
 
 def log_partition(
     cr: ConstrainedRegion,

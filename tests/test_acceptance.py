@@ -275,7 +275,7 @@ def test_criterion_6_counterexample_reproduction():
     cb3 = build_checkerboard(3)
     diag = diagonal_3coloring_point()
     frozen_ok = True
-    for n in (1, 2):
+    for n in (1, 2, 3):
         est = gk_pressure(diag, n, cb3)
         frozen_ok = frozen_ok and est.lower == 0.0 and est.upper == 0.0
     points = strip_sequence(cb3, [6, 9, 12], tol=1e-7)

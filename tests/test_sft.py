@@ -26,6 +26,7 @@ from gibbspress.sft import (
     safe_symbol_check,
     ssf_check,
 )
+from gibbspress.transfer import RegionEngine
 
 
 def test_local_admissibility_examples():
@@ -207,6 +208,21 @@ def test_canopy_is_one_enumeration_over_canonical_sites(n):
     assert len(region_components(canopy)) > 1
     for phi in (build_hard_square(1.0), build_checkerboard(3), build_ising(0.3)):
         assert admissible_configurations(canopy, phi).tolist() == filtered_product(list(canopy), phi) != []
+
+
+def test_symbol_matrices_are_int8_up_to_127_symbols():
+    """Every enumeration (canopy, engine row, transfer stage, strip) is an
+    admissible_states call, whose symbol matrix is int8 for q <= 127 and
+    int64 above; row codes are still formed in int64."""
+    cb3 = build_checkerboard(3)
+    s_2, _, c_2 = canopy_decomposition(2)
+    assert admissible_configurations(c_2, cb3).dtype == np.int8
+    engine = RegionEngine(s_2, cb3, target=(0, 0))
+    assert all(row.configs.dtype == np.int8 for row in engine.rows)
+    for q, dtype in ((127, np.int8), (128, np.int64)):
+        cfg, energies = admissible_states([(0, 0), (1, 0)], build_full_shift(q), budget=1 << 16)
+        assert cfg.dtype == dtype and len(cfg) == len(energies) == q * q
+        assert cfg[-1].tolist() == [q - 1, q - 1]
 
 
 def test_region_components():

@@ -15,7 +15,7 @@ from gibbspress.interaction import (
     constant_configuration,
 )
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
-from gibbspress.pressure import admissible_configurations, p_interval
+from gibbspress.pressure import admissible_configurations, gk_pressure, p_interval
 import gibbspress.transfer as transfer
 from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point
 from gibbspress.transfer import (
@@ -32,7 +32,7 @@ from gibbspress.transfer import (
 )
 
 from conftest import model_gallery, random_interaction
-from oracles import brute_log_partition, brute_strip_log_lambda
+from oracles import brute_log_partition, brute_origin_interval, brute_strip_log_lambda
 
 GOLDEN_RATIO_LOG = math.log((1 + math.sqrt(5)) / 2)
 
@@ -595,6 +595,146 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
     got = shared.evaluate_deltas(static, list(c_3), few)
     assert np.array_equal(got, fresh.evaluate_deltas(static, list(c_3), few))
     assert all(matrix is None for _, matrix in fresh._trans)
+
+
+def _spy_combine(monkeypatch) -> list[bool]:
+    """Record, per `_combine` call, whether it returned the ensemble (True)
+    or left it to the forward sweep (False)."""
+    taken = []
+    combine = RegionEngine._combine
+
+    def spy(self, *args):
+        out = combine(self, *args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(RegionEngine, "_combine", spy)
+    return taken
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("target", [(0, 0), None])
+@pytest.mark.parametrize("pinned", [False, True])
+def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, monkeypatch):
+    """The meet-in-the-middle path equals one forward `evaluate` per member,
+    zeros included, for ensembles over head and tail sites, head sites only
+    and tail sites only. Members repeat their head (or tail) so that the
+    combine costs fewer flops than the forward sweep."""
+    taken = _spy_combine(monkeypatch)
+    random = random_interaction(q, rng)
+    # equal neighbours forbidden, so that some members weigh zero: a weighted
+    # 3-colouring, and for q = 2 along rows only (both would freeze the model)
+    horizontal, vertical = random.horizontal.copy(), random.vertical.copy()
+    for table in (horizontal, vertical) if q == 3 else (horizontal,):
+        np.fill_diagonal(table, np.inf)
+    phi = Interaction(Alphabet(q), horizontal, vertical)
+    s_1, u_1, c_1 = canopy_decomposition(1)
+    engine = RegionEngine(s_1, phi, target=target)
+    # (-1, 0) touches both rows: a tail site whose terms reach the top row
+    corner = (-1, 0)
+    static = []
+    if pinned:
+        upper = Region(v for v in u_1 if v != corner)
+        upper = Configuration(upper, {v: int(a) for v, a in zip(upper, rng.integers(q, size=len(upper)))})
+        static = [engine.terms_from_boundary(upper), engine.terms_from_pins({(1, 1): (0, 1), (-1, 1): 1})]
+    head = [v for v in c_1 if v[1] >= 1]  # the canopy's top row and the side sites beside row y = 1
+    tail = [v for v in c_1 if v not in head] + [corner]
+    pool = rng.integers(q, size=(6, len(head)))
+    members = np.column_stack([pool[rng.integers(6, size=60)], rng.integers(q, size=(60, len(tail)))])
+    outs = []
+    for sites, cols in ((head + tail, slice(None)), (head, slice(0, len(head))), (tail, slice(len(head), None))):
+        got = engine.evaluate_deltas(static, sites, members[:, cols])
+        outs.append(got.ravel())
+        want = np.array([
+            engine.evaluate(*static, engine.terms_from_boundary(
+                Configuration(Region(sites), {v: int(a) for v, a in zip(sites, row)})
+            ))
+            for row in members[:, cols]
+        ])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    assert taken == [True] * 3
+    assert np.isinf(np.concatenate(outs)).any() and np.isfinite(np.concatenate(outs)).any()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_combine_matches_brute_origin_interval(k, monkeypatch):
+    """At n = 1 the combined ensemble brackets the 3- and 4-colourings'
+    origin conditional as direct enumeration does, and skips the members
+    the forward sweep skips."""
+    taken = _spy_combine(monkeypatch)
+    phi = build_checkerboard(k)
+    point = diagonal_3coloring_point() if k == 3 else PeriodicPoint([[0, 1], [1, 0]])
+    s_1, u_1, c_1 = canopy_decomposition(1)
+    pi = p_interval(point, (0, 0), 1, phi)
+    assert taken == [True] and pi.canopy_path == "ensemble"
+    lo, hi = brute_origin_interval(s_1, point.restrict(u_1), c_1, admissible_configurations(c_1, phi), phi, point.value((0, 0)))
+    assert (pi.lower, pi.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    forward = p_interval(point, (0, 0), 1, phi)
+    assert (pi.canopy_count, pi.skipped_count) == (forward.canopy_count, forward.skipped_count)
+    assert pi.skipped_count > 0 if k == 3 else pi.skipped_count == 0
+
+
+@pytest.mark.parametrize("n, combined", [(1, False), (3, True)])
+def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
+    """The hard-square canopy ensemble builds every matrix at n = 1 (30
+    members, rows of 5 and 3 states) and at n = 3 (1360 members), but only
+    at n = 3 do its distinct heads and tails cost fewer flops to combine
+    than a forward sweep per member."""
+    taken = _spy_combine(monkeypatch)
+    hs = build_hard_square(1.0)
+    s_n, u_n, c_n = canopy_decomposition(n)
+    engine = RegionEngine(s_n, hs, target=(0, 0))
+    static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
+    got = engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs))
+    assert all(matrix for _, matrix in engine._trans)
+    assert taken == ([True] if combined else [])
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs)), rtol=1e-12)
+
+
+def test_wide_spread_takes_the_forward_path(rng, monkeypatch):
+    """Horizontal energies of scale 300 leave every transition its matrix
+    (a transition carries vertical edges only) but spread the head and
+    backward vectors past 700 together, so the forward sweep runs."""
+    q = 3
+    phi = Interaction(Alphabet(q), random_interaction(q, rng, scale=300.0).horizontal, random_interaction(q, rng).vertical)
+    s_1, _, c_1 = canopy_decomposition(1)
+    deltas = admissible_configurations(c_1, phi)
+    engine = RegionEngine(s_1, phi, target=(0, 0))
+    taken = _spy_combine(monkeypatch)
+    got = engine.evaluate_deltas([], list(c_1), deltas)
+    assert taken == [False] and all(matrix for _, matrix in engine._trans)
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    assert np.array_equal(got, engine.evaluate_deltas([], list(c_1), deltas))
+
+
+def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
+    """At n = 3 each of diag3's three brackets runs its backward sweep on one
+    vector per distinct side-column tail and origin symbol, not on the
+    55 296 canopy members, and runs no forward sweep."""
+    backward, vectors = RegionEngine._backward, []
+
+    def spy(self, *args):
+        out = backward(self, *args)
+        vectors.append(len(out))
+        return out
+
+    def forward(self, *args):
+        raise AssertionError("a forward sweep ran")
+
+    monkeypatch.setattr(RegionEngine, "_backward", spy)
+    monkeypatch.setattr(RegionEngine, "_sweep", forward)
+    n, cb3 = 3, build_checkerboard(3)
+    canopy = list(canopy_decomposition(n)[2])
+    deltas = admissible_configurations(Region(canopy), cb3)
+    tail = [j for j, (x, y) in enumerate(canopy) if abs(x) == n + 1 and y < n]
+    tails = len(np.unique(deltas[:, tail], axis=0))
+    est = gk_pressure(diagonal_3coloring_point(), n, cb3)
+    assert (est.lower, est.upper) == (0.0, 0.0)
+    assert len(deltas) == 55296 and tails == 72
+    assert vectors == [tails * 3] * 3
 
 
 def test_step_indices_are_int32():
