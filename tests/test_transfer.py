@@ -727,9 +727,9 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     monkeypatch.setattr(RegionEngine, "_backward", spy)
     monkeypatch.setattr(RegionEngine, "_sweep", forward)
     n, cb3 = 3, build_checkerboard(3)
-    canopy = list(canopy_decomposition(n)[2])
-    deltas = admissible_configurations(Region(canopy), cb3)
-    tail = [j for j, (x, y) in enumerate(canopy) if abs(x) == n + 1 and y < n]
+    c_n = canopy_decomposition(n)[2]
+    deltas = admissible_configurations(c_n, cb3)
+    tail = [j for j, (x, y) in enumerate(c_n) if abs(x) == n + 1 and y < n]
     tails = len(np.unique(deltas[:, tail], axis=0))
     est = gk_pressure(diagonal_3coloring_point(), n, cb3)
     assert (est.lower, est.upper) == (0.0, 0.0)
