@@ -169,18 +169,16 @@ class RegionEngine:
     evaluation returns the vector of log partition functions split by the
     target site's symbol (the target must lie in the lowest row). Rows with
     equal x columns share one enumeration of their states. Each transition
-    is the steps of `_transfer_steps`; equal row pairs share one.
-    A sweep of at least S_r members (the upper row's states) builds and keeps
-    the S_r x S_s matrix of those steps for BLAS; smaller ones run the steps.
+    is the steps of `_transfer_steps`; equal row pairs share one. A forward
+    sweep runs the steps.
 
-    An ensemble sweep meets in the middle (`_halves`, `_combine`) when every
-    transition has its matrix and that costs fewer flops than a forward
-    sweep per member. Head sites touch the top row only; the rest are tail
-    sites. One backward sweep runs per distinct tail configuration and
-    target symbol, from the lowest row up; one exp-shifted GEMM over the top
-    row's states joins them to the distinct head vectors, and each member
-    gathers its entry. Otherwise, and when the two halves' log-weights
-    spread too wide for that GEMM, the forward sweep runs.
+    An ensemble meets in the middle (`_halves`, `_combine`) when that costs
+    fewer flops than a forward sweep per member. Head sites touch the top
+    row only; the rest are tail sites. One backward sweep runs per distinct
+    tail configuration and target symbol, from the lowest row up, through
+    each transition's S_r x S_s matrix, built and kept for BLAS only here;
+    over the top row's states each member's head vector then joins its
+    backward vector.
     """
 
     def __init__(
@@ -214,7 +212,7 @@ class RegionEngine:
             row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
-        # [steps, matrix] per row pair; evaluate_deltas builds the matrices
+        # [steps, matrix] per row pair; _halves builds the matrices
         self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
@@ -303,17 +301,10 @@ class RegionEngine:
 
     # -- sweeps ------------------------------------------------------------
 
-    def _sweep(self, row_vecs: list[np.ndarray], trans: list) -> np.ndarray:
+    def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
         v = row_vecs[0]
-        for (steps, matrix), vec in zip(trans, row_vecs[1:]):
-            if not matrix:
-                v = _run_steps(v, steps)
-            else:
-                expw, shift = matrix
-                scaled, m = _exp_shifted(v)
-                with np.errstate(divide="ignore"):
-                    v = np.log(scaled @ expw) + m + shift
-            v = v + vec
+        for (steps, _), vec in zip(self._trans, row_vecs[1:]):
+            v = _run_steps(v, steps) + vec
         return v
 
     def _finalize(self, v: np.ndarray):
@@ -351,16 +342,6 @@ class RegionEngine:
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
         block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
-        # a matrix costs S_r step runs, so it pays from S_r members on; built
-        # before the block's vectors, it holds no more floats than they do.
-        # A smaller sweep runs the steps even when an earlier sweep built the
-        # matrix, so a call's result does not depend on the calls before it.
-        trans = []
-        for row, pair in zip(self.rows, self._trans):
-            big = min(n, block) >= len(row.configs)
-            if big and pair[1] is None:
-                pair[1] = _matrix(pair[0], len(row.configs))
-            trans.append(pair if big else (pair[0], ()))
         base = []
         for i, row in enumerate(self.rows):
             vec = row.internal
@@ -368,11 +349,9 @@ class RegionEngine:
                 if terms[i] is not None:
                     vec = vec + terms[i]
             base.append(vec)
-        halves = self._halves(delta_sites, delta_matrix, trans)
+        halves = self._halves(delta_sites, delta_matrix, min(n, block))
         if halves is not None:
-            out = self._combine(base, trans, delta_sites, delta_matrix, *halves)
-            if out is not None:
-                return out
+            return self._combine(base, block, delta_sites, delta_matrix, *halves)
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
@@ -380,24 +359,29 @@ class RegionEngine:
                 np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
                 for v, b in zip(self._exterior(delta_sites, dm), base)
             ]
-            out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs, trans))
+            out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs))
             del vecs  # release this block's vectors before the next block's are built
         return out
 
     # -- meet in the middle ------------------------------------------------
 
-    def _halves(self, delta_sites: Sequence[Site], delta_matrix: np.ndarray, trans: list):
+    def _halves(self, delta_sites: Sequence[Site], delta_matrix: np.ndarray, members: int):
         """Head and tail split of an ensemble for `_combine`, or None when
-        the forward sweep must run: some transition lacks its matrix, a
-        half's base-q codes overflow int64, or the combine's flops are not
-        below the forward sweep's. Head sites touch the top row only, tail
-        sites some other row; sites that touch no row are left out.
-        Returns (head, tail, head member index, head inverse, tail member
-        index, tail inverse), the indices and inverses of `np.unique` on
-        each half's codes. Decided from sizes alone, before any site term."""
-        if not all(matrix for _, matrix in trans):
-            return None
+        the forward sweep must run: a transition's upper row has more states
+        than `members` (the ensemble, capped at one block), a half's base-q
+        codes overflow int64, the combine's flops are not below the forward
+        sweep's, or a matrix is refused for its spread. The matrices are
+        built only once the other checks pass. Head sites touch the top row
+        only, tail sites some other row; sites that touch no row are left
+        out. Returns (head, tail, head member index, head inverse, tail
+        member index, tail inverse), the indices and inverses of `np.unique`
+        on each half's codes. Decided before any site term."""
         q = self.phi.q
+        sizes = [len(row.configs) for row in self.rows]
+        # a matrix costs S_r step runs, so it pays from S_r members on; with
+        # S_r at most one block, it holds no more floats than a block's vectors
+        if any(size > members for size in sizes[:-1]):
+            return None
         row_of = {v: i for i, row in enumerate(self.rows) for v in row.sites}
         head, tail = [], []
         for d, v in enumerate(delta_sites):
@@ -415,40 +399,50 @@ class RegionEngine:
         (h_index, h_inverse), (t_index, t_inverse) = distinct
         # multiply-adds: the backward sweeps and the combine against one
         # forward sweep per member
-        sizes = [len(row.configs) for row in self.rows]
         pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
         outs = len(t_index) * (q if self._target_masks is not None else 1)
         if outs * pairs + len(h_index) * sizes[0] * outs >= len(delta_matrix) * pairs:
             return None
+        for size, pair in zip(sizes, self._trans):
+            if pair[1] is None:
+                pair[1] = _matrix(pair[0], size)
+        if not all(matrix for _, matrix in self._trans):
+            return None
         return head, tail, h_index, h_inverse, t_index, t_inverse
 
-    def _combine(self, base, trans, delta_sites, delta_matrix, head, tail, h_index, h_inverse, t_index, t_inverse):
+    def _combine(self, base, block, delta_sites, delta_matrix, head, tail, h_index, h_inverse, t_index, t_inverse):
         """Meet-in-the-middle evaluation of an ensemble split by `_halves`.
 
         `_backward` gives one vector per distinct tail configuration and
-        output; one exp-shifted GEMM over the top row's states then joins
-        every distinct head vector to every backward vector, and each member
-        gathers its entry. Returns None, for the forward sweep to run, when
-        the finite spread of a head vector plus that of a backward vector
-        exceeds 700: below that, every product of two finite exp-shifted
-        entries is at least e^-700, above the smallest normal double, so no
-        finite term underflows and zero weights stay exact zeros.
+        output, and each member joins its head vector to its backward vector
+        over the top row's states. When the finite spread of a head vector
+        plus that of a backward vector is at most 700, one exp-shifted GEMM
+        joins every distinct pair: every product of two finite exp-shifted
+        entries is then at least e^-700, above the smallest normal double, so
+        no finite term underflows and zero weights stay exact zeros. Past
+        that spread each member's pair is joined by a logsumexp, one block
+        of members at a time.
         """
         heads = self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)])[0]
         if heads is None:
             heads = np.zeros((len(h_index), len(self.rows[0].configs)))
         tails = self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)])
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
-        back = self._backward(vecs, trans)
+        back = self._backward(vecs)
         if _finite_spread(heads) + _finite_spread(back) > 700.0:
-            return None
-        (eh, mh), (eb, mb) = _exp_shifted(heads), _exp_shifted(back)
-        with np.errstate(divide="ignore"):
-            z = np.log(eh @ eb.T) + mh + mb.T
-        z = z.reshape(len(h_index), len(t_index), -1)[h_inverse, t_inverse]
+            back = back.reshape(len(t_index), -1, back.shape[-1])
+            z = np.concatenate([
+                logsumexp(heads[h_inverse[lo : lo + block], None, :] + back[t_inverse[lo : lo + block]], axis=-1)
+                for lo in range(0, len(h_inverse), block)
+            ])
+        else:
+            (eh, mh), (eb, mb) = _exp_shifted(heads), _exp_shifted(back)
+            with np.errstate(divide="ignore"):
+                z = np.log(eh @ eb.T) + mh + mb.T
+            z = z.reshape(len(h_index), len(t_index), -1)[h_inverse, t_inverse]
         return z if self._target_masks is not None else z[:, 0]
 
-    def _backward(self, vecs: list[np.ndarray], trans: list) -> np.ndarray:
+    def _backward(self, vecs: list[np.ndarray]) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
         transition's matrix: from per-row (T or 1, n_states) vectors, the
         (T * outputs, top-row states) log-weights of the rows below each top
@@ -456,7 +450,7 @@ class RegionEngine:
         target)."""
         masks = np.array(self._target_masks if self._target_masks is not None else [True])
         back = np.where(masks, vecs[-1][:, None, :], LOG_ZERO)
-        for (_, (expw, shift)), vec in zip(trans[::-1], vecs[-2::-1]):
+        for (_, (expw, shift)), vec in zip(self._trans[::-1], vecs[-2::-1]):
             scaled, m = _exp_shifted(back)
             with np.errstate(divide="ignore"):
                 back = np.log(scaled @ expw.T) + m + shift + vec[:, None, :]

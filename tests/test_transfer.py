@@ -509,21 +509,22 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
 
 
 def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
-    """A sweep of fewer members than a transition's upper-row states runs
-    its steps and builds no matrix; a sweep of at least that many builds
-    the matrix, and both agree."""
+    """Forward sweeps run the steps and build no matrix; only an ensemble
+    that meets in the middle builds its transitions' matrices, and both
+    arithmetics agree."""
     built = []
     make = transfer._matrix
     monkeypatch.setattr(transfer, "_matrix", lambda steps, size: built.append(size) or make(steps, size))
     hs = build_hard_square(1.0)
-    one = box_log_partition(12, hs)
+    box12 = box_log_partition(12, hs)
     engine = RegionEngine(Region((x, y) for x in range(12) for y in range(12)), hs)
-    assert engine.evaluate() == pytest.approx(144 * one, abs=1e-12)
+    assert engine.evaluate() == pytest.approx(144 * box12, abs=1e-12)
     assert built == [] and all(matrix is None for _, matrix in engine._trans)
-    # 377 states per row; the 11 equal row pairs share one matrix
+    # 377 equal members and 377 states per row: the combine builds the one
+    # matrix the 11 equal row pairs share
     many = engine.evaluate_deltas([], [], np.zeros((377, 0), dtype=np.int64))
     assert built == [377] and all(matrix for _, matrix in engine._trans)
-    np.testing.assert_allclose(many, 144 * one, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(many, 144 * box12, rtol=1e-12, atol=0)
 
     s_3, u_3, c_3 = canopy_decomposition(3)
     deltas = admissible_configurations(c_3, hs)
@@ -538,6 +539,9 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert all(matrix is None for _, matrix in single._trans)
     np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
 
+    # random members mostly decline the combine and run the steps; a
+    # transition has its matrix exactly when its ensemble was combined
+    taken, combined = _spy_combine(monkeypatch), 0
     for trial in range(30):
         q = int(rng.integers(2, 4))
         phi = random_interaction(q, rng)
@@ -552,16 +556,26 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         ensemble, single = (RegionEngine(region, phi, target=target) for _ in range(2))
         members = max(len(row.configs) for row in ensemble.rows)  # at least S_r for every transition
         deltas = rng.integers(q, size=(members, len(ring)))
+        taken.clear()
         got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], ring, deltas)
-        assert all(matrix for _, matrix in ensemble._trans)
+        assert all(bool(matrix) == bool(taken) for _, matrix in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
             one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
             np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
             assert logsumexp(np.atleast_1d(one), axis=0) == pytest.approx(want, abs=1e-10)
-        # one member pays only for the matrices of one-state rows
-        assert all((matrix is None) == (len(r.configs) > 1) for r, (_, matrix) in zip(single.rows, single._trans))
+        assert all(matrix is None for _, matrix in single._trans)  # also for one-state rows
+        combined += bool(taken)
+    assert combined == 3
+
+    # the box oracle, the extremes path and evaluate build no matrix either
+    built.clear()
+    assert 0.4074 < box_log_partition(14, hs) < box12  # decreasing toward log kappa = 0.40749...
+    for n in range(1, 6):
+        assert p_interval(PeriodicPoint([[0]]), (0, 0), n, hs).canopy_path == "extremes"
+    assert math.isfinite(engine.evaluate(engine.terms_from_pins({(5, 5): 1})))
+    assert built == []
 
 
 def test_rows_with_equal_x_columns_share_one_enumeration():
@@ -581,9 +595,9 @@ def test_rows_with_equal_x_columns_share_one_enumeration():
 
 
 def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
-    """Which arithmetic a sweep runs depends on its own size only, so a
-    small sweep on a shared engine equals, bit for bit, the same sweep on a
-    fresh one."""
+    """A forward sweep runs the steps also after a combine built the shared
+    engine's matrices, so a small sweep on a shared engine equals, bit for
+    bit, the same sweep on a fresh one."""
     hs = build_hard_square(1.0)
     s_3, u_3, c_3 = canopy_decomposition(3)
     deltas = admissible_configurations(c_3, hs)
@@ -598,15 +612,14 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
 
 
 def _spy_combine(monkeypatch) -> list[bool]:
-    """Record, per `_combine` call, whether it returned the ensemble (True)
-    or left it to the forward sweep (False)."""
+    """Record a True per `_combine` call, which always returns the
+    ensemble."""
     taken = []
     combine = RegionEngine._combine
 
     def spy(self, *args):
-        out = combine(self, *args)
-        taken.append(out is not None)
-        return out
+        taken.append(True)
+        return combine(self, *args)
 
     monkeypatch.setattr(RegionEngine, "_combine", spy)
     return taken
@@ -678,36 +691,90 @@ def test_combine_matches_brute_origin_interval(k, monkeypatch):
 
 @pytest.mark.parametrize("n, combined", [(1, False), (3, True)])
 def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
-    """The hard-square canopy ensemble builds every matrix at n = 1 (30
-    members, rows of 5 and 3 states) and at n = 3 (1360 members), but only
-    at n = 3 do its distinct heads and tails cost fewer flops to combine
-    than a forward sweep per member."""
+    """Only at n = 3 (1360 members) do the hard-square canopy ensemble's
+    distinct heads and tails cost fewer flops to combine than a forward
+    sweep per member; at n = 1 (30 members, rows of 5 and 3 states) the
+    steps run and no matrix is built."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     s_n, u_n, c_n = canopy_decomposition(n)
     engine = RegionEngine(s_n, hs, target=(0, 0))
     static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
     got = engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs))
-    assert all(matrix for _, matrix in engine._trans)
+    assert all(bool(matrix) == combined for _, matrix in engine._trans)
     assert taken == ([True] if combined else [])
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs)), rtol=1e-12)
 
 
-def test_wide_spread_takes_the_forward_path(rng, monkeypatch):
+def _forbid_forward_sweeps(monkeypatch):
+    """Make a forward sweep raise; returns the real `_sweep`."""
+
+    def forward(self, *args):
+        raise AssertionError("a forward sweep ran")
+
+    sweep = RegionEngine._sweep
+    monkeypatch.setattr(RegionEngine, "_sweep", forward)
+    return sweep
+
+
+def _assert_same_log_weights(got, want):
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
     """Horizontal energies of scale 300 leave every transition its matrix
     (a transition carries vertical edges only) but spread the head and
-    backward vectors past 700 together, so the forward sweep runs."""
+    backward vectors past 700 together, so each member joins its pair by
+    a logsumexp, and it equals the forward steps."""
     q = 3
     phi = Interaction(Alphabet(q), random_interaction(q, rng, scale=300.0).horizontal, random_interaction(q, rng).vertical)
     s_1, _, c_1 = canopy_decomposition(1)
     deltas = admissible_configurations(c_1, phi)
     engine = RegionEngine(s_1, phi, target=(0, 0))
     taken = _spy_combine(monkeypatch)
+    sweep = _forbid_forward_sweeps(monkeypatch)
     got = engine.evaluate_deltas([], list(c_1), deltas)
-    assert taken == [False] and all(matrix for _, matrix in engine._trans)
+    assert taken == [True] and all(matrix for _, matrix in engine._trans)
+    monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    assert np.array_equal(got, engine.evaluate_deltas([], list(c_1), deltas))
+    _assert_same_log_weights(got, engine.evaluate_deltas([], list(c_1), deltas))
+
+
+def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
+    """A 3-colouring with horizontal energies 0 and 300 spreads diag3's head
+    and backward vectors past 700 at n = 2: its brackets still combine, to
+    exactly [0, 0], with no forward sweep, and each ensemble equals the
+    forward steps."""
+    inf = np.inf
+    soft3 = Interaction(
+        Alphabet(3),
+        [[inf, 0, 300], [300, inf, 0], [0, 300, inf]],
+        [[inf, 0, 0], [0, inf, 0], [0, 0, inf]],
+    )
+    calls = []
+    evaluate_deltas = RegionEngine.evaluate_deltas
+
+    def spy(self, *args):
+        out = evaluate_deltas(self, *args)
+        calls.append((self, args, out))
+        return out
+
+    monkeypatch.setattr(RegionEngine, "evaluate_deltas", spy)
+    sweep = _forbid_forward_sweeps(monkeypatch)
+    est = gk_pressure(diagonal_3coloring_point(), 2, soft3)
+    assert (est.lower, est.upper) == (0.0, 0.0)
+    ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
+    assert ensembles
+    # 6912 members, past one block of 4096, join block by block
+    engine, (static, sites, members), out = ensembles[0]
+    both = evaluate_deltas(engine, static, sites, np.concatenate([members, members[::-1]]))
+    assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
+    monkeypatch.setattr(RegionEngine, "_sweep", sweep)
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    for engine, args, out in ensembles:
+        _assert_same_log_weights(out, evaluate_deltas(engine, *args))
 
 
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
@@ -721,11 +788,8 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
         vectors.append(len(out))
         return out
 
-    def forward(self, *args):
-        raise AssertionError("a forward sweep ran")
-
     monkeypatch.setattr(RegionEngine, "_backward", spy)
-    monkeypatch.setattr(RegionEngine, "_sweep", forward)
+    _forbid_forward_sweeps(monkeypatch)
     n, cb3 = 3, build_checkerboard(3)
     c_n = canopy_decomposition(n)[2]
     deltas = admissible_configurations(c_n, cb3)
