@@ -142,20 +142,6 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
     return v
 
 
-def _matrix(steps, size: int):
-    """(exp-shifted weights, shift) of the transition from a row of `size`
-    states, got by running its steps on the log identity; () when its
-    log-weights spread too wide for exp/matmul."""
-    logw = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), steps)
-    finite = logw[np.isfinite(logw)]
-    if not finite.size or float(finite.max() - finite.min()) > 400.0:
-        return ()
-    # narrow spread: exp/matmul loses at most e^-345 relative mass,
-    # invisible at double precision, and runs on BLAS
-    shift = float(finite.max())
-    return np.exp(logw - shift), shift
-
-
 class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
@@ -176,9 +162,9 @@ class RegionEngine:
     fewer flops than a forward sweep per member. Head sites touch the top
     row only; the rest are tail sites. One backward sweep runs per distinct
     tail configuration and target symbol, from the lowest row up, through
-    each transition's S_r x S_s matrix, built and kept for BLAS only here;
-    over the top row's states each member's head vector then joins its
-    backward vector.
+    each transition's S_r x S_s log-weights, built and kept only here; over
+    the top row's states each member's head vector then joins its backward
+    vector. Both products go through `_log_products`.
     """
 
     def __init__(
@@ -212,7 +198,7 @@ class RegionEngine:
             row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
-        # [steps, matrix] per row pair; _halves builds the matrices
+        # [steps, log-weights] per row pair; _halves builds the log-weights
         self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
@@ -369,17 +355,17 @@ class RegionEngine:
         """Head and tail split of an ensemble for `_combine`, or None when
         the forward sweep must run: a transition's upper row has more states
         than `members` (the ensemble, capped at one block), a half's base-q
-        codes overflow int64, the combine's flops are not below the forward
-        sweep's, or a matrix is refused for its spread. The matrices are
-        built only once the other checks pass. Head sites touch the top row
-        only, tail sites some other row; sites that touch no row are left
-        out. Returns (head, tail, head member index, head inverse, tail
-        member index, tail inverse), the indices and inverses of `np.unique`
-        on each half's codes. Decided before any site term."""
+        codes overflow int64, or the combine's flops are not below the
+        forward sweep's. Only then are the transitions' missing log-weights
+        built. Head sites touch the top row only, tail sites some other row;
+        sites that touch no row are left out. Returns (head, tail, head
+        member index, head inverse, tail member index, tail inverse), the
+        indices and inverses of `np.unique` on each half's codes. Decided
+        before any site term."""
         q = self.phi.q
         sizes = [len(row.configs) for row in self.rows]
-        # a matrix costs S_r step runs, so it pays from S_r members on; with
-        # S_r at most one block, it holds no more floats than a block's vectors
+        # log-weights cost S_r step runs, so they pay from S_r members on; with
+        # S_r at most one block, they hold no more floats than a block's vectors
         if any(size > members for size in sizes[:-1]):
             return None
         row_of = {v: i for i, row in enumerate(self.rows) for v in row.sites}
@@ -404,74 +390,74 @@ class RegionEngine:
         if outs * pairs + len(h_index) * sizes[0] * outs >= len(delta_matrix) * pairs:
             return None
         for size, pair in zip(sizes, self._trans):
-            if pair[1] is None:
-                pair[1] = _matrix(pair[0], size)
-        if not all(matrix for _, matrix in self._trans):
-            return None
+            if pair[1] is None:  # the steps run on the log identity
+                pair[1] = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), pair[0])
         return head, tail, h_index, h_inverse, t_index, t_inverse
 
     def _combine(self, base, block, delta_sites, delta_matrix, head, tail, h_index, h_inverse, t_index, t_inverse):
         """Meet-in-the-middle evaluation of an ensemble split by `_halves`.
 
         `_backward` gives one vector per distinct tail configuration and
-        output, and each member joins its head vector to its backward vector
-        over the top row's states. When the finite spread of a head vector
-        plus that of a backward vector is at most 700, one exp-shifted GEMM
-        joins every distinct pair: every product of two finite exp-shifted
-        entries is then at least e^-700, above the smallest normal double, so
-        no finite term underflows and zero weights stay exact zeros. Past
-        that spread each member's pair is joined by a logsumexp, one block
-        of members at a time.
+        output, and `_log_products` joins each member's head vector to its
+        backward vector over the top row's states.
         """
         heads = self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)])[0]
         if heads is None:
             heads = np.zeros((len(h_index), len(self.rows[0].configs)))
         tails = self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)])
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
-        back = self._backward(vecs)
-        if _finite_spread(heads) + _finite_spread(back) > 700.0:
-            back = back.reshape(len(t_index), -1, back.shape[-1])
-            z = np.concatenate([
-                logsumexp(heads[h_inverse[lo : lo + block], None, :] + back[t_inverse[lo : lo + block]], axis=-1)
-                for lo in range(0, len(h_inverse), block)
-            ])
-        else:
-            (eh, mh), (eb, mb) = _exp_shifted(heads), _exp_shifted(back)
-            with np.errstate(divide="ignore"):
-                z = np.log(eh @ eb.T) + mh + mb.T
-            z = z.reshape(len(h_index), len(t_index), -1)[h_inverse, t_inverse]
+        back = self._backward(vecs, block)
+        z = _log_products(heads, back.reshape(len(t_index), -1, back.shape[-1]), block, (h_inverse, t_inverse))
         return z if self._target_masks is not None else z[:, 0]
 
-    def _backward(self, vecs: list[np.ndarray]) -> np.ndarray:
+    def _backward(self, vecs: list[np.ndarray], block: int) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
-        transition's matrix: from per-row (T or 1, n_states) vectors, the
-        (T * outputs, top-row states) log-weights of the rows below each top
-        state, tail major, one output per target symbol (one without a
+        transition's log-weights: from per-row (T or 1, n_states) vectors,
+        the (T * outputs, top-row states) log-weights of the rows below each
+        top state, tail major, one output per target symbol (one without a
         target)."""
         masks = np.array(self._target_masks if self._target_masks is not None else [True])
         back = np.where(masks, vecs[-1][:, None, :], LOG_ZERO)
-        for (_, (expw, shift)), vec in zip(self._trans[::-1], vecs[-2::-1]):
-            scaled, m = _exp_shifted(back)
-            with np.errstate(divide="ignore"):
-                back = np.log(scaled @ expw.T) + m + shift + vec[:, None, :]
+        for (_, logw), vec in zip(self._trans[::-1], vecs[-2::-1]):
+            z = _log_products(back.reshape(-1, back.shape[-1]), logw[:, None, :], block)
+            back = z.reshape(*back.shape[:2], -1) + vec[:, None, :]
         return back.reshape(-1, back.shape[-1])
 
 
-def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(a - m), m) with m the finite row maxima of `a` along its last
-    axis (0 for a row of -inf), kept as a trailing axis."""
+def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.ndarray:
+    """log(sum_k exp(a[i, k] + b[j, o, k])) for rows i of the 2-d `a` and
+    groups j of rows of the 3-d `b`: (len(a), len(b), b.shape[1]) for every
+    (i, j), or (len(i), b.shape[1]) for `pairs` = (i, j) index arrays.
+
+    When the finite row spreads of `a` and `b` sum to at most 700, one
+    exp-shifted GEMM, with per-row shifts on both sides, forms every pair:
+    each product of two finite exp-shifted entries is then at least e^-700,
+    above the smallest normal double, so no finite term underflows and zero
+    weights stay exact zeros. Past that spread a logsumexp forms only the
+    pairs asked for, `block` pairs (at least one row of `a`) at a time.
+    """
+    (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b.reshape(-1, b.shape[-1]))
+    if sa + sb <= 700.0:
+        with np.errstate(divide="ignore"):
+            z = (np.log(ea @ eb.T) + ma + mb.T).reshape(len(a), *b.shape[:-1])
+        return z if pairs is None else z[pairs]
+    i, j = np.broadcast_arrays(*(pairs if pairs is not None else (np.arange(len(a))[:, None], np.arange(len(b)))))
+    step = max(1, block // i[0].size)
+    return np.concatenate([
+        logsumexp(a[i[lo : lo + step]][..., None, :] + b[j[lo : lo + step]], axis=-1) for lo in range(0, len(i), step)
+    ])
+
+
+def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(exp(a - m), m, spread) along the last axis of the log-weights `a`
+    (finite or -inf): m the row maxima (0 for a row of -inf), kept as a
+    trailing axis, and spread the largest max - min over the finite entries
+    of a row (0 when no entry is finite)."""
     m = np.max(a, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return np.exp(a - m), m
-
-
-def _finite_spread(a: np.ndarray) -> float:
-    """Largest max - min over the finite entries of a row of `a` (2-d);
-    -inf when no row has a finite entry."""
-    finite = np.isfinite(a)
-    hi = np.where(finite, a, -inf).max(axis=-1)
-    lo = np.where(finite, a, inf).min(axis=-1)
-    return float(np.max(hi - lo))
+    d = a - m
+    spread = -float(np.where(np.isfinite(d), d, 0.0).min(initial=0.0))
+    return np.exp(d, out=d), m, spread
 
 
 def log_partition(

@@ -509,21 +509,20 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
 
 
 def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
-    """Forward sweeps run the steps and build no matrix; only an ensemble
-    that meets in the middle builds its transitions' matrices, and both
-    arithmetics agree."""
-    built = []
-    make = transfer._matrix
-    monkeypatch.setattr(transfer, "_matrix", lambda steps, size: built.append(size) or make(steps, size))
+    """Forward sweeps run the steps and build no log-weight matrix; only an
+    ensemble that meets in the middle builds its transitions' log-weights,
+    and both arithmetics agree."""
+    taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     box12 = box_log_partition(12, hs)
     engine = RegionEngine(Region((x, y) for x in range(12) for y in range(12)), hs)
     assert engine.evaluate() == pytest.approx(144 * box12, abs=1e-12)
-    assert built == [] and all(matrix is None for _, matrix in engine._trans)
+    assert taken == [] and all(logw is None for _, logw in engine._trans)
     # 377 equal members and 377 states per row: the combine builds the one
     # matrix the 11 equal row pairs share
     many = engine.evaluate_deltas([], [], np.zeros((377, 0), dtype=np.int64))
-    assert built == [377] and all(matrix for _, matrix in engine._trans)
+    built = {id(logw): logw for _, logw in engine._trans}
+    assert taken == [True] and [logw.shape for logw in built.values()] == [(377, 377)]
     np.testing.assert_allclose(many, 144 * box12, rtol=1e-12, atol=0)
 
     s_3, u_3, c_3 = canopy_decomposition(3)
@@ -533,15 +532,15 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     ensemble, single = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     assert max(len(row.configs) for row in ensemble.rows) == 34
     got = ensemble.evaluate_deltas([ensemble.terms_from_boundary(upper)], list(c_3), deltas)
-    assert all(matrix for _, matrix in ensemble._trans)
+    assert all(logw is not None for _, logw in ensemble._trans)
     static = [single.terms_from_boundary(upper)]
     ones = np.concatenate([single.evaluate_deltas(static, list(c_3), d[None]) for d in deltas])
-    assert all(matrix is None for _, matrix in single._trans)
+    assert all(logw is None for _, logw in single._trans)
     np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
 
     # random members mostly decline the combine and run the steps; a
-    # transition has its matrix exactly when its ensemble was combined
-    taken, combined = _spy_combine(monkeypatch), 0
+    # transition has its log-weights exactly when its ensemble was combined
+    combined = 0
     for trial in range(30):
         q = int(rng.integers(2, 4))
         phi = random_interaction(q, rng)
@@ -558,24 +557,25 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         deltas = rng.integers(q, size=(members, len(ring)))
         taken.clear()
         got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], ring, deltas)
-        assert all(bool(matrix) == bool(taken) for _, matrix in ensemble._trans)
+        assert all((logw is not None) == bool(taken) for _, logw in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
             one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
             np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
             assert logsumexp(np.atleast_1d(one), axis=0) == pytest.approx(want, abs=1e-10)
-        assert all(matrix is None for _, matrix in single._trans)  # also for one-state rows
+        assert all(logw is None for _, logw in single._trans)  # also for one-state rows
         combined += bool(taken)
     assert combined == 3
 
-    # the box oracle, the extremes path and evaluate build no matrix either
-    built.clear()
+    # the box oracle, the extremes path and evaluate do not combine, so they
+    # build no log-weights either
+    taken.clear()
     assert 0.4074 < box_log_partition(14, hs) < box12  # decreasing toward log kappa = 0.40749...
     for n in range(1, 6):
         assert p_interval(PeriodicPoint([[0]]), (0, 0), n, hs).canopy_path == "extremes"
     assert math.isfinite(engine.evaluate(engine.terms_from_pins({(5, 5): 1})))
-    assert built == []
+    assert taken == [] and {id(logw) for _, logw in engine._trans} == set(built)
 
 
 def test_rows_with_equal_x_columns_share_one_enumeration():
@@ -604,11 +604,11 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
     shared, fresh = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     static = [shared.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_3))]
     shared.evaluate_deltas(static, list(c_3), deltas)
-    assert all(matrix for _, matrix in shared._trans)
+    assert all(logw is not None for _, logw in shared._trans)
     few = deltas[[0, -1]]
     got = shared.evaluate_deltas(static, list(c_3), few)
     assert np.array_equal(got, fresh.evaluate_deltas(static, list(c_3), few))
-    assert all(matrix is None for _, matrix in fresh._trans)
+    assert all(logw is None for _, logw in fresh._trans)
 
 
 def _spy_combine(monkeypatch) -> list[bool]:
@@ -694,14 +694,14 @@ def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
     """Only at n = 3 (1360 members) do the hard-square canopy ensemble's
     distinct heads and tails cost fewer flops to combine than a forward
     sweep per member; at n = 1 (30 members, rows of 5 and 3 states) the
-    steps run and no matrix is built."""
+    steps run and no log-weights are built."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     s_n, u_n, c_n = canopy_decomposition(n)
     engine = RegionEngine(s_n, hs, target=(0, 0))
     static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
     got = engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs))
-    assert all(bool(matrix) == combined for _, matrix in engine._trans)
+    assert all((logw is not None) == combined for _, logw in engine._trans)
     assert taken == ([True] if combined else [])
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs)), rtol=1e-12)
@@ -724,10 +724,9 @@ def _assert_same_log_weights(got, want):
 
 
 def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
-    """Horizontal energies of scale 300 leave every transition its matrix
-    (a transition carries vertical edges only) but spread the head and
-    backward vectors past 700 together, so each member joins its pair by
-    a logsumexp, and it equals the forward steps."""
+    """Horizontal energies of scale 300 spread the head and backward vectors
+    past 700 together, so each member joins its pair by a logsumexp, and it
+    equals the forward steps."""
     q = 3
     phi = Interaction(Alphabet(q), random_interaction(q, rng, scale=300.0).horizontal, random_interaction(q, rng).vertical)
     s_1, _, c_1 = canopy_decomposition(1)
@@ -736,23 +735,20 @@ def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
     taken = _spy_combine(monkeypatch)
     sweep = _forbid_forward_sweeps(monkeypatch)
     got = engine.evaluate_deltas([], list(c_1), deltas)
-    assert taken == [True] and all(matrix for _, matrix in engine._trans)
+    assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     _assert_same_log_weights(got, engine.evaluate_deltas([], list(c_1), deltas))
 
 
-def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
-    """A 3-colouring with horizontal energies 0 and 300 spreads diag3's head
-    and backward vectors past 700 at n = 2: its brackets still combine, to
-    exactly [0, 0], with no forward sweep, and each ensemble equals the
-    forward steps."""
-    inf = np.inf
-    soft3 = Interaction(
-        Alphabet(3),
-        [[inf, 0, 300], [300, inf, 0], [0, 300, inf]],
-        [[inf, 0, 0], [0, inf, 0], [0, 0, inf]],
-    )
+_SOFT = [[np.inf, 0, 300], [300, np.inf, 0], [0, 300, np.inf]]  # 3-colouring energies 0 and 300
+_HARD = [[np.inf, 0, 0], [0, np.inf, 0], [0, 0, np.inf]]
+
+
+def _diag3_ensembles(phi, n, monkeypatch):
+    """(estimate, [(engine, args, out)] per ensemble `evaluate_deltas` call)
+    of `gk_pressure` at diag3 with forward sweeps forbidden; returns the real
+    `evaluate_deltas` and `_sweep` too."""
     calls = []
     evaluate_deltas = RegionEngine.evaluate_deltas
 
@@ -763,10 +759,20 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
 
     monkeypatch.setattr(RegionEngine, "evaluate_deltas", spy)
     sweep = _forbid_forward_sweeps(monkeypatch)
-    est = gk_pressure(diagonal_3coloring_point(), 2, soft3)
-    assert (est.lower, est.upper) == (0.0, 0.0)
+    est = gk_pressure(diagonal_3coloring_point(), n, phi)
     ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
     assert ensembles
+    return est, ensembles, evaluate_deltas, sweep
+
+
+def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
+    """A 3-colouring with horizontal energies 0 and 300 spreads diag3's head
+    and backward vectors past 700 at n = 2: its brackets still combine, to
+    exactly [0, 0], with no forward sweep, and each ensemble equals the
+    forward steps."""
+    soft3 = Interaction(Alphabet(3), _SOFT, _HARD)
+    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3, 2, monkeypatch)
+    assert (est.lower, est.upper) == (0.0, 0.0)
     # 6912 members, past one block of 4096, join block by block
     engine, (static, sites, members), out = ensembles[0]
     both = evaluate_deltas(engine, static, sites, np.concatenate([members, members[::-1]]))
@@ -775,6 +781,54 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     for engine, args, out in ensembles:
         _assert_same_log_weights(out, evaluate_deltas(engine, *args))
+
+
+def test_vertical_soft_3_colouring_sweeps_backward_in_the_log_domain(monkeypatch):
+    """With the energies 0 and 300 on the vertical table instead, the
+    transitions' own log-weights spread past 700, so the backward sweeps
+    take the logsumexp branch as well: diag3's brackets at n = 2 still
+    combine, to exactly [-300, -300], with no forward sweep, and each
+    ensemble equals the forward steps."""
+    soft3v = Interaction(Alphabet(3), _HARD, _SOFT)
+    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3v, 2, monkeypatch)
+    assert (est.lower, est.upper) == (-300.0, -300.0)
+    assert max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans) > 700
+    monkeypatch.setattr(RegionEngine, "_sweep", sweep)
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    for engine, args, out in ensembles:
+        _assert_same_log_weights(out, evaluate_deltas(engine, *args))
+
+
+@pytest.mark.parametrize(
+    "spread_a, spread_b, gemm",
+    [(5.0, 10.0, True), (150.0, 550.0, True), (300.0, 550.0, False), (0.0, 800.0, False)],
+)
+@pytest.mark.parametrize("block", [4, 4096])
+def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, block, rng, monkeypatch):
+    """Both branches of the one log-domain product, the exp-shifted GEMM up
+    to a summed row spread of 700 (also past a single spread of 400) and the
+    chunked logsumexp beyond, equal a direct logsumexp for every pair and at
+    requested pairs, -inf entries and all-zero rows included."""
+    k = 12
+
+    def log_weights(shape, spread):
+        w = rng.uniform(-spread, 0.0, size=(*shape, k))
+        w[..., 0], w[..., 1] = 0.0, -spread  # every finite row spreads exactly `spread`
+        w[..., 2:][rng.random((*shape, k - 2)) < 0.3] = LOG_ZERO
+        return w + 5.0
+
+    a, b = log_weights((7,), spread_a), log_weights((5, 3), spread_b)
+    a[3] = LOG_ZERO
+    b[2, 1] = LOG_ZERO
+    assert transfer._exp_shifted(a)[2] + transfer._exp_shifted(b.reshape(-1, k))[2] == pytest.approx(spread_a + spread_b)
+    want = logsumexp(a[:, None, None, :] + b[None], axis=-1)
+    calls = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
+    i, j = rng.integers(7, size=40), rng.integers(5, size=40)
+    for got, ref in ((transfer._log_products(a, b, block), want), (transfer._log_products(a, b, block, (i, j)), want[i, j])):
+        _assert_same_log_weights(got, ref)
+        assert np.isinf(got).any() and np.isfinite(got).any()
+    assert (calls == []) == gemm
 
 
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
