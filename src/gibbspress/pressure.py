@@ -138,6 +138,11 @@ class _Canopy:
     """What the orbit sites of one estimate share: the radius-n split, the
     S_n engine and the canopy ensemble, both built on first use, and one
     bracket per distinct (origin symbol, upper layer) of the shifted point.
+
+    The engine sweeps S_n by its columns, at most n + 1 sites against a
+    row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), with the two
+    tables swapped, and so do the upper layer and canopy sites passed to it.
+    The ensemble stays in S_n's own frame.
     """
 
     def __init__(self, n: int, phi: Interaction, budget: int = DEFAULT_BUDGET):
@@ -152,7 +157,11 @@ class _Canopy:
 
     def engine(self) -> RegionEngine:
         if self._engine is None:
-            self._engine = RegionEngine(self.s_n, self.phi, target=(0, 0), budget=self.budget)
+            transposed = Interaction(self.phi.alphabet, self.phi.vertical, self.phi.horizontal, self.phi.name)
+            try:
+                self._engine = RegionEngine(Region((y, x) for x, y in self.s_n), transposed, (0, 0), self.budget)
+            except BudgetError as exc:
+                raise BudgetError(f"S_n swept by columns (row y=k is column x=k): {exc}") from None
         return self._engine
 
     def deltas(self) -> np.ndarray:
@@ -166,7 +175,9 @@ class _Canopy:
     def bracket(self, x_u: Configuration, a0: int) -> PInterval:
         def sweep(members: np.ndarray) -> np.ndarray:
             engine = self.engine()
-            return engine.evaluate_deltas([engine.terms_from_boundary(x_u)], self.sites, members)
+            upper = {(y, x): a for (x, y), a in x_u.symbols.items()}
+            terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
+            return engine.evaluate_deltas([terms], [(y, x) for x, y in self.sites], members)
 
         order = monotone_check(self.phi, target=a0)
         extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)

@@ -151,12 +151,13 @@ class RegionEngine:
     or a set of symbols through `terms_from_pins`, exterior sites through
     `terms_from_boundary` or the ensemble of `evaluate_deltas`, which share
     one exterior sum. So one engine serves an entire ensemble of boundary
-    conditions. With `target` set,
-    evaluation returns the vector of log partition functions split by the
-    target site's symbol (the target must lie in the lowest row). Rows with
-    equal x columns share one enumeration of their states. Each transition
-    is the steps of `_transfer_steps`; equal row pairs share one. A forward
-    sweep runs the steps.
+    conditions. With `target` set, evaluation returns the vector of log
+    partition functions split by the target site's symbol, which may lie in
+    any row: a sweep in either direction splits its vectors by that symbol
+    where it passes the target's row (`_split`). Rows with equal x columns
+    share one enumeration of their states. Each transition is the steps of
+    `_transfer_steps`; equal row pairs share one. A forward sweep runs the
+    steps.
 
     An ensemble meets in the middle (`_halves`, `_combine`) when that costs
     fewer flops than a forward sweep per member. Head sites touch the top
@@ -180,13 +181,9 @@ class RegionEngine:
         by_y: dict[int, list[Site]] = {}
         for v in region:
             by_y.setdefault(v[1], []).append(v)
-        ys = sorted(by_y, reverse=True)
-        if target is not None:
-            if target not in region:
-                raise ValueError("target site outside the region")
-            if target[1] != ys[-1]:
-                raise ValueError("target site must lie in the lowest row")
-        self.rows = [_Row(y, sorted(by_y[y])) for y in ys]
+        if target is not None and target not in region:
+            raise ValueError("target site outside the region")
+        self.rows = [_Row(y, sorted(by_y[y])) for y in sorted(by_y, reverse=True)]
 
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
@@ -208,12 +205,11 @@ class RegionEngine:
                 shared[key] = [_transfer_steps(r, s, table, phi, budget), None]
             self._trans.append(shared[key])
 
-        if target is not None and self.rows:
-            last = self.rows[-1]
-            col = last.col[target]
-            self._target_masks = [last.configs[:, col] == a for a in range(phi.q)]
-        else:
-            self._target_masks = None
+        # (row index, (q, n_states) masks by the target's symbol), or None
+        self._target = None
+        if target is not None:
+            i = next(i for i, row in enumerate(self.rows) if target in row.col)
+            self._target = (i, self.rows[i].configs[:, self.rows[i].col[target]] == np.arange(phi.q)[:, None])
 
     # -- per-call term builders ------------------------------------------
 
@@ -287,17 +283,20 @@ class RegionEngine:
 
     # -- sweeps ------------------------------------------------------------
 
-    def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
-        v = row_vecs[0]
-        for (steps, _), vec in zip(self._trans, row_vecs[1:]):
-            v = _run_steps(v, steps) + vec
-        return v
+    def _split(self, i: int, v: np.ndarray) -> np.ndarray:
+        """(..., outputs, n_states) log-weights at row i, split into one
+        output per target symbol when row i holds the target."""
+        if self._target is None or self._target[0] != i:
+            return v
+        return np.where(self._target[1], v, LOG_ZERO)
 
-    def _finalize(self, v: np.ndarray):
-        if self._target_masks is None:
-            return logsumexp(v, axis=-1)
-        cols = [logsumexp(v[..., m], axis=-1) for m in self._target_masks]
-        return np.stack([np.asarray(c) for c in cols], axis=-1)
+    def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
+        """The (members, outputs, n_states) log-weights of the rows down to
+        the lowest, from per-row (members, n_states) vectors."""
+        v = self._split(0, row_vecs[0][:, None, :])
+        for i, ((steps, _), vec) in enumerate(zip(self._trans, row_vecs[1:]), 1):
+            v = self._split(i, _run_steps(v, steps) + vec[:, None, :])
+        return v
 
     def evaluate(self, *term_lists: Sequence[np.ndarray | None]):
         """Log partition function (scalar, or per-target-symbol vector).
@@ -306,7 +305,7 @@ class RegionEngine:
         produced by terms_from_boundary / terms_from_pins.
         """
         out = self.evaluate_deltas(term_lists, (), np.zeros((1, 0), dtype=np.int64))[0]
-        return out if self._target_masks is not None else float(out)
+        return out if self._target is not None else float(out)
 
     def evaluate_deltas(
         self,
@@ -322,7 +321,7 @@ class RegionEngine:
         """
         delta_matrix = np.asarray(delta_matrix)
         n = len(delta_matrix)
-        out_shape = (n, self.phi.q) if self._target_masks is not None else (n,)
+        out_shape = (n, self.phi.q) if self._target is not None else (n,)
         if not self.rows:
             return np.zeros(out_shape)
         if self.infeasible:
@@ -337,7 +336,7 @@ class RegionEngine:
             base.append(vec)
         halves = self._halves(delta_sites, delta_matrix, min(n, block))
         if halves is not None:
-            return self._combine(base, block, delta_sites, delta_matrix, *halves)
+            return self._combine(base, block, delta_sites, delta_matrix, *halves).reshape(out_shape)
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
@@ -345,7 +344,7 @@ class RegionEngine:
                 np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
                 for v, b in zip(self._exterior(delta_sites, dm), base)
             ]
-            out[lo : lo + len(dm)] = self._finalize(self._sweep(vecs))
+            out[lo : lo + len(dm)] = logsumexp(self._sweep(vecs), axis=-1).reshape(-1, *out_shape[1:])
             del vecs  # release this block's vectors before the next block's are built
         return out
 
@@ -386,7 +385,7 @@ class RegionEngine:
         # multiply-adds: the backward sweeps and the combine against one
         # forward sweep per member
         pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        outs = len(t_index) * (q if self._target_masks is not None else 1)
+        outs = len(t_index) * (q if self._target is not None else 1)
         if outs * pairs + len(h_index) * sizes[0] * outs >= len(delta_matrix) * pairs:
             return None
         for size, pair in zip(sizes, self._trans):
@@ -407,20 +406,18 @@ class RegionEngine:
         tails = self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)])
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         back = self._backward(vecs, block)
-        z = _log_products(heads, back.reshape(len(t_index), -1, back.shape[-1]), block, (h_inverse, t_inverse))
-        return z if self._target_masks is not None else z[:, 0]
+        return _log_products(heads, back.reshape(len(t_index), -1, back.shape[-1]), block, (h_inverse, t_inverse))
 
     def _backward(self, vecs: list[np.ndarray], block: int) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
         transition's log-weights: from per-row (T or 1, n_states) vectors,
         the (T * outputs, top-row states) log-weights of the rows below each
-        top state, tail major, one output per target symbol (one without a
-        target)."""
-        masks = np.array(self._target_masks if self._target_masks is not None else [True])
-        back = np.where(masks, vecs[-1][:, None, :], LOG_ZERO)
-        for (_, logw), vec in zip(self._trans[::-1], vecs[-2::-1]):
-            z = _log_products(back.reshape(-1, back.shape[-1]), logw[:, None, :], block)
-            back = z.reshape(*back.shape[:2], -1) + vec[:, None, :]
+        top state, tail major, one output per target symbol from the
+        target's row up (one without a target)."""
+        back = self._split(len(vecs) - 1, vecs[-1][:, None, :])
+        for i in range(len(vecs) - 2, -1, -1):
+            z = _log_products(back.reshape(-1, back.shape[-1]), self._trans[i][1][:, None, :], block)
+            back = self._split(i, z.reshape(*back.shape[:2], -1) + vecs[i][:, None, :])
         return back.reshape(-1, back.shape[-1])
 
 

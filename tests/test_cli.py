@@ -195,11 +195,12 @@ def test_budget_refusal_exit_4(capsys, monkeypatch):
     )
     assert code == 4 and "canopy ensemble: needs 5184 states" in err
 
-    # --budget is the only setter: the environment is not read
+    # --budget is the only setter: the environment is not read. S_n is swept
+    # by its columns, whose transfer stages hold 12 states at n = 3
     monkeypatch.setenv("GPRESS_BUDGET", "10")
-    assert run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2")[0] == 0
-    code, out, err = run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "2", "--budget", "10")
-    assert code == 4
+    assert run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "3")[0] == 0
+    code, out, err = run_cli(capsys, "pressure", "--model", "hardsquare", "--n", "3", "--budget", "10")
+    assert code == 4 and "S_n swept by columns (row y=k is column x=k): transfer states" in err
 
 
 def test_model_file_round_trip(capsys, tmp_path):

@@ -526,3 +526,16 @@ def test_hard_square_intervals_at_large_radii():
             widths.append(est.width)
     assert widths == sorted(widths, reverse=True)
     assert widths[-1] < 2.5e-3
+
+
+def test_hard_square_parity_at_n_16(monkeypatch):
+    """S_n is swept by its columns, at most n + 1 sites tall, so the parity
+    interval at n = 16 takes about half a second: it contains log kappa and
+    is at most 3e-6 wide."""
+    engines = []
+    engine = pressure_mod._Canopy.engine
+    monkeypatch.setattr(pressure_mod._Canopy, "engine", lambda self: engines.append(engine(self)) or engines[-1])
+    hs, n = build_hard_square(1.0), 16
+    est = gk_pressure(periodic_point_from_ssf(hs, 1), n, hs)
+    assert est.lower <= LOG_KAPPA <= est.upper and est.width <= 3e-6
+    assert engines and max(len(row.sites) for engine in engines for row in engine.rows) == n + 1

@@ -578,6 +578,38 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert taken == [] and {id(logw) for _, logw in engine._trans} == set(built)
 
 
+@pytest.mark.parametrize("target", [(1, 2), (0, 1), (1, 0)], ids=["top", "middle", "lowest"])
+def test_target_may_sit_in_any_row(target, rng, monkeypatch):
+    """The sweeps split by the target's symbol at whichever row holds it:
+    the forward steps and the combine both equal direct enumeration with
+    the target pinned, zero weights included."""
+    taken = _spy_combine(monkeypatch)
+    q = 3
+    random = random_interaction(q, rng)
+    horizontal = random.horizontal.copy()
+    np.fill_diagonal(horizontal, np.inf)  # so that some members weigh zero
+    phi = Interaction(Alphabet(q), horizontal, random.vertical)
+    region = Region((x, y) for x in range(2) for y in range(3))
+    ring = list(boundary(region))
+    engine = RegionEngine(region, phi, target=target)
+    # members repeat their head and their tail, so that the combine pays
+    head = [j for j, v in enumerate(ring) if v[1] >= 2]
+    members = np.empty((24, len(ring)), dtype=np.int64)
+    for part, pool in ((head, 3), ([j for j in range(len(ring)) if j not in head], 4)):
+        members[:, part] = rng.integers(q, size=(pool, len(part)))[rng.integers(pool, size=24)]
+    bcfgs = [Configuration(Region(ring), dict(zip(ring, d.tolist()))) for d in members]
+    want = np.array([
+        [brute_log_partition(ConstrainedRegion(region, {target: (a,)}, bcfg), phi) for a in range(q)] for bcfg in bcfgs
+    ])
+    assert np.isinf(want).any() and np.isfinite(want).any()
+    combined = engine.evaluate_deltas([], ring, members)
+    assert taken == [True]
+    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    for got in (combined, engine.evaluate_deltas([], ring, members)):
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_rows_with_equal_x_columns_share_one_enumeration():
     """Rows y = 1..n of S_n, and every row of a box, have the same x
     columns: they share one configs and internal array."""
@@ -783,16 +815,19 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
         _assert_same_log_weights(out, evaluate_deltas(engine, *args))
 
 
-def test_vertical_soft_3_colouring_sweeps_backward_in_the_log_domain(monkeypatch):
-    """With the energies 0 and 300 on the vertical table instead, the
-    transitions' own log-weights spread past 700, so the backward sweeps
-    take the logsumexp branch as well: diag3's brackets at n = 2 still
-    combine, to exactly [-300, -300], with no forward sweep, and each
-    ensemble equals the forward steps."""
-    soft3v = Interaction(Alphabet(3), _HARD, _SOFT)
-    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3v, 2, monkeypatch)
-    assert (est.lower, est.upper) == (-300.0, -300.0)
-    assert max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans) > 700
+@pytest.mark.parametrize("soft", ["vertical", "horizontal"])
+def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
+    """With the energies 0 and 300 on either table, diag3's brackets at
+    n = 2 combine, to exactly [-300, -300] on the vertical table and
+    [0, 0] on the horizontal one, with no forward sweep, and each ensemble
+    equals the forward steps. The engine sweeps S_n by its columns, so S_n's
+    horizontal table lands on its transitions: their own log-weights then
+    spread past 700, and the backward sweeps take the logsumexp branch."""
+    soft3 = Interaction(Alphabet(3), _HARD, _SOFT) if soft == "vertical" else Interaction(Alphabet(3), _SOFT, _HARD)
+    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3, 2, monkeypatch)
+    assert (est.lower, est.upper) == ((-300.0, -300.0) if soft == "vertical" else (0.0, 0.0))
+    spread = max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans)
+    assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     for engine, args, out in ensembles:
@@ -833,8 +868,10 @@ def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, bl
 
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     """At n = 3 each of diag3's three brackets runs its backward sweep on one
-    vector per distinct side-column tail and origin symbol, not on the
-    55 296 canopy members, and runs no forward sweep."""
+    vector per distinct tail and origin symbol, not on the 55 296 canopy
+    members, and runs no forward sweep. S_n is swept by its columns from
+    the rightmost one, so the tail is the canopy sites that do not touch
+    that column."""
     backward, vectors = RegionEngine._backward, []
 
     def spy(self, *args):
@@ -847,11 +884,11 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     n, cb3 = 3, build_checkerboard(3)
     c_n = canopy_decomposition(n)[2]
     deltas = admissible_configurations(c_n, cb3)
-    tail = [j for j, (x, y) in enumerate(c_n) if abs(x) == n + 1 and y < n]
+    tail = [j for j, (x, y) in enumerate(c_n) if x < n]
     tails = len(np.unique(deltas[:, tail], axis=0))
     est = gk_pressure(diagonal_3coloring_point(), n, cb3)
     assert (est.lower, est.upper) == (0.0, 0.0)
-    assert len(deltas) == 55296 and tails == 72
+    assert len(deltas) == 55296 and tails == 1152
     assert vectors == [tails * 3] * 3
 
 
