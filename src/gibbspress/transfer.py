@@ -1,9 +1,9 @@
 """Exact log-domain partition functions on finite regions by row-sweep
 dynamic programming, conditional probabilities, and the strip oracle.
 
-All weights live in the natural-log domain: a stored value is log of a
-nonnegative weight, with -inf encoding weight zero. Sums of weights go
-through logsumexp; exp() is only taken when reporting probabilities.
+A stored weight is its natural log, -inf for weight zero. Sums of weights
+multiply and add exp-shifted values while the spreads they combine sum to
+at most `_SPREAD`, and go through logsumexp past it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .lattice import Region, Site, boundary, neighbors
 from .sft import admissible_states
 
 LOG_ZERO = -inf
+_SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
 
 #: The one resource limit: the most states a single enumeration (canopy,
 #: row, transfer stage or strip) may hold as it extends its states site by
@@ -97,7 +98,7 @@ def _columns(old: _Row, new: _Row, q: int) -> list[int]:
 
 
 def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) -> list:
-    """Site-by-site steps (idx, logw) of the transfer from the enumerated,
+    """Site-by-site steps (`_step`) of the transfer from the enumerated,
     nonempty row `old` to `new`, one per column in x order. After k columns
     a state holds the new symbols left of the cut and the old ones from the
     cut on, shifted one x right so that no edge crosses the cut. A column in
@@ -130,15 +131,34 @@ def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) 
         # halve the steps' index memory whenever they fit
         idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
         idx = idx.astype(np.int32 if len(prev) <= np.iinfo(np.int32).max else np.int64)
-        steps.append((idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
+        steps.append(_step(idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
         prev, prev_place = stage.configs @ place, place
     return steps
 
 
+def _step(idx: np.ndarray, logw: np.ndarray) -> tuple:
+    """The step (idx, w, shift, spread) of log-weights logw on predecessors
+    idx: w = exp(logw - shift), shift the largest finite logw, spread its
+    finite max - min plus log(len(idx)); over `_SPREAD`, w keeps logw."""
+    w, shift, spread = _exp_shifted(logw.reshape(1, -1))
+    spread += np.log(len(idx))
+    return idx, w.reshape(idx.shape) if spread <= _SPREAD else logw, float(shift[0, 0]), spread
+
+
 def _run_steps(v: np.ndarray, steps) -> np.ndarray:
-    """Apply transfer steps to log-weight vectors along the last axis."""
-    for idx, logw in steps:
-        v = logsumexp(np.take(v, idx, axis=-1) + logw, axis=-2)
+    """Apply transfer steps to log-weight vectors along the last axis: in
+    the linear domain when the vectors' row spread plus the steps' spreads
+    is at most `_SPREAD` (finite entries stay within [e^-700, e^700], so no
+    step rescales, and zeros stay exact), else by one logsumexp per step."""
+    e, m, spread = _exp_shifted(v)
+    with np.errstate(divide="ignore"):
+        if spread + sum(step[3] for step in steps) <= _SPREAD:
+            for idx, w, _, _ in steps:
+                e = (np.take(e, idx, axis=-1) * w).sum(axis=-2)
+            return np.log(e, out=e) + (m + sum(step[2] for step in steps))
+        for idx, w, shift, spread in steps:
+            logw = w if spread > _SPREAD else np.log(w) + shift
+            v = logsumexp(np.take(v, idx, axis=-1) + logw, axis=-2)
     return v
 
 
@@ -157,7 +177,7 @@ class RegionEngine:
     where it passes the target's row (`_split`). Rows with equal x columns
     share one enumeration of their states. Each transition is the steps of
     `_transfer_steps`; equal row pairs share one. A forward sweep runs the
-    steps.
+    steps. Steps and products share one linear-domain rule (`_SPREAD`).
 
     An ensemble meets in the middle (`_halves`, `_combine`) when that costs
     fewer flops than a forward sweep per member. Head sites touch the top
@@ -426,7 +446,7 @@ def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.nd
     groups j of rows of the 3-d `b`: (len(a), len(b), b.shape[1]) for every
     (i, j), or (len(i), b.shape[1]) for `pairs` = (i, j) index arrays.
 
-    When the finite row spreads of `a` and `b` sum to at most 700, one
+    When the finite row spreads of `a` and `b` sum to at most `_SPREAD`, one
     exp-shifted GEMM, with per-row shifts on both sides, forms every pair:
     each product of two finite exp-shifted entries is then at least e^-700,
     above the smallest normal double, so no finite term underflows and zero
@@ -434,7 +454,7 @@ def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.nd
     pairs asked for, `block` pairs (at least one row of `a`) at a time.
     """
     (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b.reshape(-1, b.shape[-1]))
-    if sa + sb <= 700.0:
+    if sa + sb <= _SPREAD:
         with np.errstate(divide="ignore"):
             z = (np.log(ea @ eb.T) + ma + mb.T).reshape(len(a), *b.shape[:-1])
         return z if pairs is None else z[pairs]
@@ -581,7 +601,7 @@ def strip_pressure(
         raise BudgetError(f"strip of width {m}: {exc}") from None
     # the iteration runs these steps up to max_iter times, and np.take would
     # convert int32 indices to intp on every run: convert them once
-    steps = [(idx.astype(np.intp), logw) for idx, logw in steps]
+    steps = [(idx.astype(np.intp), *rest) for idx, *rest in steps]
     x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
     it = 0

@@ -377,14 +377,19 @@ def test_criterion_8_interval_logic_suite():
 
 
 def test_criterion_9_scaling_shape():
-    """Wall time grows geometrically in n, and n=3 fits the budget."""
+    """Wall time grows geometrically in n, and n=3 fits the budget. Each
+    time is the minimum of 5 runs, so that a busy host does not flip the
+    order of t(1) and t(3)."""
     hs = build_hard_square(1.0)
     gk_pressure(ZEROS, 1, hs)  # warm up caches so t(1) is not inflated
     times = []
     for n in (1, 2, 3):
-        t0 = time.perf_counter()
-        gk_pressure(ZEROS, n, hs)
-        times.append(time.perf_counter() - t0)
+        runs = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            gk_pressure(ZEROS, n, hs)
+            runs.append(time.perf_counter() - t0)
+        times.append(min(runs))
     logs = np.log(times)
     slope = float(np.polyfit([1, 2, 3], logs, 1)[0])
     in_budget = times[2] < 600.0

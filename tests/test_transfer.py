@@ -866,6 +866,68 @@ def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, bl
     assert (calls == []) == gemm
 
 
+@pytest.mark.parametrize(
+    "v_spread, spreads, terms, linear",
+    [
+        (5.0, [10.0, 20.0, 30.0], 3, True),
+        (100.0, [250.0, 350.0], 1, True),  # exactly 700: one-term steps add log 1 = 0
+        (100.0, [250.0, 351.0], 1, False),
+        (0.0, [349.0, 349.0], 3, False),  # log 3 per step tips 698 past 700
+        (0.0, [300.0, 300.0, 300.0], 2, False),  # each step below 700, their sum above
+        (5.0, [1.0, 800.0, 1.0], 3, False),  # one step over 700 on its own
+        (750.0, [1.0, 1.0], 2, False),  # the input vectors over 700
+    ],
+)
+def test_run_steps_branches_agree_with_logsumexp(v_spread, spreads, terms, linear, rng, monkeypatch):
+    """Both branches of `_run_steps`, the linear-domain steps up to a summed
+    spread of 700 (input vectors' rows plus each step's weights and log of
+    its terms) and the logsumexp steps beyond, equal a direct logsumexp per
+    step, -inf entries and all-zero rows included."""
+    states = 8
+    pairs = []
+    for spread in spreads:
+        logw = rng.uniform(-spread, 0.0, size=(terms, states))
+        logw[rng.random(logw.shape) < 0.25] = LOG_ZERO
+        logw.flat[:2] = 0.0, -spread  # every step spreads exactly `spread`
+        pairs.append((rng.integers(states, size=(terms, states)).astype(np.int32), logw + 3.0))
+    v = rng.uniform(-v_spread, 0.0, size=(4, 2, states))
+    v[..., 2:][rng.random((4, 2, states - 2)) < 0.25] = LOG_ZERO
+    v[..., 0], v[..., 1] = 0.0, -v_spread
+    v[1, 0] = LOG_ZERO
+    v += 7.0
+    want = v
+    for idx, logw in pairs:
+        want = logsumexp(np.take(want, idx, axis=-1) + logw, axis=-2)
+    steps = [transfer._step(idx, logw) for idx, logw in pairs]
+    total = transfer._exp_shifted(v)[2] + sum(step[3] for step in steps)
+    assert total == pytest.approx(v_spread + sum(spreads) + len(spreads) * math.log(terms))
+    assert (total <= 700) == linear
+    # a step over 700 keeps its log-weights, the others weights in [0, 1] with largest 1
+    for step, (_, logw), spread in zip(steps, pairs, spreads):
+        assert step[1] is logw if spread > 700 else (step[1].max(), step[1].min() >= 0.0) == (1.0, True)
+    calls = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
+    got = transfer._run_steps(v, steps)
+    _assert_same_log_weights(got, want)
+    assert np.isinf(got).any() and np.isfinite(got).any()
+    assert (calls == []) == linear
+
+
+def test_strip_with_energies_of_800_takes_the_log_steps(monkeypatch):
+    """Rows alternate 0101... and 1010..., a column turning 0 into 1 costs
+    800 and one turning 1 into 0 costs 0. The steps' weights spread 800, so
+    they run as logsumexp steps, and every even width m gives exactly
+    log lambda = -400 m, which underflowing linear steps would lose."""
+    inf = math.inf
+    phi = Interaction(Alphabet(2), [[inf, 0], [0, inf]], [[inf, 800], [0, inf]])
+    calls = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
+    for m in (2, 4, 6):
+        sb = strip_pressure(m, phi)
+        assert (sb.log_lambda_lower, sb.log_lambda_upper, sb.iterations) == (-400.0 * m, -400.0 * m, 1)
+    assert calls
+
+
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     """At n = 3 each of diag3's three brackets runs its backward sweep on one
     vector per distinct tail and origin symbol, not on the 55 296 canopy
@@ -895,7 +957,7 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
 def test_step_indices_are_int32():
     hs = build_hard_square(1.0)
     engine = RegionEngine(canopy_decomposition(4)[0], hs, target=(0, 0))
-    assert all(idx.dtype == np.int32 for steps, _ in engine._trans for idx, _ in steps)
+    assert all(idx.dtype == np.int32 for steps, _ in engine._trans for idx, *_ in steps)
 
 
 def test_engine_rows_share_the_int64_code_limit(monkeypatch):
