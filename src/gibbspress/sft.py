@@ -234,32 +234,18 @@ def diagonal_3coloring_point() -> PeriodicPoint:
     return PeriodicPoint(cell)
 
 
-def admissible_states(
-    sites: Sequence[Site],
-    phi: Interaction,
-    budget: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Locally admissible configurations of `sites`, with their energies.
-
-    States are extended site by site in the given order, with every symbol
-    of the alphabet in ascending order. Each new site adds the energy of its
-    edges to already-placed sites, and a state is dropped as soon as that
-    energy is +inf. Returns the (n, len(sites)) symbol matrix, lexicographic
-    with the first site most significant and int8 when q <= 127 (int64
-    otherwise), and the n energies.
-
-    This is the package's one enumerator and its one budget rule, for
-    canopies, engine rows, transfer stages and strips alike: the states
-    held before a site, times q, must not exceed `budget`. Callers that
-    restrict a site to fewer symbols do so afterwards, e.g. with
-    `RegionEngine.terms_from_pins`.
-    """
+def admissible_levels(sites: Sequence[Site], phi: Interaction, budget: int):
+    """The loop of `admissible_states`, one level at a time: yields
+    (keep, configs, energies) of the empty configuration (keep None), then
+    of the admissible states after each site, where keep[i] = parent * q +
+    symbol extends state `parent` of the level before by `symbol`."""
     col = {v: j for j, v in enumerate(sites)}
     h, vt = phi.tables
     k = phi.q
     syms = np.arange(k, dtype=np.int8 if k <= np.iinfo(np.int8).max else np.int64)
     cfg = np.zeros((1, 0), dtype=syms.dtype)
     energies = np.zeros(1)
+    yield None, cfg, energies
     for j, (x, y) in enumerate(sites):
         if len(cfg) * k > budget:
             raise BudgetError(
@@ -283,6 +269,32 @@ def admissible_states(
         keep = np.flatnonzero(~np.isposinf(e))
         cfg = np.column_stack([cfg[keep // k], syms[keep % k]])
         energies = e[keep]
+        yield keep, cfg, energies
+
+
+def admissible_states(
+    sites: Sequence[Site],
+    phi: Interaction,
+    budget: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locally admissible configurations of `sites`, with their energies.
+
+    States are extended site by site in the given order, with every symbol
+    of the alphabet in ascending order. Each new site adds the energy of its
+    edges to already-placed sites, and a state is dropped as soon as that
+    energy is +inf. Returns the (n, len(sites)) symbol matrix, lexicographic
+    with the first site most significant and int8 when q <= 127 (int64
+    otherwise), and the n energies.
+
+    This is the package's one enumerator and its one budget rule: the
+    states held before a site, times q, must not exceed `budget`. Canopies,
+    engine rows and strips are each one call, and a transfer's stages are
+    products of two chains of its levels (`admissible_levels`). Callers
+    that restrict a site to fewer symbols do so afterwards, e.g. with
+    `RegionEngine.terms_from_pins`.
+    """
+    for _, cfg, energies in admissible_levels(sites, phi, budget):
+        pass
     return cfg, energies
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import EMPTY_CONFIGURATION, Configuration, Interaction
 from .lattice import Region, Site, boundary, neighbors
-from .sft import admissible_states
+from .sft import admissible_levels, admissible_states
 
 LOG_ZERO = -inf
 _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
@@ -90,49 +90,81 @@ def _enumerate_row(row: _Row, phi: Interaction, budget: int):
 
 
 def _columns(old: _Row, new: _Row, q: int) -> list[int]:
-    """Sorted x columns of the transfer between two rows, if int64 codes fit."""
+    """Sorted x columns of the transfer between two rows. Refuses rows so
+    wide that q^columns, the most states a stage could hold, passes the
+    int64 limit 2^62, before any of their states are enumerated."""
     columns = sorted({v[0] for row in (old, new) for v in row.sites})
     if q ** min(len(columns), 63) > 1 << 62:  # q >= 2: cap the power
-        raise BudgetError(f"{len(columns)} columns need {q}^{len(columns)} row codes, over the int64 limit 2^62")
+        raise BudgetError(f"{len(columns)} columns admit {q}^{len(columns)} row states, over the int64 limit 2^62")
     return columns
+
+
+def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.ndarray]:
+    """The keep arrays of `admissible_levels` over `sites`, one per site,
+    and the last level's configs."""
+    keeps = []
+    for keep, cfg, _ in admissible_levels(sites, phi, budget):
+        keeps.append(keep)
+    return keeps[1:], cfg
 
 
 def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) -> list:
     """Site-by-site steps (`_step`) of the transfer from the enumerated,
     nonempty row `old` to `new`, one per column in x order. After k columns
     a state holds the new symbols left of the cut and the old ones from the
-    cut on, shifted one x right so that no edge crosses the cut. A column in
-    both rows swaps the old symbol b for the new symbol a with log-weight
-    -table[b, a] (0 when table is None), one only in the old row sums its
-    symbol out and one only in the new row inserts it. idx[b, i] is state
-    i's predecessor with old symbol b, and logw[b, i] is -inf if that one
-    is not admissible."""
+    cut on, shifted one x right so that no edge crosses the cut. So stage k
+    is the lexicographic product A_k x B_k of a level of the new row's
+    left-to-right enumeration (its prefixes) and one of the old row's
+    right-to-left enumeration (its suffixes). Stage 0 is old.configs,
+    reached through one `np.lexsort`, and the last stage is new.configs.
+
+    A column in both rows swaps the old symbol b for the new symbol a with
+    log-weight -table[b, a] (0 when table is None), one only in the old row
+    sums its symbol out and one only in the new row inserts it. State
+    (i_A, i_B)'s predecessor with old symbol b is arithmetic, idx[b, i] =
+    parent_A[i_A] |B_{k-1}| + pos_B[b, i_B]: parent_A is the prefix level's
+    (the identity where the new row has no site), and pos_B is -1 where b
+    does not extend suffix i_B (the identity where the old row has no site),
+    where logw[b, i] is -inf. A column is refused when the states held
+    before its site, |A_{k-1}| |B_k|, times q exceed the budget."""
     q = phi.q
-    old_x, new_x = ({v[0]: v for v in row.sites} for row in (old, new))
     columns = _columns(old, new, q)
-    prev_place = q ** np.arange(len(old.sites) - 1, -1, -1, dtype=np.int64)
-    prev = old.configs @ prev_place
+    old_x, new_x = ({v[0] for v in row.sites} for row in (old, new))
+    try:
+        prefix, _ = _chain(new.sites, phi, budget)
+        suffix, reversed_old = _chain(old.sites[::-1], phi, budget)
+    except BudgetError as exc:
+        raise BudgetError(f"transfer states of row y={new.y}: {exc}") from None
+    # rank[j]: the row of old.configs that holds the suffix chain's state j
+    rank = np.empty(len(reversed_old), dtype=np.int64)
+    rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
+    sizes = [1] + [len(keep) for keep in suffix]  # |B| by the number of old sites it holds
+    prefix, n_a, m = iter(prefix), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
     steps = []
     for k, x in enumerate(columns, 1):
-        stage = new
-        if k < len(columns):
-            at = {(u, 0): new_x[u] for u in columns[:k] if u in new_x}
-            at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
-            stage = _Row(new.y, list(at))
-            _enumerate_row(stage, phi, budget)
-        p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages
-        place = q ** np.arange(len(stage.sites) - 1, -1, -1, dtype=np.int64)
-        kept = np.delete(stage.configs, p, axis=1) if x in new_x else stage.configs
-        pred = (kept @ (np.delete(prev_place, p) if x in old_x else prev_place))[None, :]
+        n_b, m = sizes[m], m - (x in old_x)
+        held = n_a * sizes[m] * q
+        if held > budget:
+            raise BudgetError(
+                f"transfer states of row y={new.y}: needs {held} states at column {k} of {len(columns)}, "
+                f"over the limit {budget}"
+            )
         if x in old_x:
-            pred = pred + np.arange(q)[:, None] * prev_place[p]
-        logw = -table[:, stage.configs[:, p]] if x in old_x and x in new_x and table is not None else 0.0
-        # rows are lexicographic, so the codes are sorted; int32 indices
-        # halve the steps' index memory whenever they fit
-        idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
-        idx = idx.astype(np.int32 if len(prev) <= np.iinfo(np.int32).max else np.int64)
-        steps.append(_step(idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
-        prev, prev_place = stage.configs @ place, place
+            pos = np.full(sizes[m] * q, -1)
+            pos[suffix[m]] = np.arange(n_b)
+            pos = pos.reshape(-1, q).T
+        else:
+            pos = np.arange(n_b)[None, :]
+        if k == 1:
+            pos = np.where(pos < 0, -1, rank[pos])
+        parent, a = np.divmod(next(prefix), q) if x in new_x else (np.arange(n_a), None)
+        # int32 indices halve the steps' index memory whenever they fit
+        dtype = np.int32 if n_a * n_b <= np.iinfo(np.int32).max else np.int64
+        idx = (parent.astype(dtype) * n_b)[:, None] + np.maximum(pos, 0).astype(dtype)[:, None, :]
+        logw = -table[:, a][:, :, None] if x in old_x and x in new_x and table is not None else 0.0
+        logw = np.broadcast_to(np.where(pos[:, None, :] < 0, LOG_ZERO, logw), idx.shape)
+        steps.append(_step(idx.reshape(len(pos), -1), logw.reshape(len(pos), -1)))
+        n_a = len(parent)
     return steps
 
 

@@ -2,7 +2,9 @@
 
 These enumerate configurations directly (mixed-radix, vectorized) and sum
 Boltzmann weights without any row-sweep structure, so they share nothing
-with the transfer engine except the model tables themselves.
+with the transfer engine except the model tables themselves. The one
+exception, `stage_transfer_steps`, builds the engine's transfer steps the
+slow way, by enumerating every stage on its own.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from gibbspress.interaction import Configuration, Interaction
 from gibbspress.lattice import Region
+import gibbspress.transfer as transfer
 from gibbspress.transfer import LOG_ZERO, ConstrainedRegion
 
 
@@ -100,3 +103,34 @@ def brute_strip_log_lambda(m: int, phi: Interaction) -> float:
     t = np.exp(-(v_energy + h_energy[None, :]))  # old row -> new row
     rho = float(np.abs(np.linalg.eigvals(t)).max())
     return math.log(rho) if rho > 0 else LOG_ZERO
+
+
+def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list:
+    """The steps of `transfer._transfer_steps`, built by enumerating each
+    stage's sites afresh and finding each predecessor by `searchsorted`
+    over base-q row codes. Stage k holds the new row's sites of the first k
+    columns and the old row's sites of the rest, shifted one x right."""
+    q = phi.q
+    old_x, new_x = ({v[0]: v for v in row.sites} for row in (old, new))
+    columns = sorted(set(old_x) | set(new_x))
+    prev_place = q ** np.arange(len(old.sites) - 1, -1, -1, dtype=np.int64)
+    prev = old.configs @ prev_place
+    steps = []
+    for k, x in enumerate(columns, 1):
+        stage = new
+        if k < len(columns):
+            at = {(u, 0): new_x[u] for u in columns[:k] if u in new_x}
+            at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
+            stage = transfer._Row(new.y, list(at))
+            transfer._enumerate_row(stage, phi, budget)
+        p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages
+        place = q ** np.arange(len(stage.sites) - 1, -1, -1, dtype=np.int64)
+        kept = np.delete(stage.configs, p, axis=1) if x in new_x else stage.configs
+        pred = (kept @ (np.delete(prev_place, p) if x in old_x else prev_place))[None, :]
+        if x in old_x:
+            pred = pred + np.arange(q)[:, None] * prev_place[p]
+        logw = -table[:, stage.configs[:, p]] if x in old_x and x in new_x and table is not None else 0.0
+        idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
+        steps.append(transfer._step(idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
+        prev, prev_place = stage.configs @ place, place
+    return steps

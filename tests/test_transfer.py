@@ -32,7 +32,7 @@ from gibbspress.transfer import (
 )
 
 from conftest import model_gallery, random_interaction
-from oracles import brute_log_partition, brute_origin_interval, brute_strip_log_lambda
+from oracles import brute_log_partition, brute_origin_interval, brute_strip_log_lambda, stage_transfer_steps
 
 GOLDEN_RATIO_LOG = math.log((1 + math.sqrt(5)) / 2)
 
@@ -396,12 +396,25 @@ def test_budgets_count_the_states_held():
     assert got == pytest.approx(math.log(17711), abs=1e-12)
     cb3 = build_checkerboard(3)  # 3^12 rows, 3 * 2^11 admissible
     assert strip_pressure(12, cb3, budget=1 << 15) == strip_pressure(12, cb3)
+    # a transfer step holds the new row's prefixes times the old row's
+    # suffixes before its column's site: 3 * 2^4 * 3 * 2^5 * 3 = 13 824 at
+    # width 12, and F(3) * F(14) * 2 = 1508 for the hard-square box 14
+    assert strip_pressure(12, cb3, budget=13824) == strip_pressure(12, cb3)
+    with pytest.raises(BudgetError, match="transfer states of row y=0: needs 13824 states"):
+        strip_pressure(12, cb3, budget=13823)
+    hs = build_hard_square(1.0)
+    assert box_log_partition(14, hs, budget=1508) == box_log_partition(14, hs)
+    with pytest.raises(BudgetError, match="transfer states of row y=.*: needs 1508 states"):
+        box_log_partition(14, hs, budget=1507)
     # 2^14 canopy configurations at n = 3, 1360 of them admissible
     zeros = PeriodicPoint([[0]])
-    hs = build_hard_square(1.0)
     assert len(admissible_configurations(canopy_decomposition(3)[2], hs, budget=2000)) == 1360
     got = p_interval(zeros, (0, 0), 3, hs, budget=2000)
     assert got == p_interval(zeros, (0, 0), 3, hs)
+    # the extremes path enumerates no canopy; S_3 swept by its columns needs 12
+    assert p_interval(zeros, (0, 0), 3, hs, budget=12) == got
+    with pytest.raises(BudgetError, match="needs 12 states"):
+        p_interval(zeros, (0, 0), 3, hs, budget=11)
     # the 3-colouring sweeps its ensemble: 3^10 canopy configurations at
     # n = 2, 3456 of them admissible; one enumeration over the canopy holds
     # at most 1728 states before a site, so it needs a budget of 3 * 1728
@@ -952,6 +965,48 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     assert (est.lower, est.upper) == (0.0, 0.0)
     assert len(deltas) == 55296 and tails == 1152
     assert vectors == [tails * 3] * 3
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        build_hard_square(1.0),
+        build_hard_square(3.0),
+        build_checkerboard(3),
+        build_ising(0.4),
+        # not symmetric, hard and soft entries: a suffix read the wrong way round shows
+        Interaction(Alphabet(2), [[0, math.inf], [0, 0.5]], [[0, 1.5], [0, 0]]),
+        # steps spread 800, past the 700 rule
+        Interaction(Alphabet(2), [[math.inf, 0], [0, math.inf]], [[math.inf, 800], [0, math.inf]]),
+    ],
+    ids=["hs1", "hs3", "cb3", "ising", "asym", "e800"],
+)
+def test_steps_match_the_per_stage_reference(phi, rng):
+    """The steps built from the prefix and suffix chains sweep exactly as
+    those built by enumerating every stage and searching its row codes:
+    strips, box rows, and S_n in both orientations, whose rows differ in
+    length, so that some columns lie in one row only."""
+    pairs = []
+    for m in range(1, 8):
+        row = transfer._Row(0, [(x, 0) for x in range(m)])
+        transfer._enumerate_row(row, phi, transfer.DEFAULT_BUDGET)
+        pairs.append((row, row, phi.vertical))
+    regions = [Region((x, y) for x in range(5) for y in range(5))]
+    for n in (1, 2, 3):
+        s_n = canopy_decomposition(n)[0]
+        regions += [s_n, Region((y, x) for x, y in s_n)]
+    for region in regions:
+        engine = RegionEngine(region, phi)
+        pairs += [(r, s, phi.vertical.T if r.y - s.y == 1 else None) for r, s in zip(engine.rows, engine.rows[1:])]
+    for old, new, table in pairs:
+        if not len(old.configs):
+            continue
+        steps = transfer._transfer_steps(old, new, table, phi, transfer.DEFAULT_BUDGET)
+        reference = stage_transfer_steps(old, new, table, phi, transfer.DEFAULT_BUDGET)
+        v = rng.normal(scale=5.0, size=(2, 3, len(old.configs)))
+        v[rng.random(v.shape) < 0.3] = LOG_ZERO
+        got, want = transfer._run_steps(v, steps), transfer._run_steps(v, reference)
+        assert np.array_equal(np.isinf(got), np.isinf(want)) and np.array_equal(got, want)
 
 
 def test_step_indices_are_int32():
