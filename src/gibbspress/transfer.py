@@ -23,8 +23,8 @@ LOG_ZERO = -inf
 _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
 
 #: The one resource limit: the most states a single enumeration (canopy,
-#: row, transfer stage or strip) may hold as it extends its states site by
-#: site; see `sft.admissible_states`.
+#: row or strip) or transfer step may hold as it extends its states site by
+#: site; see `sft.admissible_states` and `_transfer_steps`.
 DEFAULT_BUDGET = 1 << 24
 
 
