@@ -186,7 +186,8 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
     with np.errstate(divide="ignore"):
         if spread + sum(step[3] for step in steps) <= _SPREAD:
             for idx, w, _, _ in steps:
-                e = (np.take(e, idx, axis=-1) * w).sum(axis=-2)
+                t = np.take(e, idx, axis=-1)
+                e = np.multiply(t, w, out=t).sum(axis=-2)
             return np.log(e, out=e) + (m + sum(step[2] for step in steps))
         for idx, w, shift, spread in steps:
             logw = w if spread > _SPREAD else np.log(w) + shift
@@ -209,7 +210,10 @@ class RegionEngine:
     where it passes the target's row (`_split`). Rows with equal x columns
     share one enumeration of their states. Each transition is the steps of
     `_transfer_steps`; equal row pairs share one. A forward sweep runs the
-    steps. Steps and products share one linear-domain rule (`_SPREAD`).
+    steps, and takes each row's vectors only when it reaches that row: the
+    exterior edges into the row, gathered per member from the tables
+    (`_exterior`), plus the row's shared log-weights. Steps and products
+    share one linear-domain rule (`_SPREAD`).
 
     An ensemble meets in the middle (`_halves`, `_combine`) when that costs
     fewer flops than a forward sweep per member. Head sites touch the top
@@ -236,6 +240,7 @@ class RegionEngine:
         if target is not None and target not in region:
             raise ValueError("target site outside the region")
         self.rows = [_Row(y, sorted(by_y[y])) for y in sorted(by_y, reverse=True)]
+        self._row_of = {v: i for i, row in enumerate(self.rows) for v in row.sites}
 
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
@@ -260,7 +265,7 @@ class RegionEngine:
         # (row index, (q, n_states) masks by the target's symbol), or None
         self._target = None
         if target is not None:
-            i = next(i for i, row in enumerate(self.rows) if target in row.col)
+            i = self._row_of[target]
             self._target = (i, self.rows[i].configs[:, self.rows[i].col[target]] == np.arange(phi.q)[:, None])
 
     # -- per-call term builders ------------------------------------------
@@ -294,44 +299,29 @@ class RegionEngine:
             terms.append(vec)
         return terms
 
-    def _site_terms(self, v: Site) -> list[np.ndarray | None]:
-        """Per-row (q, n_states) log-weights of the edges from exterior site
-        v to its region neighbours, indexed by v's symbol; None for rows v
-        does not touch, and for every row when v lies in the region."""
-        x, y = v
-        # (neighbour, axis, v comes first in the edge's ordered pair)
-        edges = (((x - 1, y), 0, False), ((x + 1, y), 0, True), ((x, y - 1), 1, False), ((x, y + 1), 1, True))
-        terms = []
-        for row in self.rows:
-            arr = None
-            for u, axis, ext_first in () if v in self.region else edges:
-                j = row.col.get(u)
-                if j is None:
-                    continue
-                if arr is None:
-                    arr = np.zeros((self.phi.q, len(row.configs)))
-                table, col = self.phi.tables[axis], row.configs[:, j]
-                arr -= table[:, col] if ext_first else table[col].T
-            terms.append(arr)
-        return terms
-
-    def _exterior(self, sites: Sequence[Site], symbols: np.ndarray) -> list[np.ndarray | None]:
-        """Per-row (len(symbols), n_states) sums of the exterior terms of
-        `sites`, one member per row of `symbols` (one column per site);
-        None for rows no site touches. Summed in site order."""
-        per_site = [self._site_terms(v) for v in sites]
-        out = []
-        for i in range(len(self.rows)):
+    def _exterior(self, sites: Sequence[Site], symbols: np.ndarray):
+        """Yield, row by row from the top, the (len(symbols), n_states) sum
+        of the edges from the exterior `sites` into that row, one member per
+        row of `symbols` (one column per site), or None for a row no site
+        touches. Each site's four edges are walked once and grouped by the
+        neighbour's row, so only the row at hand is ever held; sites inside
+        the region add nothing. Summed as 0 - e_1 - e_2 ... in (site, edge)
+        order, each edge gathered straight from its table."""
+        by_row: dict[int, list] = {}
+        for d, (x, y) in enumerate(sites):
+            # (neighbour, axis, the exterior site comes first in the edge's ordered pair)
+            edges = (((x - 1, y), 0, False), ((x + 1, y), 0, True), ((x, y - 1), 1, False), ((x, y + 1), 1, True))
+            for u, axis, ext_first in () if (x, y) in self._row_of else edges:
+                i = self._row_of.get(u)
+                if i is not None:
+                    by_row.setdefault(i, []).append((d, axis, self.rows[i].col[u], ext_first))
+        for i, row in enumerate(self.rows):
             vec = None
-            for d, terms in enumerate(per_site):
-                if terms[i] is not None:
-                    t = terms[i][symbols[:, d]]  # a fresh array, so summed in place
-                    if vec is None:
-                        vec = t
-                    else:
-                        vec += t
-            out.append(vec)
-        return out
+            for d, axis, j, ext_first in by_row.get(i, ()):
+                a, col = symbols[:, d, None], row.configs[:, j]
+                t = self.phi.tables[axis][(a, col) if ext_first else (col, a)]  # a fresh array
+                vec = np.subtract(0.0, t, out=t) if vec is None else np.subtract(vec, t, out=vec)
+            yield vec
 
     # -- sweeps ------------------------------------------------------------
 
@@ -342,11 +332,13 @@ class RegionEngine:
             return v
         return np.where(self._target[1], v, LOG_ZERO)
 
-    def _sweep(self, row_vecs: list[np.ndarray]) -> np.ndarray:
+    def _sweep(self, row_vecs) -> np.ndarray:
         """The (members, outputs, n_states) log-weights of the rows down to
-        the lowest, from per-row (members, n_states) vectors."""
-        v = self._split(0, row_vecs[0][:, None, :])
-        for i, ((steps, _), vec) in enumerate(zip(self._trans, row_vecs[1:]), 1):
+        the lowest, from an iterator of per-row (members, n_states) vectors,
+        each taken only when the sweep reaches its row."""
+        row_vecs = iter(row_vecs)
+        v = self._split(0, next(row_vecs)[:, None, :])
+        for i, ((steps, _), vec) in enumerate(zip(self._trans, row_vecs), 1):
             v = self._split(i, _run_steps(v, steps) + vec[:, None, :])
         return v
 
@@ -369,7 +361,10 @@ class RegionEngine:
 
         delta_matrix has one row per ensemble member, one column per site of
         delta_sites. Returns (n_deltas,) log partitions, or (n_deltas, q)
-        split by the target symbol when a target is set.
+        split by the target symbol when a target is set. A forward sweep
+        runs in blocks of members; each row's vectors, its shared
+        log-weights (internal energies plus static terms) and the members'
+        exterior sum, are formed only when the sweep reaches that row.
         """
         delta_matrix = np.asarray(delta_matrix)
         n = len(delta_matrix)
@@ -379,25 +374,26 @@ class RegionEngine:
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
         block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
-        base = []
-        for i, row in enumerate(self.rows):
-            vec = row.internal
-            for terms in static_terms:
-                if terms[i] is not None:
-                    vec = vec + terms[i]
-            base.append(vec)
+
+        def base():
+            for i, row in enumerate(self.rows):
+                vec = row.internal
+                for terms in static_terms:
+                    if terms[i] is not None:
+                        vec = vec + terms[i]
+                yield vec
+
         halves = self._halves(delta_sites, delta_matrix, min(n, block))
         if halves is not None:
-            return self._combine(base, block, delta_sites, delta_matrix, *halves).reshape(out_shape)
+            return self._combine(list(base()), block, delta_sites, delta_matrix, *halves).reshape(out_shape)
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
-            vecs = [
+            vecs = (
                 np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
-                for v, b in zip(self._exterior(delta_sites, dm), base)
-            ]
+                for v, b in zip(self._exterior(delta_sites, dm), base())
+            )
             out[lo : lo + len(dm)] = logsumexp(self._sweep(vecs), axis=-1).reshape(-1, *out_shape[1:])
-            del vecs  # release this block's vectors before the next block's are built
         return out
 
     # -- meet in the middle ------------------------------------------------
@@ -412,17 +408,16 @@ class RegionEngine:
         sites that touch no row are left out. Returns (head, tail, head
         member index, head inverse, tail member index, tail inverse), the
         indices and inverses of `np.unique` on each half's codes. Decided
-        before any site term."""
+        before any exterior term is gathered."""
         q = self.phi.q
         sizes = [len(row.configs) for row in self.rows]
         # log-weights cost S_r step runs, so they pay from S_r members on; with
         # S_r at most one block, they hold no more floats than a block's vectors
         if any(size > members for size in sizes[:-1]):
             return None
-        row_of = {v: i for i, row in enumerate(self.rows) for v in row.sites}
         head, tail = [], []
         for d, v in enumerate(delta_sites):
-            touched = set() if v in row_of else {row_of[u] for u in neighbors(v) if u in row_of}
+            touched = set() if v in self._row_of else {self._row_of[u] for u in neighbors(v) if u in self._row_of}
             if touched == {0}:
                 head.append(d)
             elif touched:
@@ -452,10 +447,10 @@ class RegionEngine:
         output, and `_log_products` joins each member's head vector to its
         backward vector over the top row's states.
         """
-        heads = self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)])[0]
+        heads = next(self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)]))
         if heads is None:
             heads = np.zeros((len(h_index), len(self.rows[0].configs)))
-        tails = self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)])
+        tails = list(self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)]))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         back = self._backward(vecs, block)
         return _log_products(heads, back.reshape(len(t_index), -1, back.shape[-1]), block, (h_inverse, t_inverse))
@@ -551,15 +546,16 @@ def conditional_probability(
 ) -> float:
     """Probability of pinning `event` inside cr, given the boundary.
 
-    Computed as a difference of log partition functions, never as a ratio
-    of linear-domain weights.
+    Computed as exp(num - denom), a difference of log partition functions,
+    never as a ratio of linear-domain weights. Nothing is clamped: by
+    rounding the value can exceed 1.
     """
     for v in event:
         if v not in cr.region:
             raise ValueError("event site outside the region")
     engine, static, denom = _conditioned(cr, phi, budget)
     num = engine.evaluate(*static, engine.terms_from_pins(event))
-    return min(float(np.exp(num - denom)), 1.0)
+    return float(np.exp(num - denom))
 
 
 def conditional_sum_check(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from gibbspress.interaction import (
     constant_configuration,
 )
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
-from gibbspress.pressure import admissible_configurations, gk_pressure, p_interval
+from gibbspress.pressure import _canopy_extremes, _Canopy, admissible_configurations, gk_pressure, p_interval
 import gibbspress.transfer as transfer
-from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point
+from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, monotone_check, periodic_point_from_ssf
 from gibbspress.transfer import (
     LOG_ZERO,
     ConstrainedRegion,
@@ -637,6 +638,31 @@ def test_rows_with_equal_x_columns_share_one_enumeration():
     box8 = RegionEngine(Region((x, y) for x in range(8) for y in range(8)), hs)
     assert all(row.configs is box8.rows[0].configs and row.internal is box8.rows[0].internal for row in box8.rows)
     assert box8.evaluate() == pytest.approx(64 * box_log_partition(8, hs), abs=1e-12)
+
+
+def test_forward_sweep_holds_one_rows_member_vectors():
+    """The forward sweep gathers each row's exterior edges when it reaches
+    that row: at hard-square parity n = 16, the two canopy extremes' sweep
+    allocates less, above where it started, than every row's member vectors
+    held at once (8 bytes a float)."""
+    hs = build_hard_square(1.0)
+    canopy = _Canopy(16, hs)
+    shifted = periodic_point_from_ssf(hs, 1).shift((1, 0))
+    a0 = shifted.value((0, 0))
+    engine = canopy.engine()
+    upper = {(y, x): a for (x, y), a in shifted.restrict(canopy.u_n).symbols.items()}
+    terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
+    extremes = _canopy_extremes(canopy.sites, monotone_check(hs, target=a0), hs)
+    sites = [(y, x) for x, y in canopy.sites]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        zvec = engine.evaluate_deltas([terms], sites, extremes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(zvec).all()
+    assert peak - start < 8 * len(extremes) * sum(len(row.configs) for row in engine.rows)
 
 
 def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
