@@ -117,13 +117,15 @@ def _canopy_extremes(
 
 def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
     """Min/max of the origin conditional over members with a finite
-    denominator; the others are counted as skipped. p <= 1 holds in
-    floating point: den = m + log(sum) with m >= zvec[:, a0] and sum >= 1."""
-    den = logsumexp(zvec, axis=1)
-    ok = np.isfinite(den)
+    denominator, those with a finite entry; the others are counted as
+    skipped, and only the kept rows go through the logsumexp. p <= 1 holds
+    in floating point: den = m + log(sum) with m >= zvec[:, a0] and
+    sum >= 1."""
+    ok = np.isfinite(zvec).any(axis=1)
     if not ok.any():
         raise HypothesisError("empty canopy ensemble")
-    p = np.exp(zvec[ok, a0] - den[ok])
+    kept = zvec[ok]
+    p = np.exp(kept[:, a0] - logsumexp(kept, axis=1))
     return PInterval(
         lower=float(p.min()),
         upper=float(p.max()),
@@ -142,7 +144,9 @@ class _Canopy:
     The engine sweeps S_n by its columns, at most n + 1 sites against a
     row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), with the two
     tables swapped, and so do the upper layer and canopy sites passed to it.
-    The ensemble stays in S_n's own frame.
+    The ensemble stays in S_n's own frame. It is read-only, so every bracket
+    passes the engine the same unchanged array, and the engine splits it
+    into heads and tails once (`RegionEngine.evaluate_deltas`).
     """
 
     def __init__(self, n: int, phi: Interaction, budget: int = DEFAULT_BUDGET):
@@ -168,6 +172,7 @@ class _Canopy:
         if self._deltas is None:
             try:
                 self._deltas = admissible_configurations(self.c_n, self.phi, budget=self.budget)
+                self._deltas.setflags(write=False)
             except BudgetError as exc:
                 raise BudgetError(f"canopy ensemble: {exc}") from None
         return self._deltas

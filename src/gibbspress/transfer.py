@@ -221,7 +221,9 @@ class RegionEngine:
     tail configuration and target symbol, from the lowest row up, through
     each transition's S_r x S_s log-weights, built and kept only here; over
     the top row's states each member's head vector then joins its backward
-    vector. Both products go through `_log_products`.
+    vector. Both products go through `_log_products`, and only over live
+    rows, those with a finite entry: a member whose backward vector is all
+    -inf gets -inf without a product.
     """
 
     def __init__(
@@ -267,6 +269,8 @@ class RegionEngine:
         if target is not None:
             i = self._row_of[target]
             self._target = (i, self.rows[i].configs[:, self.rows[i].col[target]] == np.arange(phi.q)[:, None])
+        # (ensemble, (sites, member cap), its `_halves`) of the last read-only ensemble
+        self._split_of = None
 
     # -- per-call term builders ------------------------------------------
 
@@ -365,6 +369,11 @@ class RegionEngine:
         runs in blocks of members; each row's vectors, its shared
         log-weights (internal energies plus static terms) and the members'
         exterior sum, are formed only when the sweep reaches that row.
+
+        The engine keeps the head and tail split (`_halves`) of the last
+        read-only delta_matrix, by that array object, the sites and the
+        member cap: passing the same read-only array again, with other
+        static terms, reuses the split, and any other array recomputes it.
         """
         delta_matrix = np.asarray(delta_matrix)
         n = len(delta_matrix)
@@ -383,7 +392,13 @@ class RegionEngine:
                         vec = vec + terms[i]
                 yield vec
 
-        halves = self._halves(delta_sites, delta_matrix, min(n, block))
+        key = (tuple(delta_sites), min(n, block))
+        if self._split_of is not None and self._split_of[0] is delta_matrix and self._split_of[1] == key:
+            halves = self._split_of[2]
+        else:
+            halves = self._halves(delta_sites, delta_matrix, min(n, block))
+            if not delta_matrix.flags.writeable:  # a read-only ensemble keeps its content
+                self._split_of = (delta_matrix, key, halves)
         if halves is not None:
             return self._combine(list(base()), block, delta_sites, delta_matrix, *halves).reshape(out_shape)
         out = np.empty(out_shape)
@@ -445,7 +460,9 @@ class RegionEngine:
 
         `_backward` gives one vector per distinct tail configuration and
         output, and `_log_products` joins each member's head vector to its
-        backward vector over the top row's states.
+        backward vector over the top row's states. Only (member, output)
+        pairs whose backward vector is live, with a finite entry, are
+        joined; the others are -inf.
         """
         heads = next(self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)]))
         if heads is None:
@@ -453,17 +470,34 @@ class RegionEngine:
         tails = list(self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)]))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         back = self._backward(vecs, block)
-        return _log_products(heads, back.reshape(len(t_index), -1, back.shape[-1]), block, (h_inverse, t_inverse))
+        live = np.isfinite(back).any(-1)
+        position = np.full(len(back), -1)
+        position[live] = np.arange(np.count_nonzero(live))
+        outputs = len(back) // len(t_index)
+        rows = position[(t_inverse * outputs)[:, None] + np.arange(outputs)]  # (members, outputs)
+        hits = rows >= 0
+        out = np.full(rows.shape, LOG_ZERO)
+        if hits.any():
+            pairs = np.broadcast_to(h_inverse[:, None], rows.shape)[hits], rows[hits]
+            out[hits] = _log_products(heads, back[live][:, None, :], block, pairs)[:, 0]
+        return out
 
     def _backward(self, vecs: list[np.ndarray], block: int) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
         transition's log-weights: from per-row (T or 1, n_states) vectors,
         the (T * outputs, top-row states) log-weights of the rows below each
         top state, tail major, one output per target symbol from the
-        target's row up (one without a target)."""
+        target's row up (one without a target). Only live rows, those with
+        a finite entry, go through `_log_products`: a row of -inf stays
+        -inf through it and through the row vectors added after it."""
         back = self._split(len(vecs) - 1, vecs[-1][:, None, :])
         for i in range(len(vecs) - 2, -1, -1):
-            z = _log_products(back.reshape(-1, back.shape[-1]), self._trans[i][1][:, None, :], block)
+            logw = self._trans[i][1]
+            flat = back.reshape(-1, back.shape[-1])
+            live = np.isfinite(flat).any(-1)
+            z = np.full((len(flat), len(logw)), LOG_ZERO)
+            if live.any():
+                z[live] = _log_products(flat[live], logw[:, None, :], block)[..., 0]
             back = self._split(i, z.reshape(*back.shape[:2], -1) + vecs[i][:, None, :])
         return back.reshape(-1, back.shape[-1])
 
@@ -482,9 +516,12 @@ def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.nd
     """
     (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b.reshape(-1, b.shape[-1]))
     if sa + sb <= _SPREAD:
+        g = ea @ eb.T
         with np.errstate(divide="ignore"):
-            z = (np.log(ea @ eb.T) + ma + mb.T).reshape(len(a), *b.shape[:-1])
-        return z if pairs is None else z[pairs]
+            if pairs is None:
+                return (np.log(g) + ma + mb.T).reshape(len(a), *b.shape[:-1])
+            i, j = pairs  # gathered before the log and the shifts, in the same order
+            return np.log(g.reshape(len(a), *b.shape[:-1])[i, j]) + ma[i] + mb.reshape(b.shape[:-1])[j]
     i, j = np.broadcast_arrays(*(pairs if pairs is not None else (np.arange(len(a))[:, None], np.arange(len(b)))))
     step = max(1, block // i[0].size)
     return np.concatenate([

@@ -741,6 +741,65 @@ def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, mon
     assert np.isinf(np.concatenate(outs)).any() and np.isfinite(np.concatenate(outs)).any()
 
 
+@pytest.mark.parametrize("soft", [False, True], ids=["gemm", "logsumexp"])
+def test_combine_skips_dead_rows_and_empty_live_sets(soft, monkeypatch):
+    """A member whose backward vector is all -inf joins nothing. The
+    3-colouring's canopy ensemble at n = 1 has members with every target
+    symbol live, with none and with some: the combine equals one forward
+    `evaluate` per member. With the lowest row pinned infeasible no row is
+    live at any transition or join, and every member gives -inf. Vertical
+    energies 0 and 400 spread each transition past 700, so the products
+    take the logsumexp branch, which cannot run on an empty set."""
+    taken = _spy_combine(monkeypatch)
+    calls = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
+    vertical = [[np.inf, 0, 400], [400, np.inf, 0], [0, 400, np.inf]] if soft else _HARD
+    phi = Interaction(Alphabet(3), _HARD, vertical)
+    s_1, _, c_1 = canopy_decomposition(1)
+    engine = RegionEngine(s_1, phi, target=(0, 0))
+    sites, members = list(c_1), admissible_configurations(c_1, phi)
+    got = engine.evaluate_deltas([], sites, members)
+    assert (calls != []) == soft
+    calls.clear()
+    lowest = engine.rows[-1].sites
+    dead = engine.terms_from_pins({lowest[0]: 0, lowest[1]: 0})  # two neighbours of one colour
+    none = engine.evaluate_deltas([dead], sites, members)
+    assert taken == [True, True] and np.isneginf(none).all() and calls == []
+    live = np.isfinite(got)
+    assert [int(x.sum()) for x in (live.all(1), ~live.any(1), live.any(1) & ~live.all(1))] == [48, 12, 156]
+    want = np.array([
+        engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), dict(zip(sites, row.tolist())))))
+        for row in members
+    ])
+    _assert_same_log_weights(got, want)
+
+
+@pytest.mark.parametrize("n, counts", [(2, (681, 2775)), (3, (6974, 48322))])
+def test_diag3_brackets_keep_their_skipped_counts(n, counts):
+    """Live-row compaction drops no member that counts: every diag3
+    bracket brackets and skips as many canopy members as before it."""
+    est = gk_pressure(diagonal_3coloring_point(), n, build_checkerboard(3))
+    assert {(t.p.canopy_count, t.p.skipped_count) for t in est.per_site} == {counts}
+    assert (est.lower, est.upper) == (0.0, 0.0)
+
+
+def test_one_split_per_canopy_ensemble(monkeypatch):
+    """diag3's three distinct brackets at n = 2 pass one read-only canopy
+    ensemble to one engine, which splits it into heads and tails once. A
+    copy of the ensemble is a new array: it is split again, to the same
+    values."""
+    splits = []
+    halves = RegionEngine._halves
+    monkeypatch.setattr(RegionEngine, "_halves", lambda self, *args: splits.append(args[1]) or halves(self, *args))
+    _, ensembles, _, _ = _diag3_ensembles(build_checkerboard(3), 2, monkeypatch)
+    assert len(ensembles) == 3 and len({id(engine) for engine, _, _ in ensembles}) == 1
+    engine, (static, sites, members), out = ensembles[-1]
+    assert all(args[2] is members for _, args, _ in ensembles) and not members.flags.writeable
+    assert len(splits) == 1 and splits[0] is members
+    again = engine.evaluate_deltas(static, sites, members.copy())
+    assert len(splits) == 2 and np.array_equal(again, out)
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_combine_matches_brute_origin_interval(k, monkeypatch):
     """At n = 1 the combined ensemble brackets the 3- and 4-colourings'
@@ -850,8 +909,8 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    for engine, args, out in ensembles:
-        _assert_same_log_weights(out, evaluate_deltas(engine, *args))
+    for engine, (static, sites, members), out in ensembles:  # a copy is not split from the cache
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members.copy()))
 
 
 @pytest.mark.parametrize("soft", ["vertical", "horizontal"])
@@ -869,8 +928,8 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    for engine, args, out in ensembles:
-        _assert_same_log_weights(out, evaluate_deltas(engine, *args))
+    for engine, (static, sites, members), out in ensembles:  # a copy is not split from the cache
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members.copy()))
 
 
 @pytest.mark.parametrize(
