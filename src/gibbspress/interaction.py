@@ -88,20 +88,6 @@ class Configuration:
 EMPTY_CONFIGURATION = Configuration(Region(()), {})
 
 
-def constant_configuration(region: Region, symbol: int) -> Configuration:
-    return Configuration(region, {v: symbol for v in region})
-
-
-def concat(first: Configuration, second: Configuration) -> Configuration:
-    """Concatenation of two configurations; overlaps must agree."""
-    merged = dict(first.symbols)
-    for v, a in second.symbols.items():
-        if merged.get(v, a) != a:
-            raise ValueError("inconsistent concatenation")
-        merged[v] = a
-    return Configuration(first.region.union(second.region), merged)
-
-
 def energy(w: Configuration, phi: Interaction) -> float:
     """Sum of edge energies over edges with both endpoints in w's region."""
     total = 0.0

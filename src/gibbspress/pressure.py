@@ -115,6 +115,21 @@ def _canopy_extremes(
     return extremes
 
 
+def _relabelling(source: tuple[int, ...], target: tuple[int, ...], q: int) -> np.ndarray | None:
+    """The symbol permutation sigma, as an array, with sigma[source[i]] =
+    target[i] for every i and the symbols source leaves out sent in
+    increasing order to those target leaves out; None when no injective map
+    takes source to target."""
+    sigma: dict[int, int] = {}
+    for a, b in zip(source, target):
+        if sigma.setdefault(a, b) != b:
+            return None
+    if len(set(sigma.values())) < len(sigma):
+        return None
+    sigma.update(zip(sorted(set(range(q)) - sigma.keys()), sorted(set(range(q)) - set(sigma.values()))))
+    return np.array([sigma[a] for a in range(q)])
+
+
 def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
     """Min/max of the origin conditional over members with a finite
     denominator, those with a finite entry; the others are counted as
@@ -138,8 +153,10 @@ def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
 
 class _Canopy:
     """What the orbit sites of one estimate share: the radius-n split, the
-    S_n engine and the canopy ensemble, both built on first use, and one
-    bracket per distinct (origin symbol, upper layer) of the shifted point.
+    S_n engine and the canopy ensemble, both built on first use, and the
+    brackets by (origin symbol, *upper layer) of the shifted point, one
+    computed per class of keys that table-preserving symbol permutations
+    map onto each other on the ensemble path (`shared`).
 
     The engine sweeps S_n by its columns, at most n + 1 sites against a
     row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), with the two
@@ -155,7 +172,7 @@ class _Canopy:
         self.n, self.phi, self.budget = n, phi, budget
         self.s_n, self.u_n, self.c_n = canopy_decomposition(n)
         self.sites = list(self.c_n)
-        self.brackets: dict[tuple, PInterval] = {}
+        self.brackets: dict[tuple[int, ...], PInterval] = {}
         self._engine: RegionEngine | None = None
         self._deltas: np.ndarray | None = None
 
@@ -176,6 +193,30 @@ class _Canopy:
             except BudgetError as exc:
                 raise BudgetError(f"canopy ensemble: {exc}") from None
         return self._deltas
+
+    def shared(self, key: tuple[int, ...]) -> PInterval | None:
+        """A stored ensemble bracket that a symbol permutation sigma leaving
+        both tables unchanged carries onto `key`, when `key`'s origin symbol
+        has no monotone order and so takes the ensemble path too; else None.
+
+        sigma maps the ensemble onto itself and every energy to its own
+        value, so for each member delta the conditional of `key` at
+        sigma(delta) equals the stored key's at delta: in exact arithmetic
+        both take their min and max over the same set of values and skip as
+        many members. Until brackets are rounded outward, the shared bracket
+        carries the rounding of the stored one's sweep, whose sums run in
+        another order than `key`'s own would."""
+        for stored, p in self.brackets.items():
+            if p.canopy_path != "ensemble":
+                continue
+            sigma = _relabelling(stored, key, self.phi.q)
+            if (
+                sigma is not None
+                and all(np.array_equal(t[np.ix_(sigma, sigma)], t) for t in self.phi.tables)
+                and monotone_check(self.phi, target=key[0]) is None
+            ):
+                return p
+        return None
 
     def bracket(self, x_u: Configuration, a0: int) -> PInterval:
         def sweep(members: np.ndarray) -> np.ndarray:
@@ -217,7 +258,10 @@ def p_interval(
     upper layer of the shifted point. `canopy`, shared by the calls of one
     estimate, holds the engine, the ensemble and the brackets already
     computed: a repeated (origin symbol, upper layer) returns the same
-    PInterval. It must have been built for this n, phi and budget.
+    PInterval, and so does one that a table-preserving symbol permutation
+    maps a stored ensemble bracket's key onto (`_Canopy.shared`: equal in
+    exact arithmetic, with the stored bracket's rounding). `canopy` must
+    have been built for this n, phi and budget.
     """
     if canopy is None:
         canopy = _Canopy(n, phi, budget)
@@ -228,9 +272,9 @@ def p_interval(
     x = z.shift(v)
     x_u = x.restrict(canopy.u_n)
     a0 = x.value((0, 0))
-    key = (a0, tuple(x_u.symbols[u] for u in canopy.u_n))
+    key = (a0, *(x_u.symbols[u] for u in canopy.u_n))
     if key not in canopy.brackets:
-        canopy.brackets[key] = canopy.bracket(x_u, a0)
+        canopy.brackets[key] = canopy.shared(key) or canopy.bracket(x_u, a0)
     return canopy.brackets[key]
 
 
@@ -243,7 +287,8 @@ def gk_pressure(
     """Certified pressure interval from the orbit measure of z at radius n.
 
     All orbit sites share one S_n engine, one canopy ensemble and one
-    bracket per distinct shift (see `p_interval`). A per-site UPPER bound on
+    bracket per distinct shift, or per symbol-symmetry class of shifts on
+    the ensemble path (see `p_interval`). A per-site UPPER bound on
     the conditional becomes a LOWER pressure contribution through -log, and
     vice versa.
     """

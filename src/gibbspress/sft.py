@@ -11,11 +11,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, energy
-from .lattice import Region, Site, neighbors, site_key
-
-#: Draws a rejection sampler makes before it gives up.
-MAX_TRIES = 10000
-
+from .lattice import Region, Site
 
 class PeriodicPoint:
     """Fully periodic configuration given by a rectangular cell.
@@ -296,48 +292,3 @@ def admissible_states(
     for _, cfg, energies in admissible_levels(sites, phi, budget):
         pass
     return cfg, energies
-
-
-def region_components(region: Region) -> list[Region]:
-    """Connected components of a region under L1 adjacency."""
-    remaining = set(region.sites)
-    comps = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for u in neighbors(v):
-                if u in remaining:
-                    remaining.discard(u)
-                    comp.add(u)
-                    frontier.append(u)
-        comps.append(Region(comp))
-    comps.sort(key=lambda r: site_key(next(iter(r))))
-    return comps
-
-
-def random_locally_admissible(
-    region: Region,
-    phi: Interaction,
-    rng: np.random.Generator,
-) -> Configuration:
-    """Rejection-sample a locally admissible configuration, per component.
-
-    Components are independent under local admissibility, so sampling each
-    one uniformly yields a uniform sample over the whole admissible set.
-    Raises HypothesisError if some component keeps rejecting.
-    """
-    symbols: dict[Site, int] = {}
-    for comp in region_components(region):
-        sites = list(comp)
-        for _ in range(MAX_TRIES):
-            draw = rng.integers(phi.q, size=len(sites))
-            cand = {v: int(a) for v, a in zip(sites, draw)}
-            if is_locally_admissible(Configuration(comp, cand), phi):
-                symbols.update(cand)
-                break
-        else:
-            raise HypothesisError("sampling failure: component keeps rejecting")
-    return Configuration(region, symbols)

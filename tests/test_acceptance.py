@@ -31,7 +31,6 @@ from gibbspress.sft import (
     PeriodicPoint,
     diagonal_3coloring_point,
     periodic_point_from_ssf,
-    random_locally_admissible,
     safe_symbol_check,
     ssf_check,
 )
@@ -44,7 +43,7 @@ from gibbspress.transfer import (
     strip_sequence,
 )
 
-from conftest import random_interaction
+from conftest import random_interaction, random_locally_admissible
 from oracles import brute_conditional, brute_log_partition
 
 ZEROS = PeriodicPoint([[0]])

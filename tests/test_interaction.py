@@ -13,8 +13,6 @@ from gibbspress.interaction import (
     build_full_shift,
     build_hard_square,
     build_ising,
-    concat,
-    constant_configuration,
     energy,
     energy_with_boundary,
     interaction_from_json,
@@ -24,6 +22,8 @@ from gibbspress.interaction import (
 )
 from gibbspress.lattice import Region, boundary
 from gibbspress.sft import PeriodicPoint
+
+from conftest import concat, constant_configuration
 
 
 def cfg(mapping):

@@ -258,20 +258,35 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
+INF = math.inf
+#: 3-colourings whose tables every symbol rotation leaves unchanged, with
+#: energies 0 and 300 on one table (the CI smoke's soft3 and soft3v models)
+SOFT3 = Interaction(Alphabet(3), [[INF, 0, 300], [300, INF, 0], [0, 300, INF]], [[INF, 0, 0], [0, INF, 0], [0, 0, INF]])
+SOFT3V = Interaction(Alphabet(3), SOFT3.vertical, SOFT3.horizontal)
+#: a soft 3-colouring that no symbol permutation but the identity leaves unchanged
+SKEW3 = Interaction(Alphabet(3), [[INF, 0, 1], [2, INF, 3], [4, 5, INF]], SOFT3.vertical)
+#: not symmetric, hard and soft entries; the point [[1, 0], [1, 0]]'s two
+#: rows of shifts are each other's symbol swap
+ASYM = Interaction(Alphabet(2), [[0, INF], [0, 0.5]], [[0, 1.5], [0, 0]])
+
+
 @pytest.mark.parametrize(
     "z, n, phi, enumerations, sweeps",
     [
-        # 9 orbit sites with 3 distinct shifts, all on the ensemble path
-        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 1, 3, id="diag3"),
+        # 9 orbit sites with 3 distinct shifts, each a colour rotation of the
+        # others: one class, on the ensemble path
+        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 1, 1, id="diag3"),
+        # the same shifts under tables no rotation leaves unchanged: 3 classes
+        pytest.param(diagonal_3coloring_point(), 2, SKEW3, 1, 3, id="diag3-skew"),
         # 4 orbit sites with 2 distinct shifts, on the extremes path
         pytest.param(PARITY, 3, build_hard_square(1.0), 0, 2, id="hardsquare-parity"),
     ],
 )
 def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, phi, enumerations, sweeps):
     """One estimate builds one S_n engine, enumerates the canopy at most
-    once and sweeps once per distinct shift; the estimate equals, field for
-    field, the one assembled from per-site p_interval calls that share
-    nothing."""
+    once and sweeps once per distinct shift, or per symbol-symmetry class of
+    shifts on the ensemble path; the estimate equals, field for field, the
+    one assembled from per-site p_interval calls that share nothing."""
     builds = _spy(monkeypatch, RegionEngine, "__init__")
     enums = _spy(monkeypatch, pressure_mod, "admissible_configurations")
     evals = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
@@ -282,6 +297,101 @@ def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, 
     terms = [SiteTerm(site=v, p=p_interval(z, v, n, phi), edge_term=per_site_contribution(z, v, phi)) for v in orbit_sites(z)]
     assert len(builds) == 1 + len(terms)
     assert est == assemble_pressure_interval(terms, n, phi.name)
+
+
+def _sweeps_and_brackets(monkeypatch, z, n, phi):
+    """(estimate, ensemble or extremes sweeps, distinct PIntervals) of one
+    gk_pressure call."""
+    sweeps = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
+    est = gk_pressure(z, n, phi)
+    return est, len(sweeps), len({id(t.p) for t in est.per_site})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("phi", [build_checkerboard(3), SOFT3, SOFT3V], ids=["cb3", "soft3", "soft3v"])
+def test_diag3_colour_rotations_share_one_bracket(phi, n, monkeypatch):
+    """diag3's three shifts are colour rotations of each other, and
+    rotations leave these tables unchanged: one ensemble sweep per n. Each
+    shift's own bracket, computed with nothing shared, equals the shared
+    PInterval field for field."""
+    z = diagonal_3coloring_point()
+    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, z, n, phi)
+    assert (sweeps, distinct) == (1, 1)
+    shared = est.per_site[0].p
+    assert shared.canopy_path == "ensemble" and (shared.lower, shared.upper) == (1.0, 1.0)
+    for v in ((0, 0), (1, 0), (2, 0)):  # origin symbols 0, 1, 2
+        assert p_interval(z, v, n, phi) == shared
+    if n == 3:
+        assert (shared.canopy_count, shared.skipped_count) == (6974, 48322)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_4_colouring_parity_shares_with_the_unmapped_symbols_in_order(n, monkeypatch):
+    """The parity point's two shifts use only colours 0 and 1: swapping them
+    and sending 2 and 3 to themselves leaves the 4-colouring's tables
+    unchanged, so both shifts share one bracket, equal to each one's own."""
+    cb4 = build_checkerboard(4)
+    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, PARITY, n, cb4)
+    assert (sweeps, distinct) == (1, 1)
+    assert all(p_interval(PARITY, v, n, cb4) == est.per_site[0].p for v in orbit_sites(PARITY))
+
+
+@pytest.mark.parametrize("force_ensemble", [False, True], ids=["own-path", "ensemble"])
+@pytest.mark.parametrize(
+    "z, phi",
+    [(PARITY, build_hard_square(1.0)), (PeriodicPoint([[1, 0], [1, 0]]), ASYM)],
+    ids=["hardsquare-parity", "asym"],
+)
+def test_symbol_swap_that_changes_a_table_shares_nothing(z, phi, force_ensemble, monkeypatch):
+    """Each point's two classes of shifts are each other's symbol swap, and
+    the swap changes a table (the hard square's 1-1 exclusion, the
+    asymmetric model's entries): two brackets, also when no monotone order
+    is found and both take the ensemble path."""
+    if force_ensemble:
+        monkeypatch.setattr(pressure_mod, "monotone_check", lambda phi, target=None: None)
+    est, _, distinct = _sweeps_and_brackets(monkeypatch, z, 2, phi)
+    assert distinct == 2
+    assert all(t.p.canopy_path == "ensemble" for t in est.per_site) == force_ensemble
+
+
+def test_an_origin_symbol_with_a_monotone_order_is_not_shared(monkeypatch):
+    """Sharing needs the new key's origin symbol to take the ensemble path
+    without trying extremes. With an order given for symbol 1 only, diag3's
+    shift with origin 1 computes its own bracket (its rankwise bottom, all
+    0, is not a colouring, so it still ends on the ensemble), and the shift
+    with origin 2 shares the first one's."""
+    order = ((0, 1, 2), (0, 1, 2))
+    monkeypatch.setattr(pressure_mod, "monotone_check", lambda phi, target=None: order if target == 1 else None)
+    z = diagonal_3coloring_point()
+    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, z, 2, build_checkerboard(3))
+    assert (sweeps, distinct) == (2, 2)
+    by_origin = {z.value(t.site): t.p for t in est.per_site}
+    assert by_origin[2] is by_origin[0] and by_origin[1] is not by_origin[0]
+    assert by_origin[1] == by_origin[0]
+
+
+def test_an_extremes_bracket_is_not_shared():
+    """The 3-symbol full shift's tables are all zero, so swapping 0 and 1
+    keeps them, and the parity point's shifts with origins 0 and 1 are each
+    other's swap. Origin 0 has a monotone order and takes the two extremes;
+    origin 1 has none and sweeps the whole ensemble on its own rather than
+    share a bracket with another path and other counts."""
+    est = gk_pressure(PARITY, 1, build_full_shift(3))
+    by_origin = {PARITY.value(t.site): t.p for t in est.per_site}
+    assert (by_origin[0].canopy_path, by_origin[0].canopy_count) == ("extremes", 2)
+    assert (by_origin[1].canopy_path, by_origin[1].canopy_count) == ("ensemble", 729)
+
+
+def test_relabelling_is_fixed_by_the_keys():
+    """sigma maps each source symbol to the target symbol at its place; a
+    symbol mapped two ways or two symbols mapped to one are refused, and the
+    unmapped symbols go in increasing order to the unused ones."""
+    relabelling = pressure_mod._relabelling
+    assert relabelling((0, 1, 2), (1, 2, 0), 3).tolist() == [1, 2, 0]
+    assert relabelling((0, 1, 0), (1, 0, 1), 4).tolist() == [1, 0, 2, 3]
+    assert relabelling((1, 3), (0, 1), 4).tolist() == [2, 0, 3, 1]
+    assert relabelling((0, 0), (0, 1), 3) is None
+    assert relabelling((0, 1), (2, 2), 3) is None
 
 
 def test_p_interval_refuses_canopy_state_of_another_estimate():

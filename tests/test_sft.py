@@ -21,12 +21,12 @@ from gibbspress.sft import (
     monotone_check,
     orbit_sites,
     periodic_point_from_ssf,
-    random_locally_admissible,
-    region_components,
     safe_symbol_check,
     ssf_check,
 )
 from gibbspress.transfer import RegionEngine
+
+from conftest import random_locally_admissible, region_components
 
 
 def test_local_admissibility_examples():

@@ -13,7 +13,6 @@ from gibbspress.interaction import (
     build_full_shift,
     build_hard_square,
     build_ising,
-    constant_configuration,
 )
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
 from gibbspress.pressure import _canopy_extremes, _Canopy, admissible_configurations, gk_pressure, p_interval
@@ -32,7 +31,7 @@ from gibbspress.transfer import (
     strip_sequence,
 )
 
-from conftest import model_gallery, random_interaction
+from conftest import constant_configuration, model_gallery, random_interaction, random_locally_admissible
 from oracles import brute_log_partition, brute_origin_interval, brute_strip_log_lambda, stage_transfer_steps
 
 GOLDEN_RATIO_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -199,7 +198,6 @@ def test_conditional_sum_check_examples():
 def test_conditional_sum_check_normalization_across_gallery(rng):
     region = box(1)
     ring = boundary(region)
-    from gibbspress.sft import random_locally_admissible
 
     for phi in model_gallery():
         cfg = random_locally_admissible(ring, phi, rng)
@@ -213,7 +211,6 @@ def test_conditional_sum_check_normalization_across_gallery(rng):
 def test_mrf_joint_conditional_matches_direct_formula(rng):
     """DP joint conditional on box(1) equals the explicit Gibbs weight."""
     from gibbspress.interaction import energy_with_boundary
-    from gibbspress.sft import random_locally_admissible
 
     region = box(1)
     ring = boundary(region)
@@ -784,14 +781,17 @@ def test_diag3_brackets_keep_their_skipped_counts(n, counts):
 
 
 def test_one_split_per_canopy_ensemble(monkeypatch):
-    """diag3's three distinct brackets at n = 2 pass one read-only canopy
+    """diag3's three distinct brackets at n = 2, each computed by
+    `_Canopy.bracket` of one canopy state, pass one read-only canopy
     ensemble to one engine, which splits it into heads and tails once. A
     copy of the ensemble is a new array: it is split again, to the same
     values."""
     splits = []
     halves = RegionEngine._halves
     monkeypatch.setattr(RegionEngine, "_halves", lambda self, *args: splits.append(args[1]) or halves(self, *args))
-    _, ensembles, _, _ = _diag3_ensembles(build_checkerboard(3), 2, monkeypatch)
+    calls, _, _ = _spy_ensembles(monkeypatch)
+    _diag3_brackets(build_checkerboard(3), 2)
+    ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
     assert len(ensembles) == 3 and len({id(engine) for engine, _, _ in ensembles}) == 1
     engine, (static, sites, members), out = ensembles[-1]
     assert all(args[2] is members for _, args, _ in ensembles) and not members.flags.writeable
@@ -875,10 +875,10 @@ _SOFT = [[np.inf, 0, 300], [300, np.inf, 0], [0, 300, np.inf]]  # 3-colouring en
 _HARD = [[np.inf, 0, 0], [0, np.inf, 0], [0, 0, np.inf]]
 
 
-def _diag3_ensembles(phi, n, monkeypatch):
-    """(estimate, [(engine, args, out)] per ensemble `evaluate_deltas` call)
-    of `gk_pressure` at diag3 with forward sweeps forbidden; returns the real
-    `evaluate_deltas` and `_sweep` too."""
+def _spy_ensembles(monkeypatch):
+    """Record (engine, args, out) per `evaluate_deltas` call, with forward
+    sweeps forbidden; returns the record and the real `evaluate_deltas` and
+    `_sweep`."""
     calls = []
     evaluate_deltas = RegionEngine.evaluate_deltas
 
@@ -888,7 +888,22 @@ def _diag3_ensembles(phi, n, monkeypatch):
         return out
 
     monkeypatch.setattr(RegionEngine, "evaluate_deltas", spy)
-    sweep = _forbid_forward_sweeps(monkeypatch)
+    return calls, evaluate_deltas, _forbid_forward_sweeps(monkeypatch)
+
+
+def _diag3_brackets(phi, n):
+    """The brackets of diag3's shifts with origin symbols 0, 1 and 2, each
+    computed by `_Canopy.bracket` of one canopy state, so that none is
+    shared with another."""
+    z, canopy = diagonal_3coloring_point(), _Canopy(n, phi)
+    return [canopy.bracket(z.shift(v).restrict(canopy.u_n), z.value(v)) for v in ((0, 0), (1, 0), (2, 0))]
+
+
+def _diag3_ensembles(phi, n, monkeypatch):
+    """(estimate, [(engine, args, out)] per ensemble `evaluate_deltas` call)
+    of `gk_pressure` at diag3 with forward sweeps forbidden; returns the real
+    `evaluate_deltas` and `_sweep` too."""
+    calls, evaluate_deltas, sweep = _spy_ensembles(monkeypatch)
     est = gk_pressure(diagonal_3coloring_point(), n, phi)
     ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
     assert ensembles
@@ -1027,11 +1042,12 @@ def test_strip_with_energies_of_800_takes_the_log_steps(monkeypatch):
 
 
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
-    """At n = 3 each of diag3's three brackets runs its backward sweep on one
-    vector per distinct tail and origin symbol, not on the 55 296 canopy
-    members, and runs no forward sweep. S_n is swept by its columns from
-    the rightmost one, so the tail is the canopy sites that do not touch
-    that column."""
+    """At n = 3 each of diag3's three brackets, computed on its own by
+    `_Canopy.bracket`, runs its backward sweep on one vector per distinct
+    tail and origin symbol, not on the 55 296 canopy members, and runs no
+    forward sweep; the estimate, whose shifts share one bracket, runs one
+    such sweep. S_n is swept by its columns from the rightmost one, so the
+    tail is the canopy sites that do not touch that column."""
     backward, vectors = RegionEngine._backward, []
 
     def spy(self, *args):
@@ -1046,10 +1062,15 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     deltas = admissible_configurations(c_n, cb3)
     tail = [j for j, (x, y) in enumerate(c_n) if x < n]
     tails = len(np.unique(deltas[:, tail], axis=0))
-    est = gk_pressure(diagonal_3coloring_point(), n, cb3)
-    assert (est.lower, est.upper) == (0.0, 0.0)
+    own = _diag3_brackets(cb3, n)
+    assert {(p.lower, p.upper, p.canopy_count, p.skipped_count, p.canopy_path) for p in own} == {
+        (1.0, 1.0, 6974, 48322, "ensemble")
+    }
     assert len(deltas) == 55296 and tails == 1152
     assert vectors == [tails * 3] * 3
+    est = gk_pressure(diagonal_3coloring_point(), n, cb3)
+    assert (est.lower, est.upper) == (0.0, 0.0)
+    assert vectors == [tails * 3] * 4
 
 
 @pytest.mark.parametrize(
