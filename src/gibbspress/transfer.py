@@ -9,7 +9,7 @@ at most `_SPREAD`, and go through logsumexp past it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BudgetError, HypothesisError
 from .interaction import EMPTY_CONFIGURATION, Configuration, Interaction
 from .lattice import Region, Site, boundary, neighbors
-from .sft import admissible_levels, admissible_states
+from .sft import admissible_levels
 
 LOG_ZERO = -inf
 _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
@@ -69,7 +69,7 @@ class ConstrainedRegion:
 
 
 class _Row:
-    __slots__ = ("y", "sites", "col", "configs", "internal")
+    __slots__ = ("y", "sites", "col", "configs", "internal", "keeps")
 
     def __init__(self, y: int, sites: list[Site]):
         self.y = y
@@ -77,13 +77,16 @@ class _Row:
         self.col = {v: j for j, v in enumerate(sites)}
         self.configs: np.ndarray | None = None
         self.internal: np.ndarray | None = None
+        self.keeps: list | None = None
 
 
 def _enumerate_row(row: _Row, phi: Interaction, budget: int):
     """Fill row.configs / row.internal with the row's admissible states, in
-    lexicographic order (first site most significant)."""
+    lexicographic order (first site most significant), and row.keeps with
+    the keep arrays of its levels: the prefix chain of a transfer into the
+    row (`_transfer_steps`), held until the transfers are built."""
     try:
-        row.configs, energy = admissible_states(row.sites, phi, budget)
+        row.keeps, row.configs, energy = _chain(row.sites, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
     row.internal = -energy
@@ -99,22 +102,23 @@ def _columns(old: _Row, new: _Row, q: int) -> list[int]:
     return columns
 
 
-def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.ndarray]:
+def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The keep arrays of `admissible_levels` over `sites`, one per site,
-    and the last level's configs."""
+    and the last level's configs and energies."""
     keeps = []
-    for keep, cfg, _ in admissible_levels(sites, phi, budget):
+    for keep, cfg, energies in admissible_levels(sites, phi, budget):
         keeps.append(keep)
-    return keeps[1:], cfg
+    return keeps[1:], cfg, energies
 
 
 def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) -> list:
     """Site-by-site steps (`_step`) of the transfer from the enumerated,
-    nonempty row `old` to `new`, one per column in x order. After k columns
-    a state holds the new symbols left of the cut and the old ones from the
-    cut on, shifted one x right so that no edge crosses the cut. So stage k
-    is the lexicographic product A_k x B_k of a level of the new row's
-    left-to-right enumeration (its prefixes) and one of the old row's
+    nonempty row `old` to the enumerated row `new`, one per column in x
+    order. After k columns a state holds the new symbols left of the cut
+    and the old ones from the cut on, shifted one x right so that no edge
+    crosses the cut. So stage k is the lexicographic product A_k x B_k of a
+    level of the new row's left-to-right enumeration (its prefixes, the
+    levels `_enumerate_row` kept in new.keeps) and one of the old row's
     right-to-left enumeration (its suffixes). Stage 0 is old.configs,
     reached through one `np.lexsort`, and the last stage is new.configs.
 
@@ -131,15 +135,14 @@ def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) 
     columns = _columns(old, new, q)
     old_x, new_x = ({v[0] for v in row.sites} for row in (old, new))
     try:
-        prefix, _ = _chain(new.sites, phi, budget)
-        suffix, reversed_old = _chain(old.sites[::-1], phi, budget)
+        suffix, reversed_old, _ = _chain(old.sites[::-1], phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"transfer states of row y={new.y}: {exc}") from None
     # rank[j]: the row of old.configs that holds the suffix chain's state j
     rank = np.empty(len(reversed_old), dtype=np.int64)
     rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
     sizes = [1] + [len(keep) for keep in suffix]  # |B| by the number of old sites it holds
-    prefix, n_a, m = iter(prefix), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
+    prefix, n_a, m = iter(new.keeps), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
     steps = []
     for k, x in enumerate(columns, 1):
         n_b, m = sizes[m], m - (x in old_x)
@@ -208,7 +211,8 @@ class RegionEngine:
     partition functions split by the target site's symbol, which may lie in
     any row: a sweep in either direction splits its vectors by that symbol
     where it passes the target's row (`_split`). Rows with equal x columns
-    share one enumeration of their states. Each transition is the steps of
+    share one enumeration of their states, whose levels are also the prefix
+    chain of each transfer into them. Each transition is the steps of
     `_transfer_steps`; equal row pairs share one. A forward sweep runs the
     steps, and takes each row's vectors only when it reaches that row: the
     exterior edges into the row, gathered per member from the tables
@@ -251,7 +255,7 @@ class RegionEngine:
             first = enumerated.setdefault(tuple(v[0] for v in row.sites), row)
             if first is row:
                 _enumerate_row(row, phi, budget)
-            row.configs, row.internal = first.configs, first.internal
+            row.configs, row.internal, row.keeps = first.configs, first.internal, first.keeps
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, log-weights] per row pair; _halves builds the log-weights
@@ -263,6 +267,8 @@ class RegionEngine:
                 table = phi.vertical.T if r.y - s.y == 1 else None
                 shared[key] = [_transfer_steps(r, s, table, phi, budget), None]
             self._trans.append(shared[key])
+        for row in self.rows:  # the prefix chains served the transfers only
+            row.keeps = None
 
         # (row index, (q, n_states) masks by the target's symbol), or None
         self._target = None
@@ -637,6 +643,60 @@ class StripBounds:
         return self.log_lambda_upper / self.width
 
 
+#: Power iterations a strip restart combines (`_ritz`).
+_RESTART_SPAN = 4
+#: A Gram-Schmidt column that keeps at most this fraction of its norm has
+#: collapsed: the iterates span fewer dimensions than they number.
+_COLLAPSE = 1e-8
+#: Squarings of the projected matrix: its 2^10-th power.
+_SQUARINGS = 10
+
+
+def _ritz(pairs: list) -> np.ndarray | None:
+    """The Perron Ritz vector of span{exp x_j}, from power iterates' pairs
+    (x_j, y_j) of log-weights with y_j = log A exp x_j, which share one
+    finite pattern: log-weights of log-max 0 on that pattern, or None when
+    a Gram-Schmidt column collapses (`_COLLAPSE`) or the vector is not
+    positive wherever x_j is finite.
+
+    Row j of `vw` holds exp x_j beside the image exp(y_j - c), one common
+    shift c, so Gram-Schmidt, run twice per column, orthonormalises the
+    exp x_j into Q and applies the same column operations to the images,
+    which gives A Q e^-c. The dominant eigenvector of Q^T A Q is a column
+    of its repeated square, mapped back through Q. Dot products only: the
+    strip path's first LAPACK calls would raise its peak RSS by about 2 MB."""
+    finite = np.isfinite(pairs[0][0])
+    n = len(finite)
+    vw = np.empty((len(pairs), 2 * n))
+    for j, (x, y) in enumerate(pairs):
+        vw[j, :n], vw[j, n:] = x, y
+    vw[:, n:] -= vw[:, n:].max()
+    np.exp(vw, out=vw)  # -inf gives exact zeros, which stay zeros
+    v = vw[:, :n]
+    for j in range(len(pairs)):
+        norm = sqrt(np.einsum("i,i", v[j], v[j]))
+        for _ in range(2 if j else 0):
+            vw[j] -= np.einsum("k,ki->i", np.einsum("ki,i->k", v[:j], v[j]), vw[:j])
+        left = sqrt(np.einsum("i,i", v[j], v[j]))
+        if not left > _COLLAPSE * norm:
+            return None
+        vw[j] /= left
+    p = np.einsum("ki,ji->kj", v, vw[:, n:])  # Q^T A Q e^-c
+    for _ in range(_SQUARINGS):
+        top = np.abs(p).max()
+        if not top > 0:
+            return None
+        p /= top
+        p = np.einsum("ij,jk->ik", p, p)
+    z = np.einsum("k,ki->i", p[:, np.abs(p).sum(axis=0).argmax()], v)[finite]
+    z = z if z.sum() > 0 else -z
+    if not (z > 0).all():
+        return None
+    out = np.full(n, LOG_ZERO)
+    out[finite] = np.log(z / z.max())
+    return out
+
+
 def strip_pressure(
     m: int,
     phi: Interaction,
@@ -646,13 +706,23 @@ def strip_pressure(
 ) -> StripBounds:
     """Per-site pressure bracket for the width-m strip.
 
-    Power-iterates the row transfer operator from the all-ones vector on
+    Power-iterates the row transfer operator A from the all-ones vector on
     admissible rows and returns Collatz-Wielandt bounds on log(lambda_max),
     stopping when the per-site gap drops below tol. Degenerate strips (no
     admissible row survives) yield a [-inf, -inf] bracket.
 
     The operator is applied as the site-by-site steps of `_transfer_steps`
-    from the row to itself.
+    from the row to itself. After every `_RESTART_SPAN` iterations with one
+    stable finite pattern, the next iterate is replaced by the Perron Ritz
+    vector of their span (`_ritz`), an explicitly restarted Rayleigh-Ritz
+    step that costs no application of A. A restart is declined when the
+    iterates' span collapses or the Ritz vector is not positive; once a
+    restart fails to shrink the bracket, the iteration goes on from the
+    power iterate it replaced and restarts no more, so at most one
+    application more than plain power iteration is spent. `iterations`
+    counts the applications of A, and every bracket is the Collatz-Wielandt
+    bracket of a true application to a positive vector, whatever the Ritz
+    step returned.
     """
     if m < 1:
         raise ValueError("strip width must be positive")
@@ -664,12 +734,16 @@ def strip_pressure(
         steps = _transfer_steps(row, row, phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
+    row.keeps = None  # the prefix chain served the transfer only
     # the iteration runs these steps up to max_iter times, and np.take would
     # convert int32 indices to intp on every run: convert them once
     steps = [(idx.astype(np.intp), *rest) for idx, *rest in steps]
     x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
     it = 0
+    # (x, y) pairs since the last restart, whether restarts go on, and the
+    # power iterate and bracket width a pending restart replaced
+    pairs, restarts, replaced, gap = [], True, None, inf
     for it in range(1, max_iter + 1):
         y = _run_steps(x, steps) + row.internal
         mask = np.isfinite(x) & np.isfinite(y)
@@ -678,9 +752,19 @@ def strip_pressure(
         ratios = y[mask] - x[mask]
         lo, hi = float(ratios.min()), float(ratios.max())
         stable = bool((np.isfinite(y) == np.isfinite(x)).all())
-        x = y - y[mask].max()
+        following = y - y[mask].max()
+        if replaced is not None:  # x was a Ritz vector
+            if not hi - lo < gap:
+                restarts, following = False, replaced
+            replaced = None
         if stable and (hi - lo) / m < tol:
             break
+        pairs = pairs + [(x, y)] if restarts and stable else []
+        if len(pairs) == _RESTART_SPAN:
+            ritz, pairs = _ritz(pairs), []
+            if ritz is not None:
+                replaced, gap, following = following, hi - lo, ritz
+        x = following
     return StripBounds(m, lo, hi, it)
 
 

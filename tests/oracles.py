@@ -94,15 +94,41 @@ def brute_origin_interval(region, u_config, canopy, deltas, phi, a0):
     return lo, hi
 
 
+#: Rows up to which `brute_strip_log_lambda` forms the dense matrix: every
+#: strip of width 4 or less in the gallery.
+DENSE_STRIP_ROWS = 625
+
+
 def brute_strip_log_lambda(m: int, phi: Interaction) -> float:
-    """log spectral radius of the dense row-to-row transfer matrix of the
-    width-m strip over all q^m rows; -inf when no row is admissible."""
-    sym = enumerate_symbols(range(m), [range(phi.q)] * m)
+    """log spectral radius of the row-to-row transfer matrix of the width-m
+    strip over all q^m rows; -inf when no row is admissible. Up to
+    `DENSE_STRIP_ROWS` rows the dense matrix goes to `np.linalg.eigvals`;
+    past it ARPACK (`scipy.sparse.linalg.eigs`) finds the eigenvalues of
+    largest modulus, applying the matrix as the row weights times the
+    m-fold Kronecker power of the vertical weights."""
+    q = phi.q
+    sym = enumerate_symbols(range(m), [range(q)] * m)
     h_energy = sum((phi.horizontal[sym[:, j], sym[:, j + 1]] for j in range(m - 1)), np.zeros(len(sym)))
-    v_energy = phi.vertical[sym[:, None, :], sym[None, :, :]].sum(axis=2)
-    t = np.exp(-(v_energy + h_energy[None, :]))  # old row -> new row
-    rho = float(np.abs(np.linalg.eigvals(t)).max())
-    return math.log(rho) if rho > 0 else LOG_ZERO
+    if len(sym) <= DENSE_STRIP_ROWS:
+        v_energy = phi.vertical[sym[:, None, :], sym[None, :, :]].sum(axis=2)
+        t = np.exp(-(v_energy + h_energy[None, :]))  # old row -> new row
+        rho = float(np.abs(np.linalg.eigvals(t)).max())
+        return math.log(rho) if rho > 0 else LOG_ZERO
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    if np.isposinf(h_energy).all():
+        return LOG_ZERO
+    row_weight, vertical = np.exp(-h_energy), np.exp(-phi.vertical)
+
+    def apply(x):  # x over old rows -> (t^T x) over new rows, with t as above
+        x = np.reshape(x, (q,) * m)
+        for j in range(m):
+            x = np.moveaxis(np.tensordot(x, vertical, axes=([j], [0])), -1, j)
+        return row_weight * x.ravel()
+
+    op = LinearOperator((len(sym), len(sym)), matvec=apply, dtype=float)
+    values = eigs(op, k=2, which="LM", v0=np.ones(len(sym)), tol=0.0, return_eigenvectors=False)
+    return math.log(float(np.abs(values).max()))
 
 
 def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list:

@@ -238,9 +238,26 @@ def test_strip_width_one_is_golden_ratio():
     assert sb.per_site_lower <= sb.per_site_upper
 
 
-def test_strip_matches_dense_eigenvalue(rng):
-    """The strip bracket contains log lambda_max of the dense q^m x q^m row
-    transfer matrix, at widths 1-4."""
+def _spy_restarts(monkeypatch) -> list[bool]:
+    """Whether each restart of `strip_pressure` got a Ritz vector. Every
+    restart's iterates and images share one finite pattern."""
+    outcomes, ritz = [], transfer._ritz
+
+    def spy(pairs):
+        finite = np.isfinite(pairs[0][0])
+        assert all(np.array_equal(np.isfinite(v), finite) for pair in pairs for v in pair)
+        out = ritz(pairs)
+        outcomes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(transfer, "_ritz", spy)
+    return outcomes
+
+
+def test_strip_matches_dense_eigenvalue(rng, monkeypatch):
+    """The strip bracket contains log lambda_max of the q^m x q^m row
+    transfer matrix, at widths 1-8 up to 3^8 rows. From width 5 on, most
+    strips run restarts, and most of those get a Ritz vector."""
     inf = math.inf
     # symbol 2 sits only on 0, and 0 never sits next to 0: from width 2 on,
     # the admissible row (2, 2) has no admissible predecessor
@@ -253,15 +270,78 @@ def test_strip_matches_dense_eigenvalue(rng):
     # a 0 must be followed by a 1 and a 1 by nothing: no row of width 3
     dead_end = Interaction(Alphabet(2), [[inf, 0], [inf, inf]], np.zeros((2, 2)), name="dead-end")
     randoms = [random_interaction(q, rng) for q in (2, 2, 3, 3)]
-    for phi in model_gallery() + randoms + [orphan, dead_end]:
-        for m in (1, 2, 3, 4):
+    outcomes = _spy_restarts(monkeypatch)
+    restarted = []
+    for phi in model_gallery() + randoms + [orphan, dead_end, build_ising(0.4)]:
+        for m in range(1, 9):
+            if phi.q**m > 3**8:
+                continue
             want = brute_strip_log_lambda(m, phi)
+            outcomes.clear()
             sb = strip_pressure(m, phi)
+            if m >= 5:
+                restarted.append(any(outcomes))
             if want == LOG_ZERO:
                 assert sb.log_lambda_lower == sb.log_lambda_upper == LOG_ZERO, (phi.name, m)
                 continue
             assert sb.log_lambda_lower - 1e-12 <= want <= sb.log_lambda_upper + 1e-12, (phi.name, m)
             assert sb.log_lambda_upper - sb.log_lambda_lower < 1e-9, (phi.name, m)
+    assert sum(restarted) > len(restarted) / 2
+
+
+def test_strip_restarts_halve_the_power_steps(monkeypatch):
+    """Restarts cut the 3-colouring at width 11 from 42 applications to at
+    most 25 and the hard square at width 12 from 26 to at most 20. With
+    every restart declined, the iteration is plain power iteration."""
+    cb3, hs = build_checkerboard(3), build_hard_square(1.0)
+    assert strip_pressure(11, cb3).iterations <= 25
+    assert strip_pressure(12, hs).iterations <= 20
+    monkeypatch.setattr(transfer, "_ritz", lambda pairs: None)
+    assert strip_pressure(11, cb3).iterations == 42
+    assert strip_pressure(12, hs).iterations == 26
+
+
+def test_a_poor_restart_costs_one_application(monkeypatch):
+    """A restart whose vector widens the bracket ends the restarts, and the
+    iteration goes on from the power iterate it replaced: the plain power
+    iteration's bracket, one application later."""
+    models = [(build_checkerboard(3), 11), (build_hard_square(1.0), 12), (build_ising(0.4), 10)]
+    monkeypatch.setattr(transfer, "_ritz", lambda pairs: None)
+    plain = [strip_pressure(m, phi) for phi, m in models]
+    noise = np.random.default_rng(5)
+
+    def poor(pairs):  # positive on the iterates' finite pattern, log-weights spread over 30
+        x = pairs[-1][0]
+        return np.where(np.isfinite(x), -30.0 * noise.random(len(x)), LOG_ZERO)
+
+    monkeypatch.setattr(transfer, "_ritz", poor)
+    for (phi, m), want in zip(models, plain):
+        sb = strip_pressure(m, phi, max_iter=want.iterations + transfer._RESTART_SPAN)
+        assert (sb.log_lambda_upper - sb.log_lambda_lower) / m < 1e-10
+        assert (sb.log_lambda_lower, sb.log_lambda_upper) == (want.log_lambda_lower, want.log_lambda_upper)
+        assert sb.iterations == want.iterations + 1
+
+
+def test_ritz_declines_a_collapsed_span_and_a_vector_that_is_not_positive():
+    def pairs(a, xs):
+        return [(x, np.log(a @ np.exp(x))) for x in xs]
+
+    # three iterates of a 2-state operator span two dimensions; two give
+    # its Perron vector (lambda - 1, 1), lambda = (3 + 5^(1/2)) / 2
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    xs = [np.zeros(2)]
+    for _ in range(2):
+        xs.append(np.log(a @ np.exp(xs[-1])))
+    perron = np.log([(1 + math.sqrt(5)) / 2, 1.0]) - math.log((1 + math.sqrt(5)) / 2)
+    np.testing.assert_allclose(transfer._ritz(pairs(a, xs[:2])), perron, rtol=0, atol=1e-12)
+    assert transfer._ritz(pairs(a, xs)) is None
+    # the finite pattern is kept
+    padded = [(np.append(x, LOG_ZERO), np.append(y, LOG_ZERO)) for x, y in pairs(a, xs[:2])]
+    np.testing.assert_allclose(transfer._ritz(padded), np.append(perron, LOG_ZERO), rtol=0, atol=1e-12)
+    # [[3, -1], [-1, 3]] maps (1, 1) and (1, 1/2) to positive vectors, but
+    # its dominant eigenvector is (1, -1)
+    b = np.array([[3.0, -1.0], [-1.0, 3.0]])
+    assert transfer._ritz(pairs(b, [np.zeros(2), np.log([1.0, 0.5])])) is None
 
 
 def test_strip_bounds_ordered_across_gallery():
@@ -1103,6 +1183,8 @@ def test_steps_match_the_per_stage_reference(phi, rng):
         regions += [s_n, Region((y, x) for x, y in s_n)]
     for region in regions:
         engine = RegionEngine(region, phi)
+        for row in engine.rows:  # the engine drops the prefix chains once its transfers are built
+            transfer._enumerate_row(row, phi, transfer.DEFAULT_BUDGET)
         pairs += [(r, s, phi.vertical.T if r.y - s.y == 1 else None) for r, s in zip(engine.rows, engine.rows[1:])]
     for old, new, table in pairs:
         if not len(old.configs):
