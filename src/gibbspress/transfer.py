@@ -69,7 +69,7 @@ class ConstrainedRegion:
 
 
 class _Row:
-    __slots__ = ("y", "sites", "col", "configs", "internal", "keeps")
+    __slots__ = ("y", "sites", "col", "configs", "internal")
 
     def __init__(self, y: int, sites: list[Site]):
         self.y = y
@@ -77,19 +77,19 @@ class _Row:
         self.col = {v: j for j, v in enumerate(sites)}
         self.configs: np.ndarray | None = None
         self.internal: np.ndarray | None = None
-        self.keeps: list | None = None
 
 
-def _enumerate_row(row: _Row, phi: Interaction, budget: int):
+def _enumerate_row(row: _Row, phi: Interaction, budget: int) -> list:
     """Fill row.configs / row.internal with the row's admissible states, in
-    lexicographic order (first site most significant), and row.keeps with
-    the keep arrays of its levels: the prefix chain of a transfer into the
-    row (`_transfer_steps`), held until the transfers are built."""
+    lexicographic order (first site most significant), and return the keep
+    arrays of its levels: the prefix chain of a transfer into the row
+    (`_transfer_steps`)."""
     try:
-        row.keeps, row.configs, energy = _chain(row.sites, phi, budget)
+        keeps, row.configs, energy = _chain(row.sites, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
     row.internal = -energy
+    return keeps
 
 
 def _columns(old: _Row, new: _Row, q: int) -> list[int]:
@@ -111,14 +111,14 @@ def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.n
     return keeps[1:], cfg, energies
 
 
-def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) -> list:
+def _transfer_steps(old: _Row, new: _Row, prefix: list, table, phi: Interaction, budget: int) -> list:
     """Site-by-site steps (`_step`) of the transfer from the enumerated,
     nonempty row `old` to the enumerated row `new`, one per column in x
     order. After k columns a state holds the new symbols left of the cut
     and the old ones from the cut on, shifted one x right so that no edge
     crosses the cut. So stage k is the lexicographic product A_k x B_k of a
     level of the new row's left-to-right enumeration (its prefixes, the
-    levels `_enumerate_row` kept in new.keeps) and one of the old row's
+    keep arrays `_enumerate_row` returned for it) and one of the old row's
     right-to-left enumeration (its suffixes). Stage 0 is old.configs,
     reached through one `np.lexsort`, and the last stage is new.configs.
 
@@ -142,7 +142,7 @@ def _transfer_steps(old: _Row, new: _Row, table, phi: Interaction, budget: int) 
     rank = np.empty(len(reversed_old), dtype=np.int64)
     rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
     sizes = [1] + [len(keep) for keep in suffix]  # |B| by the number of old sites it holds
-    prefix, n_a, m = iter(new.keeps), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
+    prefix, n_a, m = iter(prefix), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
     steps = []
     for k, x in enumerate(columns, 1):
         n_b, m = sizes[m], m - (x in old_x)
@@ -250,12 +250,13 @@ class RegionEngine:
 
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
-        enumerated: dict[tuple[int, ...], _Row] = {}  # rows with equal x columns share states
-        for row in self.rows:
-            first = enumerated.setdefault(tuple(v[0] for v in row.sites), row)
-            if first is row:
-                _enumerate_row(row, phi, budget)
-            row.configs, row.internal, row.keeps = first.configs, first.internal, first.keeps
+        chains: dict[tuple[int, ...], tuple[_Row, list]] = {}  # x columns: (first row, its prefix chain)
+        for row in self.rows:  # rows with equal x columns share states
+            cols = tuple(v[0] for v in row.sites)
+            if cols not in chains:
+                chains[cols] = row, _enumerate_row(row, phi, budget)
+            first = chains[cols][0]
+            row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, log-weights] per row pair; _halves builds the log-weights
@@ -265,10 +266,8 @@ class RegionEngine:
             if key not in shared:
                 # s lies below r, so the vertical edge is the ordered pair (s, r)
                 table = phi.vertical.T if r.y - s.y == 1 else None
-                shared[key] = [_transfer_steps(r, s, table, phi, budget), None]
+                shared[key] = [_transfer_steps(r, s, chains[key[2]][1], table, phi, budget), None]
             self._trans.append(shared[key])
-        for row in self.rows:  # the prefix chains served the transfers only
-            row.keeps = None
 
         # (row index, (q, n_states) masks by the target's symbol), or None
         self._target = None
@@ -485,7 +484,7 @@ class RegionEngine:
         out = np.full(rows.shape, LOG_ZERO)
         if hits.any():
             pairs = np.broadcast_to(h_inverse[:, None], rows.shape)[hits], rows[hits]
-            out[hits] = _log_products(heads, back[live][:, None, :], block, pairs)[:, 0]
+            out[hits] = _log_products(heads, back[live], block, pairs)
         return out
 
     def _backward(self, vecs: list[np.ndarray], block: int) -> np.ndarray:
@@ -503,15 +502,15 @@ class RegionEngine:
             live = np.isfinite(flat).any(-1)
             z = np.full((len(flat), len(logw)), LOG_ZERO)
             if live.any():
-                z[live] = _log_products(flat[live], logw[:, None, :], block)[..., 0]
+                z[live] = _log_products(flat[live], logw, block)
             back = self._split(i, z.reshape(*back.shape[:2], -1) + vecs[i][:, None, :])
         return back.reshape(-1, back.shape[-1])
 
 
 def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.ndarray:
-    """log(sum_k exp(a[i, k] + b[j, o, k])) for rows i of the 2-d `a` and
-    groups j of rows of the 3-d `b`: (len(a), len(b), b.shape[1]) for every
-    (i, j), or (len(i), b.shape[1]) for `pairs` = (i, j) index arrays.
+    """log(sum_k exp(a[i, k] + b[j, k])) for rows i of `a` and rows j of
+    `b`: (len(a), len(b)) for every (i, j), or (len(i),) for `pairs` =
+    (i, j) index arrays.
 
     When the finite row spreads of `a` and `b` sum to at most `_SPREAD`, one
     exp-shifted GEMM, with per-row shifts on both sides, forms every pair:
@@ -520,18 +519,18 @@ def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.nd
     weights stay exact zeros. Past that spread a logsumexp forms only the
     pairs asked for, `block` pairs (at least one row of `a`) at a time.
     """
-    (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b.reshape(-1, b.shape[-1]))
+    (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b)
     if sa + sb <= _SPREAD:
         g = ea @ eb.T
         with np.errstate(divide="ignore"):
             if pairs is None:
-                return (np.log(g) + ma + mb.T).reshape(len(a), *b.shape[:-1])
+                return np.log(g) + ma + mb.T
             i, j = pairs  # gathered before the log and the shifts, in the same order
-            return np.log(g.reshape(len(a), *b.shape[:-1])[i, j]) + ma[i] + mb.reshape(b.shape[:-1])[j]
+            return np.log(g[i, j]) + ma[i, 0] + mb[j, 0]
     i, j = np.broadcast_arrays(*(pairs if pairs is not None else (np.arange(len(a))[:, None], np.arange(len(b)))))
     step = max(1, block // i[0].size)
     return np.concatenate([
-        logsumexp(a[i[lo : lo + step]][..., None, :] + b[j[lo : lo + step]], axis=-1) for lo in range(0, len(i), step)
+        logsumexp(a[i[lo : lo + step]] + b[j[lo : lo + step]], axis=-1) for lo in range(0, len(i), step)
     ])
 
 
@@ -716,10 +715,11 @@ def strip_pressure(
     stable finite pattern, the next iterate is replaced by the Perron Ritz
     vector of their span (`_ritz`), an explicitly restarted Rayleigh-Ritz
     step that costs no application of A. A restart is declined when the
-    iterates' span collapses or the Ritz vector is not positive; once a
-    restart fails to shrink the bracket, the iteration goes on from the
-    power iterate it replaced and restarts no more, so at most one
-    application more than plain power iteration is spent. `iterations`
+    iterates' span collapses or the Ritz vector is not positive. A restart
+    that fails to shrink the bracket is undone: the iteration goes on from
+    the power iterate it replaced, and restarts go on. So each failed
+    restart spends exactly one application, and every other bracket is the
+    one plain power iteration gives from the same iterate. `iterations`
     counts the applications of A, and every bracket is the Collatz-Wielandt
     bracket of a true application to a positive vector, whatever the Ritz
     step returned.
@@ -728,22 +728,21 @@ def strip_pressure(
         raise ValueError("strip width must be positive")
     row = _Row(0, [(x, 0) for x in range(m)])
     try:
-        _enumerate_row(row, phi, budget)
+        prefix = _enumerate_row(row, phi, budget)
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        steps = _transfer_steps(row, row, phi.vertical, phi, budget)
+        steps = _transfer_steps(row, row, prefix, phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
-    row.keeps = None  # the prefix chain served the transfer only
     # the iteration runs these steps up to max_iter times, and np.take would
     # convert int32 indices to intp on every run: convert them once
     steps = [(idx.astype(np.intp), *rest) for idx, *rest in steps]
     x = np.zeros(len(row.configs))
     lo = hi = LOG_ZERO
     it = 0
-    # (x, y) pairs since the last restart, whether restarts go on, and the
-    # power iterate and bracket width a pending restart replaced
-    pairs, restarts, replaced, gap = [], True, None, inf
+    # (x, y) pairs since the last restart, and the power iterate and bracket
+    # width a pending restart replaced
+    pairs, replaced, gap = [], None, inf
     for it in range(1, max_iter + 1):
         y = _run_steps(x, steps) + row.internal
         mask = np.isfinite(x) & np.isfinite(y)
@@ -753,13 +752,12 @@ def strip_pressure(
         lo, hi = float(ratios.min()), float(ratios.max())
         stable = bool((np.isfinite(y) == np.isfinite(x)).all())
         following = y - y[mask].max()
-        if replaced is not None:  # x was a Ritz vector
-            if not hi - lo < gap:
-                restarts, following = False, replaced
-            replaced = None
+        if replaced is not None and not hi - lo < gap:  # x, a Ritz vector, did not narrow the bracket
+            following = replaced
+        replaced = None
         if stable and (hi - lo) / m < tol:
             break
-        pairs = pairs + [(x, y)] if restarts and stable else []
+        pairs = pairs + [(x, y)] if stable else []
         if len(pairs) == _RESTART_SPAN:
             ritz, pairs = _ritz(pairs), []
             if ritz is not None:
