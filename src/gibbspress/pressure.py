@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
-from .lattice import Region, Site, canopy_decomposition
+from .lattice import Region, Site, canopy_decomposition, neighbors, site_key
 from .sft import (
     PeriodicPoint,
     admissible_states,
@@ -25,7 +25,7 @@ from .sft import (
     monotone_check,
     orbit_sites,
 )
-from .transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
+from .transfer import DEFAULT_BUDGET, RegionEngine, SplitEnsemble, logsumexp
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,25 @@ def _canopy_extremes(
     return extremes
 
 
+def _pairs(head: Region, heads: np.ndarray, tail: Region, tails: np.ndarray, phi: Interaction, budget: int):
+    """The (head, tail) pairs, head major, whose head-tail edges all have
+    finite energy, over the heads and tails in some pair, kept in order.
+    Refused when the len(heads) x len(tails) candidates exceed the budget."""
+    held = len(heads) * len(tails)
+    if held > budget:
+        raise BudgetError(f"needs {held} states, {len(heads)} heads times {len(tails)} tails, over the limit {budget}")
+    ok = np.ones((len(heads), len(tails)), dtype=bool)
+    col = {v: j for j, v in enumerate(tail)}
+    for i, v in enumerate(head):
+        for u in (u for u in neighbors(v) if u in col):
+            a, b = heads[:, i, None], tails[None, :, col[u]]
+            table = phi.horizontal if u[1] == v[1] else phi.vertical
+            ok &= np.isfinite(table[b, a] if site_key(u) < site_key(v) else table[a, b])  # (left or lower, other)
+    kept = ok.any(axis=1), ok.any(axis=0)
+    head_of, tail_of = (np.cumsum(k)[i] - 1 for k, i in zip(kept, np.nonzero(ok)))  # renumbered past those dropped
+    return SplitEnsemble(heads[kept[0]], tails[kept[1]], head_of, tail_of)
+
+
 def _relabelling(source: tuple[int, ...], target: tuple[int, ...], q: int) -> np.ndarray | None:
     """The symbol permutation sigma, as an array, with sigma[source[i]] =
     target[i] for every i and the symbols source leaves out sent in
@@ -161,9 +180,8 @@ class _Canopy:
     The engine sweeps S_n by its columns, at most n + 1 sites against a
     row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), with the two
     tables swapped, and so do the upper layer and canopy sites passed to it.
-    The ensemble stays in S_n's own frame. It is read-only, so every bracket
-    passes the engine the same unchanged array, and the engine splits it
-    into heads and tails once (`RegionEngine.evaluate_deltas`).
+    The ensemble stays in S_n's own frame, built already split for the
+    engine's meet in the middle (`deltas`).
     """
 
     def __init__(self, n: int, phi: Interaction, budget: int = DEFAULT_BUDGET):
@@ -174,7 +192,7 @@ class _Canopy:
         self.sites = list(self.c_n)
         self.brackets: dict[tuple[int, ...], PInterval] = {}
         self._engine: RegionEngine | None = None
-        self._deltas: np.ndarray | None = None
+        self._deltas: tuple[list[Site], SplitEnsemble] | None = None
 
     def engine(self) -> RegionEngine:
         if self._engine is None:
@@ -185,13 +203,20 @@ class _Canopy:
                 raise BudgetError(f"S_n swept by columns (row y=k is column x=k): {exc}") from None
         return self._engine
 
-    def deltas(self) -> np.ndarray:
+    def deltas(self) -> tuple[list[Site], SplitEnsemble]:
+        """The canopy's head sites (`RegionEngine.is_head`) then tail sites,
+        the rest, and its ensemble as the `_pairs` of one
+        `admissible_configurations` call on each."""
         if self._deltas is None:
+            engine = self.engine()
+            head = Region(v for v in self.sites if engine.is_head((v[1], v[0])))
+            tail = self.c_n.difference(head)
             try:
-                self._deltas = admissible_configurations(self.c_n, self.phi, budget=self.budget)
-                self._deltas.setflags(write=False)
+                heads, tails = (admissible_configurations(part, self.phi, budget=self.budget) for part in (head, tail))
+                ensemble = _pairs(head, heads, tail, tails, self.phi, self.budget)
             except BudgetError as exc:
                 raise BudgetError(f"canopy ensemble: {exc}") from None
+            self._deltas = [*head, *tail], ensemble
         return self._deltas
 
     def shared(self, key: tuple[int, ...]) -> PInterval | None:
@@ -219,19 +244,19 @@ class _Canopy:
         return None
 
     def bracket(self, x_u: Configuration, a0: int) -> PInterval:
-        def sweep(members: np.ndarray) -> np.ndarray:
+        def sweep(sites: list[Site], members) -> np.ndarray:
             engine = self.engine()
             upper = {(y, x): a for (x, y), a in x_u.symbols.items()}
             terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
-            return engine.evaluate_deltas([terms], [(y, x) for x, y in self.sites], members)
+            return engine.evaluate_deltas([terms], [(y, x) for x, y in sites], members)
 
         order = monotone_check(self.phi, target=a0)
         extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)
         if extremes is not None:
-            zvec = sweep(extremes)
+            zvec = sweep(self.sites, extremes)
             if np.isfinite(logsumexp(zvec, axis=1)).all():
                 return _bracket(zvec, a0, self.n, "extremes")
-        return _bracket(sweep(self.deltas()), a0, self.n, "ensemble")
+        return _bracket(sweep(*self.deltas()), a0, self.n, "ensemble")
 
 
 def p_interval(
@@ -249,8 +274,9 @@ def p_interval(
     conditional is monotone in the canopy, so its min and max over the
     ensemble are reached at the ensemble's rankwise bottom and top: only
     those two are evaluated, provided both are locally admissible and both
-    denominators are finite. Otherwise the whole ensemble is enumerated;
-    canopy configurations whose conditional denominator vanishes are then
+    denominators are finite. Otherwise the whole ensemble is swept, built
+    from its heads and tails (`_Canopy.deltas`); canopy configurations
+    whose conditional denominator vanishes are then
     skipped and counted rather than treated as errors; outside
     single-site-fillable models such configurations can legitimately occur.
 

@@ -22,9 +22,9 @@ from .sft import admissible_levels
 LOG_ZERO = -inf
 _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
 
-#: The one resource limit: the most states a single enumeration (canopy,
-#: row or strip) or transfer step may hold as it extends its states site by
-#: site; see `sft.admissible_states` and `_transfer_steps`.
+#: The one resource limit: the most states a single enumeration (a canopy's
+#: heads or tails, a row or a strip), transfer step or canopy pairing may
+#: hold; see `sft.admissible_states`, `_transfer_steps` and `pressure._pairs`.
 DEFAULT_BUDGET = 1 << 24
 
 
@@ -198,6 +198,24 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
     return v
 
 
+@dataclass(frozen=True, eq=False)  # fields are arrays: compared by identity
+class SplitEnsemble:
+    """Ensemble members as (head, tail) pairs: member i is heads[head_of[i]]
+    followed by tails[tail_of[i]]. `len()` counts members, and indexing
+    gives member rows."""
+
+    heads: np.ndarray
+    tails: np.ndarray
+    head_of: np.ndarray
+    tail_of: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.head_of)
+
+    def __getitem__(self, index) -> np.ndarray:
+        return np.column_stack([self.heads[self.head_of[index]], self.tails[self.tail_of[index]]])
+
+
 class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
@@ -219,10 +237,10 @@ class RegionEngine:
     (`_exterior`), plus the row's shared log-weights. Steps and products
     share one linear-domain rule (`_SPREAD`).
 
-    An ensemble meets in the middle (`_halves`, `_combine`) when that costs
-    fewer flops than a forward sweep per member. Head sites touch the top
-    row only; the rest are tail sites. One backward sweep runs per distinct
-    tail configuration and target symbol, from the lowest row up, through
+    An ensemble given as a `SplitEnsemble`, whose head sites touch the top
+    row only (`is_head`), meets in the middle (`_combines`, `_combine`) when
+    that costs fewer flops than a forward sweep per member. One backward
+    sweep runs per tail and target symbol, from the lowest row up, through
     each transition's S_r x S_s log-weights, built and kept only here; over
     the top row's states each member's head vector then joins its backward
     vector. Both products go through `_log_products`, and only over live
@@ -259,7 +277,7 @@ class RegionEngine:
             row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
-        # [steps, log-weights] per row pair; _halves builds the log-weights
+        # [steps, log-weights] per row pair; _combines builds the log-weights
         self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
@@ -274,8 +292,11 @@ class RegionEngine:
         if target is not None:
             i = self._row_of[target]
             self._target = (i, self.rows[i].configs[:, self.rows[i].col[target]] == np.arange(phi.q)[:, None])
-        # (ensemble, (sites, member cap), its `_halves`) of the last read-only ensemble
-        self._split_of = None
+
+    def is_head(self, v: Site) -> bool:
+        """True for an exterior site whose neighbours in the region all lie
+        in the top row: a head site of the meet in the middle."""
+        return v not in self._row_of and {self._row_of[u] for u in neighbors(v) if u in self._row_of} == {0}
 
     # -- per-call term builders ------------------------------------------
 
@@ -364,23 +385,23 @@ class RegionEngine:
         self,
         static_terms: Sequence[Sequence[np.ndarray | None]],
         delta_sites: Sequence[Site],
-        delta_matrix: np.ndarray,
+        delta_matrix: np.ndarray | SplitEnsemble,
     ) -> np.ndarray:
         """Evaluate a whole ensemble of exterior configurations.
 
         delta_matrix has one row per ensemble member, one column per site of
-        delta_sites. Returns (n_deltas,) log partitions, or (n_deltas, q)
-        split by the target symbol when a target is set. A forward sweep
-        runs in blocks of members; each row's vectors, its shared
-        log-weights (internal energies plus static terms) and the members'
-        exterior sum, are formed only when the sweep reaches that row.
-
-        The engine keeps the head and tail split (`_halves`) of the last
-        read-only delta_matrix, by that array object, the sites and the
-        member cap: passing the same read-only array again, with other
-        static terms, reuses the split, and any other array recomputes it.
+        delta_sites, as a symbol matrix or as a `SplitEnsemble` whose head
+        columns come first. Returns (n_deltas,) log partitions, or
+        (n_deltas, q) split by the target symbol when a target is set. A
+        split ensemble goes to the meet in the middle as it is, when
+        `_combines` picks it. Otherwise a forward sweep runs in blocks of
+        members, whose rows a split ensemble builds from its pairs; each
+        row's vectors, its shared log-weights (internal energies plus static
+        terms) and the members' exterior sum, are formed only when the sweep
+        reaches that row.
         """
-        delta_matrix = np.asarray(delta_matrix)
+        if not isinstance(delta_matrix, SplitEnsemble):
+            delta_matrix = np.asarray(delta_matrix)
         n = len(delta_matrix)
         out_shape = (n, self.phi.q) if self._target is not None else (n,)
         if not self.rows:
@@ -397,15 +418,8 @@ class RegionEngine:
                         vec = vec + terms[i]
                 yield vec
 
-        key = (tuple(delta_sites), min(n, block))
-        if self._split_of is not None and self._split_of[0] is delta_matrix and self._split_of[1] == key:
-            halves = self._split_of[2]
-        else:
-            halves = self._halves(delta_sites, delta_matrix, min(n, block))
-            if not delta_matrix.flags.writeable:  # a read-only ensemble keeps its content
-                self._split_of = (delta_matrix, key, halves)
-        if halves is not None:
-            return self._combine(list(base()), block, delta_sites, delta_matrix, *halves).reshape(out_shape)
+        if self._combines(delta_sites, delta_matrix, min(n, block)):
+            return self._combine(list(base()), block, delta_sites, delta_matrix).reshape(out_shape)
         out = np.empty(out_shape)
         for lo in range(0, n, block):
             dm = delta_matrix[lo : lo + block]
@@ -418,72 +432,55 @@ class RegionEngine:
 
     # -- meet in the middle ------------------------------------------------
 
-    def _halves(self, delta_sites: Sequence[Site], delta_matrix: np.ndarray, members: int):
-        """Head and tail split of an ensemble for `_combine`, or None when
-        the forward sweep must run: a transition's upper row has more states
-        than `members` (the ensemble, capped at one block), a half's base-q
-        codes overflow int64, or the combine's flops are not below the
-        forward sweep's. Only then are the transitions' missing log-weights
-        built. Head sites touch the top row only, tail sites some other row;
-        sites that touch no row are left out. Returns (head, tail, head
-        member index, head inverse, tail member index, tail inverse), the
-        indices and inverses of `np.unique` on each half's codes. Decided
-        before any exterior term is gathered."""
-        q = self.phi.q
+    def _combines(self, delta_sites: Sequence[Site], ensemble, members: int) -> bool:
+        """Whether an ensemble meets in the middle (`_combine`): it must be a
+        `SplitEnsemble` whose head sites touch the top row only, no
+        transition's upper row may have more states than `members` (the
+        ensemble, capped at one block), and the combine's flops must be below
+        the forward sweep's. Only then are the transitions' missing
+        log-weights built. Decided before any exterior term is gathered."""
+        if not isinstance(ensemble, SplitEnsemble) or not all(map(self.is_head, delta_sites[: ensemble.heads.shape[1]])):
+            return False
         sizes = [len(row.configs) for row in self.rows]
         # log-weights cost S_r step runs, so they pay from S_r members on; with
         # S_r at most one block, they hold no more floats than a block's vectors
         if any(size > members for size in sizes[:-1]):
-            return None
-        head, tail = [], []
-        for d, v in enumerate(delta_sites):
-            touched = set() if v in self._row_of else {self._row_of[u] for u in neighbors(v) if u in self._row_of}
-            if touched == {0}:
-                head.append(d)
-            elif touched:
-                tail.append(d)
-        if q ** max(len(head), len(tail)) > 1 << 63:  # the largest code, q^k - 1, fits int64
-            return None
-        distinct = []
-        for part in (head, tail):
-            place = q ** np.arange(len(part) - 1, -1, -1, dtype=np.int64)
-            distinct.append(np.unique(delta_matrix[:, part] @ place, return_index=True, return_inverse=True)[1:])
-        (h_index, h_inverse), (t_index, t_inverse) = distinct
+            return False
         # multiply-adds: the backward sweeps and the combine against one
         # forward sweep per member
         pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        outs = len(t_index) * (q if self._target is not None else 1)
-        if outs * pairs + len(h_index) * sizes[0] * outs >= len(delta_matrix) * pairs:
-            return None
+        outs = len(ensemble.tails) * (self.phi.q if self._target is not None else 1)
+        if outs * pairs + len(ensemble.heads) * sizes[0] * outs >= len(ensemble) * pairs:
+            return False
         for size, pair in zip(sizes, self._trans):
             if pair[1] is None:  # the steps run on the log identity
                 pair[1] = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), pair[0])
-        return head, tail, h_index, h_inverse, t_index, t_inverse
+        return True
 
-    def _combine(self, base, block, delta_sites, delta_matrix, head, tail, h_index, h_inverse, t_index, t_inverse):
-        """Meet-in-the-middle evaluation of an ensemble split by `_halves`.
+    def _combine(self, base, block, delta_sites, ensemble: SplitEnsemble):
+        """Meet-in-the-middle evaluation of a split ensemble.
 
-        `_backward` gives one vector per distinct tail configuration and
-        output, and `_log_products` joins each member's head vector to its
-        backward vector over the top row's states. Only (member, output)
-        pairs whose backward vector is live, with a finite entry, are
-        joined; the others are -inf.
+        `_backward` gives one vector per tail and output, and
+        `_log_products` joins each member's head vector to its backward
+        vector over the top row's states. Only (member, output) pairs whose
+        backward vector is live, with a finite entry, are joined; the others
+        are -inf.
         """
-        heads = next(self._exterior([delta_sites[d] for d in head], delta_matrix[np.ix_(h_index, head)]))
+        split = ensemble.heads.shape[1]
+        heads = next(self._exterior(delta_sites[:split], ensemble.heads))
         if heads is None:
-            heads = np.zeros((len(h_index), len(self.rows[0].configs)))
-        tails = list(self._exterior([delta_sites[d] for d in tail], delta_matrix[np.ix_(t_index, tail)]))
+            heads = np.zeros((len(ensemble.heads), len(self.rows[0].configs)))
+        tails = list(self._exterior(delta_sites[split:], ensemble.tails))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         back = self._backward(vecs, block)
         live = np.isfinite(back).any(-1)
         position = np.full(len(back), -1)
         position[live] = np.arange(np.count_nonzero(live))
-        outputs = len(back) // len(t_index)
-        rows = position[(t_inverse * outputs)[:, None] + np.arange(outputs)]  # (members, outputs)
+        rows = position.reshape(len(ensemble.tails), -1)[ensemble.tail_of]  # (members, outputs)
         hits = rows >= 0
         out = np.full(rows.shape, LOG_ZERO)
         if hits.any():
-            pairs = np.broadcast_to(h_inverse[:, None], rows.shape)[hits], rows[hits]
+            pairs = np.broadcast_to(ensemble.head_of[:, None], rows.shape)[hits], rows[hits]
             out[hits] = _log_products(heads, back[live], block, pairs)
         return out
 

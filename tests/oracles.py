@@ -2,9 +2,11 @@
 
 These enumerate configurations directly (mixed-radix, vectorized) and sum
 Boltzmann weights without any row-sweep structure, so they share nothing
-with the transfer engine except the model tables themselves. The one
-exception, `stage_transfer_steps`, builds the engine's transfer steps the
-slow way, by enumerating every stage on its own.
+with the transfer engine except the model tables themselves. There are two
+exceptions: `stage_transfer_steps` builds the engine's transfer steps the
+slow way, by enumerating every stage on its own, and `split_ensemble` splits
+a member matrix into distinct heads and tails for the engine's meet in the
+middle, by sorting its rows.
 """
 
 from __future__ import annotations
@@ -160,3 +162,19 @@ def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list
         steps.append(transfer._step(idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
         prev, prev_place = stage.configs @ place, place
     return steps
+
+
+def split_ensemble(engine, sites, members):
+    """The head and tail split of a member matrix for `engine`'s meet in the
+    middle: head sites are those `engine.is_head` names, tail sites the
+    rest. Returns the sites, head sites then tail sites, and the
+    `SplitEnsemble` of the distinct heads and tails, each in lexicographic
+    order (`np.unique` on rows), with every member in its row order."""
+    members = np.asarray(members)
+    head = [j for j, v in enumerate(sites) if engine.is_head(v)]
+    tail = [j for j in range(len(sites)) if j not in head]
+    (heads, head_of), (tails, tail_of) = (
+        np.unique(members[:, part], axis=0, return_inverse=True) for part in (head, tail)
+    )
+    split = transfer.SplitEnsemble(heads, tails, head_of.reshape(-1), tail_of.reshape(-1))
+    return [sites[j] for j in head + tail], split

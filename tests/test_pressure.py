@@ -35,7 +35,7 @@ from gibbspress.sft import (
 )
 from gibbspress.transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
 
-from oracles import brute_origin_interval
+from oracles import brute_origin_interval, split_ensemble
 
 ZEROS = PeriodicPoint([[0]])
 PARITY = PeriodicPoint([[0, 1], [1, 0]])
@@ -265,6 +265,13 @@ SOFT3 = Interaction(Alphabet(3), [[INF, 0, 300], [300, INF, 0], [0, 300, INF]], 
 SOFT3V = Interaction(Alphabet(3), SOFT3.vertical, SOFT3.horizontal)
 #: a soft 3-colouring that no symbol permutation but the identity leaves unchanged
 SKEW3 = Interaction(Alphabet(3), [[INF, 0, 1], [2, INF, 3], [4, 5, INF]], SOFT3.vertical)
+#: symbol 2 may have no left neighbour and symbol 3 no right one, so some
+#: canopy heads and tails pair with nothing across a head-tail edge
+ENDS = Interaction(
+    Alphabet(4),
+    [[0, 0.5, INF, 0.7], [0.3, 0, INF, 0.1], [0.2, 0.4, INF, 0.6], [INF, INF, INF, INF]],
+    [[0, 1, 0.5, 0.2], [1, 0, 0.2, 0.3], [0.5, 0.2, 0, 0.4], [0.1, 0.3, 0.6, 0]],
+)
 #: not symmetric, hard and soft entries; the point [[1, 0], [1, 0]]'s two
 #: rows of shifts are each other's symbol swap
 ASYM = Interaction(Alphabet(2), [[0, INF], [0, 0.5]], [[0, 1.5], [0, 0]])
@@ -274,19 +281,21 @@ ASYM = Interaction(Alphabet(2), [[0, INF], [0, 0.5]], [[0, 1.5], [0, 0]])
     "z, n, phi, enumerations, sweeps",
     [
         # 9 orbit sites with 3 distinct shifts, each a colour rotation of the
-        # others: one class, on the ensemble path
-        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 1, 1, id="diag3"),
+        # others: one class, on the ensemble path, which enumerates the
+        # canopy's heads and its tails
+        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 2, 1, id="diag3"),
         # the same shifts under tables no rotation leaves unchanged: 3 classes
-        pytest.param(diagonal_3coloring_point(), 2, SKEW3, 1, 3, id="diag3-skew"),
+        pytest.param(diagonal_3coloring_point(), 2, SKEW3, 2, 3, id="diag3-skew"),
         # 4 orbit sites with 2 distinct shifts, on the extremes path
         pytest.param(PARITY, 3, build_hard_square(1.0), 0, 2, id="hardsquare-parity"),
     ],
 )
 def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, phi, enumerations, sweeps):
-    """One estimate builds one S_n engine, enumerates the canopy at most
-    once and sweeps once per distinct shift, or per symbol-symmetry class of
-    shifts on the ensemble path; the estimate equals, field for field, the
-    one assembled from per-site p_interval calls that share nothing."""
+    """One estimate builds one S_n engine, enumerates the canopy's heads and
+    tails at most once each and sweeps once per distinct shift, or per
+    symbol-symmetry class of shifts on the ensemble path; the estimate
+    equals, field for field, the one assembled from per-site p_interval
+    calls that share nothing."""
     builds = _spy(monkeypatch, RegionEngine, "__init__")
     enums = _spy(monkeypatch, pressure_mod, "admissible_configurations")
     evals = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
@@ -537,6 +546,81 @@ def test_extremes_path_enumerates_no_canopy(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(BudgetError, match="canopy ensemble: needs"):
         pressure_mod._Canopy(7, hs, budget=5000).deltas()
+
+
+_SPLIT_CASES = [
+    *(
+        pytest.param(diagonal_3coloring_point(), n, phi, id=f"{name}-n{n}")
+        for name, phi in (("cb3", build_checkerboard(3)), ("soft3", SOFT3), ("soft3v", SOFT3V), ("skew3", SKEW3))
+        for n in (1, 2, 3)
+    ),
+    pytest.param(PARITY, 1, build_checkerboard(5), id="cb5-parity-n1"),
+    *(pytest.param(z, n, build_hard_square(1.0), id=f"hs-{name}-n{n}") for name, z in (("zeros", ZEROS), ("parity", PARITY)) for n in (1, 2, 3)),
+    *(pytest.param(PARITY, n, ENDS, id=f"ends-n{n}") for n in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("z, n, phi", _SPLIT_CASES)
+def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
+    """The canopy ensemble built from its heads and tails holds exactly the
+    rows of the whole canopy's enumeration, and its heads and tails are
+    those the matrix splits into, in the same order. Every bracket, on the
+    ensemble path (forced for the hard square), equals field for field the
+    one from sweeping the whole canopy's matrix split by `split_ensemble`.
+    Under ENDS some enumerated heads and tails pair with nothing and are
+    dropped."""
+    monkeypatch.setattr(pressure_mod, "monotone_check", lambda *args, **kwargs: None)
+    canopy = pressure_mod._Canopy(n, phi)
+    sites, split = canopy.deltas()
+    matrix = admissible_configurations(canopy.c_n, phi)
+    members = split[:][:, [sites.index(v) for v in canopy.sites]]
+    assert len(members) == len(matrix) and np.array_equal(np.unique(members, axis=0), matrix)
+
+    engine = canopy.engine()
+    ref_sites, ref = split_ensemble(engine, [(y, x) for x, y in canopy.sites], matrix)
+    assert ref_sites == [(y, x) for x, y in sites]
+    assert np.array_equal(ref.heads, split.heads) and np.array_equal(ref.tails, split.tails)
+    h = split.heads.shape[1]
+    enumerated = [len(admissible_configurations(Region(part), phi)) for part in (sites[:h], sites[h:])]
+    dropped = enumerated[0] > len(split.heads) and enumerated[1] > len(split.tails)
+    assert dropped == (phi is ENDS)
+
+    for v in orbit_sites(z):
+        x = z.shift(v)
+        x_u, a0 = x.restrict(canopy.u_n), x.value((0, 0))
+        upper = {(b, a): s for (a, b), s in x_u.symbols.items()}
+        zvec = engine.evaluate_deltas([engine.terms_from_boundary(Configuration(Region(upper), upper))], ref_sites, ref)
+        assert canopy.bracket(x_u, a0) == pressure_mod._bracket(zvec, a0, n, "ensemble")
+
+
+@pytest.mark.parametrize("z, n, phi", [(diagonal_3coloring_point(), 2, build_checkerboard(3)), (PARITY, 2, ENDS)])
+def test_ensemble_path_enumerates_heads_and_tails_only(z, n, phi, monkeypatch):
+    """The ensemble path enumerates the canopy's head sites, those the S_n
+    engine names, and then its tail sites, the rest of the canopy; never
+    the whole canopy."""
+    enums = _spy(monkeypatch, pressure_mod, "admissible_configurations")
+    est = gk_pressure(z, n, phi)
+    assert {t.p.canopy_path for t in est.per_site} == {"ensemble"}
+    canopy = pressure_mod._Canopy(n, phi)
+    head = {v for v in canopy.c_n if canopy.engine().is_head((v[1], v[0]))}
+    assert [set(args[0]) for args in enums] == [head, set(canopy.c_n) - head] and head
+
+
+@pytest.mark.parametrize("n, phi, needed", [(3, build_hard_square(1.0), 1680), (2, build_checkerboard(3), 5184)])
+def test_canopy_ensemble_budget_is_its_candidate_pairs(n, phi, needed):
+    """The canopy ensemble holds H x T candidate (head, tail) pairs, which
+    the budget bounds: it is built at a budget of exactly H x T and refused
+    one below it. That is also the budget the whole canopy's one
+    enumeration needs."""
+    sites, split = pressure_mod._Canopy(n, phi, budget=needed).deltas()
+    h = split.heads.shape[1]
+    assert math.prod(len(admissible_configurations(Region(part), phi)) for part in (sites[:h], sites[h:])) == needed
+    with pytest.raises(BudgetError) as refused:
+        pressure_mod._Canopy(n, phi, budget=needed - 1).deltas()
+    assert str(refused.value).startswith(f"canopy ensemble: needs {needed} states")
+    admissible_configurations(canopy_decomposition(n)[2], phi, budget=needed)
+    with pytest.raises(BudgetError, match=f"needs {needed} states"):
+        admissible_configurations(canopy_decomposition(n)[2], phi, budget=needed - 1)
 
 
 _UNIT = st.floats(-2.0, 2.0, allow_nan=False)

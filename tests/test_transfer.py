@@ -22,6 +22,7 @@ from gibbspress.transfer import (
     LOG_ZERO,
     ConstrainedRegion,
     RegionEngine,
+    SplitEnsemble,
     box_log_partition,
     conditional_probability,
     conditional_sum_check,
@@ -32,7 +33,13 @@ from gibbspress.transfer import (
 )
 
 from conftest import constant_configuration, model_gallery, random_interaction, random_locally_admissible
-from oracles import brute_log_partition, brute_origin_interval, brute_strip_log_lambda, stage_transfer_steps
+from oracles import (
+    brute_log_partition,
+    brute_origin_interval,
+    brute_strip_log_lambda,
+    split_ensemble,
+    stage_transfer_steps,
+)
 
 GOLDEN_RATIO_LOG = math.log((1 + math.sqrt(5)) / 2)
 
@@ -620,9 +627,9 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
 
 
 def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
-    """Forward sweeps run the steps and build no log-weight matrix; only an
-    ensemble that meets in the middle builds its transitions' log-weights,
-    and both arithmetics agree."""
+    """Forward sweeps run the steps and build no log-weight matrix; only a
+    split ensemble that meets in the middle builds its transitions'
+    log-weights, and both arithmetics agree."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     box12 = box_log_partition(12, hs)
@@ -631,7 +638,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert taken == [] and all(logw is None for _, logw in engine._trans)
     # 377 equal members and 377 states per row: the combine builds the one
     # matrix the 11 equal row pairs share
-    many = engine.evaluate_deltas([], [], np.zeros((377, 0), dtype=np.int64))
+    many = engine.evaluate_deltas([], *split_ensemble(engine, [], np.zeros((377, 0), dtype=np.int64)))
     built = {id(logw): logw for _, logw in engine._trans}
     assert taken == [True] and [logw.shape for logw in built.values()] == [(377, 377)]
     np.testing.assert_allclose(many, 144 * box12, rtol=1e-12, atol=0)
@@ -642,7 +649,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     upper = PeriodicPoint([[0]]).restrict(u_3)
     ensemble, single = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     assert max(len(row.configs) for row in ensemble.rows) == 34
-    got = ensemble.evaluate_deltas([ensemble.terms_from_boundary(upper)], list(c_3), deltas)
+    got = ensemble.evaluate_deltas([ensemble.terms_from_boundary(upper)], *split_ensemble(ensemble, list(c_3), deltas))
     assert all(logw is not None for _, logw in ensemble._trans)
     static = [single.terms_from_boundary(upper)]
     ones = np.concatenate([single.evaluate_deltas(static, list(c_3), d[None]) for d in deltas])
@@ -667,7 +674,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         members = max(len(row.configs) for row in ensemble.rows)  # at least S_r for every transition
         deltas = rng.integers(q, size=(members, len(ring)))
         taken.clear()
-        got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], ring, deltas)
+        got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], *split_ensemble(ensemble, ring, deltas))
         assert all((logw is not None) == bool(taken) for _, logw in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
@@ -713,10 +720,10 @@ def test_target_may_sit_in_any_row(target, rng, monkeypatch):
         [brute_log_partition(ConstrainedRegion(region, {target: (a,)}, bcfg), phi) for a in range(q)] for bcfg in bcfgs
     ])
     assert np.isinf(want).any() and np.isfinite(want).any()
-    combined = engine.evaluate_deltas([], ring, members)
+    combined = engine.evaluate_deltas([], *split_ensemble(engine, ring, members))
+    forward = engine.evaluate_deltas([], ring, members)  # a member matrix runs the steps
     assert taken == [True]
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    for got in (combined, engine.evaluate_deltas([], ring, members)):
+    for got in (combined, forward):
         assert np.array_equal(np.isinf(got), np.isinf(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -771,7 +778,7 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
     deltas = admissible_configurations(c_3, hs)
     shared, fresh = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     static = [shared.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_3))]
-    shared.evaluate_deltas(static, list(c_3), deltas)
+    shared.evaluate_deltas(static, *split_ensemble(shared, list(c_3), deltas))
     assert all(logw is not None for _, logw in shared._trans)
     few = deltas[[0, -1]]
     got = shared.evaluate_deltas(static, list(c_3), few)
@@ -798,9 +805,9 @@ def _spy_combine(monkeypatch) -> list[bool]:
 @pytest.mark.parametrize("pinned", [False, True])
 def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, monkeypatch):
     """The meet-in-the-middle path equals one forward `evaluate` per member,
-    zeros included, for ensembles over head and tail sites, head sites only
-    and tail sites only. Members repeat their head (or tail) so that the
-    combine costs fewer flops than the forward sweep."""
+    zeros included, for split ensembles over head and tail sites, head
+    sites only and tail sites only. Members repeat their head (or tail) so
+    that the combine costs fewer flops than the forward sweep."""
     taken = _spy_combine(monkeypatch)
     random = random_interaction(q, rng)
     # equal neighbours forbidden, so that some members weigh zero: a weighted
@@ -824,7 +831,7 @@ def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, mon
     members = np.column_stack([pool[rng.integers(6, size=60)], rng.integers(q, size=(60, len(tail)))])
     outs = []
     for sites, cols in ((head + tail, slice(None)), (head, slice(0, len(head))), (tail, slice(len(head), None))):
-        got = engine.evaluate_deltas(static, sites, members[:, cols])
+        got = engine.evaluate_deltas(static, *split_ensemble(engine, sites, members[:, cols]))
         outs.append(got.ravel())
         want = np.array([
             engine.evaluate(*static, engine.terms_from_boundary(
@@ -855,12 +862,12 @@ def test_combine_skips_dead_rows_and_empty_live_sets(soft, monkeypatch):
     s_1, _, c_1 = canopy_decomposition(1)
     engine = RegionEngine(s_1, phi, target=(0, 0))
     sites, members = list(c_1), admissible_configurations(c_1, phi)
-    got = engine.evaluate_deltas([], sites, members)
+    got = engine.evaluate_deltas([], *split_ensemble(engine, sites, members))
     assert (calls != []) == soft
     calls.clear()
     lowest = engine.rows[-1].sites
     dead = engine.terms_from_pins({lowest[0]: 0, lowest[1]: 0})  # two neighbours of one colour
-    none = engine.evaluate_deltas([dead], sites, members)
+    none = engine.evaluate_deltas([dead], *split_ensemble(engine, sites, members))
     assert taken == [True, True] and np.isneginf(none).all() and calls == []
     live = np.isfinite(got)
     assert [int(x.sum()) for x in (live.all(1), ~live.any(1), live.any(1) & ~live.all(1))] == [48, 12, 156]
@@ -882,22 +889,22 @@ def test_diag3_brackets_keep_their_skipped_counts(n, counts):
 
 def test_one_split_per_canopy_ensemble(monkeypatch):
     """diag3's three distinct brackets at n = 2, each computed by
-    `_Canopy.bracket` of one canopy state, pass one read-only canopy
-    ensemble to one engine, which splits it into heads and tails once. A
-    copy of the ensemble is a new array: it is split again, to the same
-    values."""
-    splits = []
-    halves = RegionEngine._halves
-    monkeypatch.setattr(RegionEngine, "_halves", lambda self, *args: splits.append(args[1]) or halves(self, *args))
+    `_Canopy.bracket` of one canopy state, pass one canopy ensemble, already
+    split into heads and tails, to one engine, which combines it as it is:
+    no member is coded or sorted (`np.unique` never runs) and no member row
+    is built."""
+    unique, rows = [], []
+    np_unique, getitem = np.unique, SplitEnsemble.__getitem__
+    monkeypatch.setattr(np, "unique", lambda *args, **kw: unique.append(1) or np_unique(*args, **kw))
+    monkeypatch.setattr(SplitEnsemble, "__getitem__", lambda self, index: rows.append(1) or getitem(self, index))
     calls, _, _ = _spy_ensembles(monkeypatch)
     _diag3_brackets(build_checkerboard(3), 2)
     ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
     assert len(ensembles) == 3 and len({id(engine) for engine, _, _ in ensembles}) == 1
-    engine, (static, sites, members), out = ensembles[-1]
-    assert all(args[2] is members for _, args, _ in ensembles) and not members.flags.writeable
-    assert len(splits) == 1 and splits[0] is members
-    again = engine.evaluate_deltas(static, sites, members.copy())
-    assert len(splits) == 2 and np.array_equal(again, out)
+    members = ensembles[0][1][2]
+    assert isinstance(members, SplitEnsemble) and all(args[2] is members for _, args, _ in ensembles)
+    assert (len(members.heads), len(members.tails), len(members)) == (36, 144, 3456)
+    assert unique == [] and rows == []
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -913,7 +920,7 @@ def test_combine_matches_brute_origin_interval(k, monkeypatch):
     assert taken == [True] and pi.canopy_path == "ensemble"
     lo, hi = brute_origin_interval(s_1, point.restrict(u_1), c_1, admissible_configurations(c_1, phi), phi, point.value((0, 0)))
     assert (pi.lower, pi.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
+    monkeypatch.setattr(RegionEngine, "_combines", lambda *args: False)
     forward = p_interval(point, (0, 0), 1, phi)
     assert (pi.canopy_count, pi.skipped_count) == (forward.canopy_count, forward.skipped_count)
     assert pi.skipped_count > 0 if k == 3 else pi.skipped_count == 0
@@ -924,17 +931,18 @@ def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
     """Only at n = 3 (1360 members) do the hard-square canopy ensemble's
     distinct heads and tails cost fewer flops to combine than a forward
     sweep per member; at n = 1 (30 members, rows of 5 and 3 states) the
-    steps run and no log-weights are built."""
+    steps run on the split ensemble's member rows and no log-weights are
+    built."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     s_n, u_n, c_n = canopy_decomposition(n)
     engine = RegionEngine(s_n, hs, target=(0, 0))
     static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
-    got = engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs))
+    deltas = admissible_configurations(c_n, hs)
+    got = engine.evaluate_deltas(static, *split_ensemble(engine, list(c_n), deltas))
     assert all((logw is not None) == combined for _, logw in engine._trans)
     assert taken == ([True] if combined else [])
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), admissible_configurations(c_n, hs)), rtol=1e-12)
+    np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), deltas), rtol=1e-12)
 
 
 def _forbid_forward_sweeps(monkeypatch):
@@ -964,10 +972,9 @@ def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
     engine = RegionEngine(s_1, phi, target=(0, 0))
     taken = _spy_combine(monkeypatch)
     sweep = _forbid_forward_sweeps(monkeypatch)
-    got = engine.evaluate_deltas([], list(c_1), deltas)
+    got = engine.evaluate_deltas([], *split_ensemble(engine, list(c_1), deltas))
     assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
     _assert_same_log_weights(got, engine.evaluate_deltas([], list(c_1), deltas))
 
 
@@ -1020,12 +1027,12 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     assert (est.lower, est.upper) == (0.0, 0.0)
     # 6912 members, past one block of 4096, join block by block
     engine, (static, sites, members), out = ensembles[0]
-    both = evaluate_deltas(engine, static, sites, np.concatenate([members, members[::-1]]))
+    twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
+    both = evaluate_deltas(engine, static, sites, SplitEnsemble(members.heads, members.tails, *twice))
     assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    for engine, (static, sites, members), out in ensembles:  # a copy is not split from the cache
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members.copy()))
+    for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members[:]))
 
 
 @pytest.mark.parametrize("soft", ["vertical", "horizontal"])
@@ -1042,9 +1049,8 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     spread = max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans)
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    monkeypatch.setattr(RegionEngine, "_halves", lambda *args: None)
-    for engine, (static, sites, members), out in ensembles:  # a copy is not split from the cache
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members.copy()))
+    for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members[:]))
 
 
 @pytest.mark.parametrize(
