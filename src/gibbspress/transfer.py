@@ -4,6 +4,12 @@ dynamic programming, conditional probabilities, and the strip oracle.
 A stored weight is its natural log, -inf for weight zero. Sums of weights
 multiply and add exp-shifted values while the spreads they combine sum to
 at most `_SPREAD`, and go through logsumexp past it.
+
+A transition between two rows runs as site-by-site transfer steps
+(`_transfer_steps`, `_run_steps`). A step stores, for every state, only
+its predecessors of nonzero weight, and stores weights only where they
+are not all equal: the hard square at lambda = 1 and the colourings
+gather and sum, with no multiply.
 """
 
 from __future__ import annotations
@@ -111,36 +117,65 @@ def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.n
     return keeps[1:], cfg, energies
 
 
-def _transfer_steps(old: _Row, new: _Row, prefix: list, table, phi: Interaction, budget: int) -> list:
-    """Site-by-site steps (`_step`) of the transfer from the enumerated,
-    nonempty row `old` to the enumerated row `new`, one per column in x
-    order. After k columns a state holds the new symbols left of the cut
-    and the old ones from the cut on, shifted one x right so that no edge
-    crosses the cut. So stage k is the lexicographic product A_k x B_k of a
-    level of the new row's left-to-right enumeration (its prefixes, the
-    keep arrays `_enumerate_row` returned for it) and one of the old row's
-    right-to-left enumeration (its suffixes). Stage 0 is old.configs,
-    reached through one `np.lexsort`, and the last stage is new.configs.
+def _suffixes(old: _Row, y: int, phi: Interaction, budget: int) -> tuple[list, np.ndarray]:
+    """The suffix chain of every transfer out of the enumerated row `old`:
+    the keep arrays of its right-to-left enumeration, one per site, and
+    rank, where rank[j] is the row of old.configs that holds the chain's
+    last-level state j. A refusal names the row y the transfer leads to."""
+    try:
+        keeps, reversed_old, _ = _chain(old.sites[::-1], phi, budget)
+    except BudgetError as exc:
+        raise BudgetError(f"transfer states of row y={y}: {exc}") from None
+    rank = np.empty(len(reversed_old), dtype=np.int64)
+    rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
+    return keeps, rank
+
+
+def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, phi: Interaction, budget: int) -> list:
+    """Site-by-site steps of the transfer from the enumerated, nonempty row
+    `old` to the enumerated row `new`, one per column in x order. After k
+    columns a state holds the new symbols left of the cut and the old ones
+    from the cut on, shifted one x right so that no edge crosses the cut.
+    So stage k is the lexicographic product A_k x B_k of a level of the new
+    row's left-to-right enumeration (its prefixes, the keep arrays
+    `_enumerate_row` returned for it) and one of the old row's right-to-left
+    enumeration (its suffixes, `_suffixes`). Stage 0 is old.configs,
+    reached through the suffix chain's rank, and the last stage is
+    new.configs.
 
     A column in both rows swaps the old symbol b for the new symbol a with
     log-weight -table[b, a] (0 when table is None), one only in the old row
     sums its symbol out and one only in the new row inserts it. State
-    (i_A, i_B)'s predecessor with old symbol b is arithmetic, idx[b, i] =
-    parent_A[i_A] |B_{k-1}| + pos_B[b, i_B]: parent_A is the prefix level's
-    (the identity where the new row has no site), and pos_B is -1 where b
-    does not extend suffix i_B (the identity where the old row has no site),
-    where logw[b, i] is -inf. A column is refused when the states held
+    (i_A, i_B)'s predecessor with old symbol b is arithmetic,
+    parent_A[i_A] |B_{k-1}| + pos_B[i_B, b]: parent_A is the prefix level's
+    (the identity where the new row has no site), and pos_B[i_B, b] the
+    suffix i_B extended by b, whose extensions the suffix level's sorted
+    keep array holds side by side, in ascending b (the identity where the
+    old row has no site). Its weight is nonzero, the entry live, where b
+    extends i_B and table[b, a] is finite, which the q x q table decides
+    per new symbol a.
+
+    A step is (idx, w, shift, spread). idx holds, for every state, its live
+    predecessors in ascending b, padded to the most any state has (at most
+    q) by index 0: the zero slot `_run_steps` keeps in front of every
+    vector, which column 0 keeps in front of the step's output. w holds
+    the entries' weights exp-shifted by shift, their largest log-weight, or
+    is None when those are all equal. spread is their log-weights' max -
+    min plus log q for a column in the old row; past `_SPREAD`, w holds the
+    log-weights themselves. A column is refused when the states held
     before its site, |A_{k-1}| |B_k|, times q exceed the budget."""
     q = phi.q
     columns = _columns(old, new, q)
     old_x, new_x = ({v[0] for v in row.sites} for row in (old, new))
-    try:
-        suffix, reversed_old, _ = _chain(old.sites[::-1], phi, budget)
-    except BudgetError as exc:
-        raise BudgetError(f"transfer states of row y={new.y}: {exc}") from None
-    # rank[j]: the row of old.configs that holds the suffix chain's state j
-    rank = np.empty(len(reversed_old), dtype=np.int64)
-    rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
+    suffix, rank = suffix
+    if table is not None:
+        logw = -table.T  # logw[a, b]: new symbol a over old symbol b
+        allowed = np.isfinite(logw)
+        masks = not allowed.all()  # whether the table forbids any (a, b)
+        values = logw[allowed]
+        unit = values.size == 0 or values.min() == values.max()
+        unit_shift = float(values.max()) if values.size else 0.0
+    log_q, int32_max = np.log(q), np.iinfo(np.int32).max
     sizes = [1] + [len(keep) for keep in suffix]  # |B| by the number of old sites it holds
     prefix, n_a, m = iter(prefix), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
     steps = []
@@ -152,50 +187,87 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, table, phi: Interaction,
                 f"transfer states of row y={new.y}: needs {held} states at column {k} of {len(columns)}, "
                 f"over the limit {budget}"
             )
-        if x in old_x:
-            pos = np.full(sizes[m] * q, -1)
-            pos[suffix[m]] = np.arange(n_b)
-            pos = pos.reshape(-1, q).T
-        else:
-            pos = np.arange(n_b)[None, :]
-        if k == 1:
-            pos = np.where(pos < 0, -1, rank[pos])
-        parent, a = np.divmod(next(prefix), q) if x in new_x else (np.arange(n_a), None)
         # int32 indices halve the steps' index memory whenever they fit
-        dtype = np.int32 if n_a * n_b <= np.iinfo(np.int32).max else np.int64
-        idx = (parent.astype(dtype) * n_b)[:, None] + np.maximum(pos, 0).astype(dtype)[:, None, :]
-        logw = -table[:, a][:, :, None] if x in old_x and x in new_x and table is not None else 0.0
-        logw = np.broadcast_to(np.where(pos[:, None, :] < 0, LOG_ZERO, logw), idx.shape)
-        steps.append(_step(idx.reshape(len(pos), -1), logw.reshape(len(pos), -1)))
+        dtype = np.int32 if n_a * n_b <= int32_max else np.int64
+        # pos[i_B, b]: 1 + the B_{k-1} index of suffix i_B extended by b (the
+        # old.configs row at k = 1), 0 where b does not extend it
+        src = rank + 1 if k == 1 else np.arange(1, n_b + 1)
+        if x in old_x:
+            pos = np.zeros(sizes[m] * q, dtype=dtype)
+            pos[suffix[m]] = src
+            pos = pos.reshape(-1, q)
+        else:
+            pos = src[:, None].astype(dtype)
+        parent, a = np.divmod(next(prefix), q) if x in new_x else (np.arange(n_a), None)
+        weighed = x in old_x and x in new_x and table is not None
+        lead = q if weighed and masks else 1  # q where which entries live depends on a
+        # f: the live entries, flat in live[a, i_B, b], so each (a, i_B)'s
+        # side by side in ascending b; g = a |B_k| + i_B
+        extends = pos > 0
+        f = np.flatnonzero(extends & allowed[:, None, :] if lead > 1 else extends)
+        g, b = np.divmod(f, pos.shape[1])
+        r = np.zeros(len(f), dtype=np.intp)  # each entry's rank within its (a, i_B)
+        for d in range(1, pos.shape[1]):
+            r[d:] += g[d:] == g[:-d]
+        terms = int(r.max(initial=0)) + 1
+        # compact[l, a, i_B]: the l-th live pos; padding so negative that no
+        # parent offset lifts it above the zero slot, where the clip sets it
+        at = r * (lead * sizes[m]) + g
+        compact = np.full((terms, lead, sizes[m]), -n_a * n_b, dtype=dtype)
+        compact.reshape(-1)[at] = np.take(pos, f % pos.size)
+        idx = np.zeros((terms, 1 + len(parent) * sizes[m]), dtype=dtype)
+        local = np.take(compact, a, axis=1) if lead > 1 else compact
+        np.maximum(local + (parent.astype(dtype) * n_b)[:, None], 0, out=idx[:, 1:].reshape(terms, len(parent), -1))
+        w, shift, spread = None, unit_shift if weighed else 0.0, log_q if x in old_x else 0.0
+        if weighed and not unit:
+            present = np.zeros(q, dtype=bool)
+            present[a] = True
+            # the live entries' log-weights: a held by A_k, b extending some suffix
+            seen = logw[allowed & present[:, None] & (np.bincount(b, minlength=q) > 0)].tolist()
+            shift, low = (max(seen), min(seen)) if seen else (0.0, 0.0)
+            if low < shift:
+                spread += shift - low
+                linear = spread <= _SPREAD
+                table_w = np.exp(logw - shift) if linear else logw
+                live_w = np.full((terms, q, sizes[m]), 0.0 if linear else LOG_ZERO)
+                if lead > 1:
+                    live_w.reshape(-1)[at] = table_w[g // sizes[m], b]
+                else:  # each entry's weight under every a
+                    live_w[r, :, g] = table_w[:, b].T
+                w = np.full(idx.shape, 0.0 if linear else LOG_ZERO)
+                w[:, 1:].reshape(terms, len(parent), -1)[...] = np.take(live_w, a, axis=1)
+        steps.append((idx, w, shift, spread))
         n_a = len(parent)
     return steps
 
 
-def _step(idx: np.ndarray, logw: np.ndarray) -> tuple:
-    """The step (idx, w, shift, spread) of log-weights logw on predecessors
-    idx: w = exp(logw - shift), shift the largest finite logw, spread its
-    finite max - min plus log(len(idx)); over `_SPREAD`, w keeps logw."""
-    w, shift, spread = _exp_shifted(logw.reshape(1, -1))
-    spread += np.log(len(idx))
-    return idx, w.reshape(idx.shape) if spread <= _SPREAD else logw, float(shift[0, 0]), spread
-
-
 def _run_steps(v: np.ndarray, steps) -> np.ndarray:
-    """Apply transfer steps to log-weight vectors along the last axis: in
-    the linear domain when the vectors' row spread plus the steps' spreads
-    is at most `_SPREAD` (finite entries stay within [e^-700, e^700], so no
-    step rescales, and zeros stay exact), else by one logsumexp per step."""
-    e, m, spread = _exp_shifted(v)
+    """Apply transfer steps (`_transfer_steps`) to log-weight vectors along
+    the last axis: in the linear domain when the vectors' row spread plus
+    the steps' spreads is at most `_SPREAD` (finite entries stay within
+    [e^-700, e^700], so no step rescales, and zeros stay exact), else by
+    one logsumexp per step. The vectors get a zero slot in front, weight 0,
+    which every step keeps in front of its output and its padding indices
+    gather. A step gathers its index rows, multiplies them by its weights
+    only where it has any, and sums them in ascending b."""
+    slotted = np.empty((*v.shape[:-1], 1 + v.shape[-1]))
+    slotted[..., 0], slotted[..., 1:] = LOG_ZERO, v
+    e, m, spread = _exp_shifted(slotted)
     with np.errstate(divide="ignore"):
         if spread + sum(step[3] for step in steps) <= _SPREAD:
+            del slotted  # only the logsumexp steps read it
             for idx, w, _, _ in steps:
                 t = np.take(e, idx, axis=-1)
-                e = np.multiply(t, w, out=t).sum(axis=-2)
-            return np.log(e, out=e) + (m + sum(step[2] for step in steps))
+                e = (t if w is None else np.multiply(t, w, out=t)).sum(axis=-2)
+                del t  # so that no two gathers are held at once
+            out = np.log(e[..., 1:])
+            out += m + sum(step[2] for step in steps)
+            return out
+        v = slotted
         for idx, w, shift, spread in steps:
-            logw = w if spread > _SPREAD else np.log(w) + shift
+            logw = shift if w is None else w if spread > _SPREAD else np.log(w) + shift
             v = logsumexp(np.take(v, idx, axis=-1) + logw, axis=-2)
-    return v
+    return v[..., 1:]
 
 
 @dataclass(frozen=True, eq=False)  # fields are arrays: compared by identity
@@ -230,12 +302,14 @@ class RegionEngine:
     any row: a sweep in either direction splits its vectors by that symbol
     where it passes the target's row (`_split`). Rows with equal x columns
     share one enumeration of their states, whose levels are also the prefix
-    chain of each transfer into them. Each transition is the steps of
-    `_transfer_steps`; equal row pairs share one. A forward sweep runs the
-    steps, and takes each row's vectors only when it reaches that row: the
-    exterior edges into the row, gathered per member from the tables
-    (`_exterior`), plus the row's shared log-weights. Steps and products
-    share one linear-domain rule (`_SPREAD`).
+    chain of each transfer into them, and one suffix chain (`_suffixes`),
+    enumerated once for every transfer out of them. Each transition is the
+    steps of `_transfer_steps`, which keep each state's live predecessors
+    only and weights only where they differ; equal row pairs share one. A
+    forward sweep runs the steps, and takes each row's vectors only when it
+    reaches that row: the exterior edges into the row, gathered per member
+    from the tables (`_exterior`), plus the row's shared log-weights. Steps
+    and products share one linear-domain rule (`_SPREAD`).
 
     An ensemble given as a `SplitEnsemble`, whose head sites touch the top
     row only (`is_head`), meets in the middle (`_combines`, `_combine`) when
@@ -278,13 +352,15 @@ class RegionEngine:
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, log-weights] per row pair; _combines builds the log-weights
-        self._trans, shared = [], {}
+        self._trans, shared, suffixes = [], {}, {}  # suffixes: x columns -> old row's suffix chain
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
             if key not in shared:
+                if key[1] not in suffixes:
+                    suffixes[key[1]] = _suffixes(r, s.y, phi, budget)
                 # s lies below r, so the vertical edge is the ordered pair (s, r)
                 table = phi.vertical.T if r.y - s.y == 1 else None
-                shared[key] = [_transfer_steps(r, s, chains[key[2]][1], table, phi, budget), None]
+                shared[key] = [_transfer_steps(r, s, chains[key[2]][1], suffixes[key[1]], table, phi, budget), None]
             self._trans.append(shared[key])
 
         # (row index, (q, n_states) masks by the target's symbol), or None
@@ -708,18 +784,20 @@ def strip_pressure(
     admissible row survives) yield a [-inf, -inf] bracket.
 
     The operator is applied as the site-by-site steps of `_transfer_steps`
-    from the row to itself. After every `_RESTART_SPAN` iterations with one
-    stable finite pattern, the next iterate is replaced by the Perron Ritz
-    vector of their span (`_ritz`), an explicitly restarted Rayleigh-Ritz
-    step that costs no application of A. A restart is declined when the
-    iterates' span collapses or the Ritz vector is not positive. A restart
-    that fails to shrink the bracket is undone: the iteration goes on from
-    the power iterate it replaced, and restarts go on. So each failed
-    restart spends exactly one application, and every other bracket is the
-    one plain power iteration gives from the same iterate. `iterations`
-    counts the applications of A, and every bracket is the Collatz-Wielandt
-    bracket of a true application to a positive vector, whatever the Ritz
-    step returned.
+    from the row to itself, each a gather and sum over every state's live
+    predecessors, with a multiply only where the vertical weights differ
+    (none for the hard square at lambda = 1 or the colourings). After every
+    `_RESTART_SPAN` iterations with one stable finite pattern, the next
+    iterate is replaced by the Perron Ritz vector of their span (`_ritz`),
+    an explicitly restarted Rayleigh-Ritz step that costs no application of
+    A. A restart is declined when the iterates' span collapses or the Ritz
+    vector is not positive. A restart that fails to shrink the bracket is
+    undone: the iteration goes on from the power iterate it replaced, and
+    restarts go on. So each failed restart spends exactly one application,
+    and every other bracket is the one plain power iteration gives from the
+    same iterate. `iterations` counts the applications of A, and every
+    bracket is the Collatz-Wielandt bracket of a true application to a
+    positive vector, whatever the Ritz step returned.
     """
     if m < 1:
         raise ValueError("strip width must be positive")
@@ -728,7 +806,7 @@ def strip_pressure(
         prefix = _enumerate_row(row, phi, budget)
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        steps = _transfer_steps(row, row, prefix, phi.vertical, phi, budget)
+        steps = _transfer_steps(row, row, prefix, _suffixes(row, row.y, phi, budget), phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
     # the iteration runs these steps up to max_iter times, and np.take would

@@ -4,7 +4,8 @@ These enumerate configurations directly (mixed-radix, vectorized) and sum
 Boltzmann weights without any row-sweep structure, so they share nothing
 with the transfer engine except the model tables themselves. There are two
 exceptions: `stage_transfer_steps` builds the engine's transfer steps the
-slow way, by enumerating every stage on its own, and `split_ensemble` splits
+slow way, by enumerating every stage on its own, in their dense form, which
+`dense_sweep` runs, and `split_ensemble` splits
 a member matrix into distinct heads and tails for the engine's meet in the
 middle, by sorting its rows.
 """
@@ -134,10 +135,16 @@ def brute_strip_log_lambda(m: int, phi: Interaction) -> float:
 
 
 def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list:
-    """The steps of `transfer._transfer_steps`, built by enumerating each
-    stage's sites afresh and finding each predecessor by `searchsorted`
-    over base-q row codes. Stage k holds the new row's sites of the first k
-    columns and the old row's sites of the rest, shifted one x right."""
+    """The transfer steps of `transfer._transfer_steps` in their dense
+    form, built by enumerating each stage's sites afresh and finding each
+    predecessor by `searchsorted` over base-q row codes: one (idx, logw)
+    pair per column, both (terms, states), one row per old symbol b (one
+    where the old row has no site), logw -inf where b does not extend the
+    state or its weight is zero. Stage k holds the new row's sites of the
+    first k columns and the old row's sites of the rest, shifted one x
+    right, in the engine's order: by the new sites, the first most
+    significant, then by the old ones, the last most significant (the
+    order of the suffix chain, which enumerates them right to left)."""
     q = phi.q
     old_x, new_x = ({v[0]: v for v in row.sites} for row in (old, new))
     columns = sorted(set(old_x) | set(new_x))
@@ -148,9 +155,12 @@ def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list
         stage = new
         if k < len(columns):
             at = {(u, 0): new_x[u] for u in columns[:k] if u in new_x}
+            n_new = len(at)
             at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
             stage = transfer._Row(new.y, list(at))
             transfer._enumerate_row(stage, phi, budget)
+            keys = np.concatenate([stage.configs[:, n_new:].T, stage.configs[:, :n_new][:, ::-1].T])
+            stage.configs = stage.configs[np.lexsort(keys)]
         p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages
         place = q ** np.arange(len(stage.sites) - 1, -1, -1, dtype=np.int64)
         kept = np.delete(stage.configs, p, axis=1) if x in new_x else stage.configs
@@ -158,10 +168,39 @@ def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list
         if x in old_x:
             pred = pred + np.arange(q)[:, None] * prev_place[p]
         logw = -table[:, stage.configs[:, p]] if x in old_x and x in new_x and table is not None else 0.0
-        idx = np.minimum(np.searchsorted(prev, pred), len(prev) - 1)
-        steps.append(transfer._step(idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
+        sorter = np.argsort(prev)
+        idx = sorter[np.minimum(np.searchsorted(prev, pred, sorter=sorter), len(prev) - 1)]
+        steps.append((idx, np.where(prev[idx] == pred, logw, LOG_ZERO)))
         prev, prev_place = stage.configs @ place, place
     return steps
+
+
+def dense_sweep(v, steps) -> np.ndarray:
+    """Run dense (idx, logw) steps, as `stage_transfer_steps` gives them, on
+    log-weight vectors along the last axis, in the arithmetic of
+    `transfer._run_steps`: every row, dead ones included, is gathered and
+    summed in b order, and the same 700 rule picks the linear domain or
+    one logsumexp per step."""
+    shifts, spreads = [], []
+    for idx, logw in steps:
+        live = logw[np.isfinite(logw)]
+        shifts.append(float(live.max()) if live.size else 0.0)
+        spreads.append((float(live.max() - live.min()) if live.size else 0.0) + np.log(len(idx)))
+    m = np.max(v, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    d = v - m
+    spread = -float(np.where(np.isfinite(d), d, 0.0).min(initial=0.0))
+    with np.errstate(divide="ignore"):
+        if spread + sum(spreads) <= 700.0:
+            e = np.exp(d)
+            for (idx, logw), shift in zip(steps, shifts):
+                e = (np.take(e, idx, axis=-1) * np.exp(logw - shift)).sum(axis=-2)
+            return np.log(e) + (m + sum(shifts))
+        for (idx, logw), shift, spread in zip(steps, shifts, spreads):
+            if spread <= 700.0:  # the weights go through exp and back, as in the linear steps
+                logw = np.log(np.exp(logw - shift)) + shift
+            v = transfer.logsumexp(np.take(v, idx, axis=-1) + logw, axis=-2)
+    return v
 
 
 def split_ensemble(engine, sites, members):

@@ -37,6 +37,7 @@ from oracles import (
     brute_log_partition,
     brute_origin_interval,
     brute_strip_log_lambda,
+    dense_sweep,
     split_ensemble,
     stage_transfer_steps,
 )
@@ -1101,14 +1102,19 @@ def test_run_steps_branches_agree_with_logsumexp(v_spread, spreads, terms, linea
     """Both branches of `_run_steps`, the linear-domain steps up to a summed
     spread of 700 (input vectors' rows plus each step's weights and log of
     its terms) and the logsumexp steps beyond, equal a direct logsumexp per
-    step, -inf entries and all-zero rows included."""
+    step, -inf entries and all-zero rows included. A step's index 0 is the
+    zero slot in front of every vector, which its column 0 and its padding
+    entries, those of log-weight -inf, gather."""
     states = 8
     pairs = []
     for spread in spreads:
-        logw = rng.uniform(-spread, 0.0, size=(terms, states))
-        logw[rng.random(logw.shape) < 0.25] = LOG_ZERO
-        logw.flat[:2] = 0.0, -spread  # every step spreads exactly `spread`
-        pairs.append((rng.integers(states, size=(terms, states)).astype(np.int32), logw + 3.0))
+        idx = rng.integers(1, states + 1, size=(terms, 1 + states))
+        logw = rng.uniform(-spread, 0.0, size=(terms, 1 + states))
+        dead = rng.random(logw.shape) < 0.25
+        dead[:, 0], dead.flat[1:3] = True, False
+        logw.flat[1:3] = 0.0, -spread  # every step spreads exactly `spread`
+        idx[dead], logw[dead] = 0, LOG_ZERO
+        pairs.append((idx.astype(np.int32), logw + 3.0))
     v = rng.uniform(-v_spread, 0.0, size=(4, 2, states))
     v[..., 2:][rng.random((4, 2, states - 2)) < 0.25] = LOG_ZERO
     v[..., 0], v[..., 1] = 0.0, -v_spread
@@ -1116,14 +1122,18 @@ def test_run_steps_branches_agree_with_logsumexp(v_spread, spreads, terms, linea
     v += 7.0
     want = v
     for idx, logw in pairs:
-        want = logsumexp(np.take(want, idx, axis=-1) + logw, axis=-2)
-    steps = [transfer._step(idx, logw) for idx, logw in pairs]
+        slotted = np.concatenate([np.full((4, 2, 1), LOG_ZERO), want], axis=-1)
+        want = logsumexp(np.take(slotted, idx, axis=-1) + logw, axis=-2)[..., 1:]
+    # (idx, w, shift, spread): w exp-shifted by the largest log-weight, or
+    # the log-weights themselves past 700
+    steps = []
+    for (idx, logw), spread in zip(pairs, spreads):
+        shift = logw[np.isfinite(logw)].max()
+        spread += math.log(terms)
+        steps.append((idx, logw if spread > 700 else np.exp(logw - shift), shift, spread))
     total = transfer._exp_shifted(v)[2] + sum(step[3] for step in steps)
     assert total == pytest.approx(v_spread + sum(spreads) + len(spreads) * math.log(terms))
     assert (total <= 700) == linear
-    # a step over 700 keeps its log-weights, the others weights in [0, 1] with largest 1
-    for step, (_, logw), spread in zip(steps, pairs, spreads):
-        assert step[1] is logw if spread > 700 else (step[1].max(), step[1].min() >= 0.0) == (1.0, True)
     calls = []
     monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
     got = transfer._run_steps(v, steps)
@@ -1194,10 +1204,14 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     ids=["hs1", "hs3", "cb3", "ising", "asym", "e800"],
 )
 def test_steps_match_the_per_stage_reference(phi, rng):
-    """The steps built from the prefix and suffix chains sweep exactly as
-    those built by enumerating every stage and searching its row codes:
-    strips, box rows, and S_n in both orientations, whose rows differ in
-    length, so that some columns lie in one row only."""
+    """The steps built from the prefix and suffix chains are those built by
+    enumerating every stage and searching its row codes, with the dead
+    entries dropped: strips, box rows, and S_n in both orientations, whose
+    rows differ in length, so that some columns lie in one row only. Step
+    by step, the reference's live entries, in b order and padded with the
+    zero slot, are the compact step entry for entry, with the same shift,
+    spread and weights; and both sweep random vectors bit-identically, the
+    reference over every one of its rows."""
     pairs = []
     for m in range(1, 8):
         row = transfer._Row(0, [(x, 0) for x in range(m)])
@@ -1214,11 +1228,28 @@ def test_steps_match_the_per_stage_reference(phi, rng):
     for old, new, prefix, table in pairs:
         if not len(old.configs):
             continue
-        steps = transfer._transfer_steps(old, new, prefix, table, phi, transfer.DEFAULT_BUDGET)
+        suffix = transfer._suffixes(old, new.y, phi, transfer.DEFAULT_BUDGET)
+        steps = transfer._transfer_steps(old, new, prefix, suffix, table, phi, transfer.DEFAULT_BUDGET)
         reference = stage_transfer_steps(old, new, table, phi, transfer.DEFAULT_BUDGET)
+        for (idx, w, shift, spread), (ref_idx, ref_logw) in zip(steps, reference, strict=True):
+            live = np.isfinite(ref_logw)
+            order = np.argsort(~live, axis=0, kind="stable")[: len(idx)]  # live rows first, in b order
+            kept = np.take_along_axis(live, order, axis=0)
+            assert len(idx) == max(live.sum(axis=0).max(), 1)
+            want = np.where(kept, np.take_along_axis(ref_idx, order, axis=0) + 1, 0)
+            assert np.array_equal(idx, np.column_stack([np.zeros(len(idx), dtype=idx.dtype), want]))
+            logw = np.column_stack([np.full(len(idx), LOG_ZERO), np.take_along_axis(ref_logw, order, axis=0)])
+            values = ref_logw[live]
+            assert spread == (np.ptp(values) if values.size else 0.0) + np.log(len(ref_idx))
+            if values.size:
+                assert shift == values.max()
+            if w is None:
+                assert values.size == 0 or values.min() == values.max()
+            else:
+                assert np.array_equal(w, logw if spread > 700 else np.exp(logw - shift))
         v = rng.normal(scale=5.0, size=(2, 3, len(old.configs)))
         v[rng.random(v.shape) < 0.3] = LOG_ZERO
-        got, want = transfer._run_steps(v, steps), transfer._run_steps(v, reference)
+        got, want = transfer._run_steps(v, steps), dense_sweep(v, reference)
         assert np.array_equal(np.isinf(got), np.isinf(want)) and np.array_equal(got, want)
 
 
@@ -1226,6 +1257,64 @@ def test_step_indices_are_int32():
     hs = build_hard_square(1.0)
     engine = RegionEngine(canopy_decomposition(4)[0], hs, target=(0, 0))
     assert all(idx.dtype == np.int32 for steps, _ in engine._trans for idx, *_ in steps)
+
+
+def _strip_steps(m: int, phi: Interaction) -> list:
+    """The steps of the width-m strip's transfer from its row to itself."""
+    budget = transfer.DEFAULT_BUDGET
+    row = transfer._Row(0, [(x, 0) for x in range(m)])
+    prefix = transfer._enumerate_row(row, phi, budget)
+    return transfer._transfer_steps(row, row, prefix, transfer._suffixes(row, 0, phi, budget), phi.vertical, phi, budget)
+
+
+def test_steps_keep_live_predecessors_and_weights_only_where_they_differ():
+    """A step holds at most q index rows, each state's live predecessors
+    first; every dead entry, and column 0, index the zero slot. Models
+    whose every weight is one (hard square at lambda = 1, colourings) store
+    no weights; the others do, and past the 700 rule they are log-weights.
+    The width-11 3-colouring strip's 4608-state steps hold 2 rows, not 3:
+    of the 3 old symbols, the new symbol and the suffix's first symbol each
+    rule one out."""
+    inf = math.inf
+    e800 = Interaction(Alphabet(2), [[inf, 0], [0, inf]], [[inf, 800], [0, inf]])
+    box5 = Region((x, y) for x in range(5) for y in range(5))
+    gallery = [
+        (build_hard_square(1.0), False),
+        (build_checkerboard(3), False),
+        (build_hard_square(2.5), True),
+        (build_ising(0.4), True),
+        (e800, True),
+    ]
+    for phi, weighed in gallery:
+        steps = [step for steps, _ in RegionEngine(box5, phi)._trans for step in steps] + _strip_steps(6, phi)
+        assert any(w is not None for _, w, _, _ in steps) == weighed
+        for idx, w, _, spread in steps:
+            assert 1 <= len(idx) <= phi.q
+            assert not idx[:, 0].any()
+            assert not ((idx[:-1] == 0) & (idx[1:] > 0)).any()  # padding comes last
+            if w is not None:
+                dead = np.isneginf(w) if spread > 700 else w == 0
+                assert np.array_equal(dead, idx == 0)
+        if phi is e800:
+            logw = [w for _, w, _, spread in steps if w is not None and spread > 700]
+            assert len(logw) == sum(w is not None for _, w, _, _ in steps) > 0
+            assert all(set(w[np.isfinite(w)]) == {0.0, -800.0} for w in logw)
+    shapes = {idx.shape for idx, *_ in _strip_steps(11, build_checkerboard(3))}
+    assert (2, 1 + 4608) in shapes and all(rows == 2 for rows, states in shapes if states == 1 + 4608)
+
+
+def test_engine_enumerates_one_suffix_chain_per_old_row(monkeypatch):
+    """The S_5 engine, swept by its columns as `_Canopy` builds it, has
+    three distinct transfers, 6 sites to 6, 6 to 5 and 5 to 5, out of two
+    distinct old rows; each old row's suffix chain is enumerated once and
+    shared by every transfer out of it."""
+    calls = []
+    suffixes = transfer._suffixes
+    monkeypatch.setattr(transfer, "_suffixes", lambda old, *args: calls.append(len(old.sites)) or suffixes(old, *args))
+    s_5 = canopy_decomposition(5)[0]
+    engine = RegionEngine(Region((y, x) for x, y in s_5), build_hard_square(1.0), target=(0, 0))
+    assert len({id(pair) for pair in engine._trans}) == 3
+    assert sorted(calls) == [5, 6]
 
 
 def test_engine_rows_share_the_int64_code_limit(monkeypatch):
