@@ -31,7 +31,10 @@ _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the
 #: The one resource limit: the most states a single enumeration (a canopy's
 #: heads or tails, a row or a strip), transfer step or canopy pairing may
 #: hold; see `sft.admissible_states`, `_transfer_steps` and `pressure._pairs`.
+#: A transfer step is also refused past `_INDEX_LIMIT`, whatever the budget.
 DEFAULT_BUDGET = 1 << 24
+#: The most states a transfer step may hold: its indices are int32.
+_INDEX_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def logsumexp(a, axis: int):
@@ -163,7 +166,9 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     is None when those are all equal. spread is their log-weights' max -
     min plus log q for a column in the old row; past `_SPREAD`, w holds the
     log-weights themselves. A column is refused when the states held
-    before its site, |A_{k-1}| |B_k|, times q exceed the budget."""
+    before its site, |A_{k-1}| |B_k|, times q exceed the budget or
+    `_INDEX_LIMIT`: idx is int32, and no index passes |A_{k-1}| |B_{k-1}|,
+    which those held states bound."""
     q = phi.q
     columns = _columns(old, new, q)
     old_x, new_x = ({v[0] for v in row.sites} for row in (old, new))
@@ -171,40 +176,37 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     if table is not None:
         logw = -table.T  # logw[a, b]: new symbol a over old symbol b
         allowed = np.isfinite(logw)
-        masks = not allowed.all()  # whether the table forbids any (a, b)
         values = logw[allowed]
         unit = values.size == 0 or values.min() == values.max()
         unit_shift = float(values.max()) if values.size else 0.0
-    log_q, int32_max = np.log(q), np.iinfo(np.int32).max
+    log_q = np.log(q)
     sizes = [1] + [len(keep) for keep in suffix]  # |B| by the number of old sites it holds
     prefix, n_a, m = iter(prefix), 1, len(suffix)  # |A_{k-1}| and B_{k-1}'s level
     steps = []
     for k, x in enumerate(columns, 1):
         n_b, m = sizes[m], m - (x in old_x)
         held = n_a * sizes[m] * q
-        if held > budget:
+        if held > min(budget, _INDEX_LIMIT):
+            limit = f"the limit {budget}" if held > budget else f"the int32 index limit {_INDEX_LIMIT}"
             raise BudgetError(
-                f"transfer states of row y={new.y}: needs {held} states at column {k} of {len(columns)}, "
-                f"over the limit {budget}"
+                f"transfer states of row y={new.y}: needs {held} states at column {k} of {len(columns)}, over {limit}"
             )
-        # int32 indices halve the steps' index memory whenever they fit
-        dtype = np.int32 if n_a * n_b <= int32_max else np.int64
         # pos[i_B, b]: 1 + the B_{k-1} index of suffix i_B extended by b (the
         # old.configs row at k = 1), 0 where b does not extend it
         src = rank + 1 if k == 1 else np.arange(1, n_b + 1)
         if x in old_x:
-            pos = np.zeros(sizes[m] * q, dtype=dtype)
+            pos = np.zeros(sizes[m] * q, dtype=np.int32)
             pos[suffix[m]] = src
             pos = pos.reshape(-1, q)
         else:
-            pos = src[:, None].astype(dtype)
+            pos = src[:, None].astype(np.int32)
         parent, a = np.divmod(next(prefix), q) if x in new_x else (np.arange(n_a), None)
         weighed = x in old_x and x in new_x and table is not None
-        lead = q if weighed and masks else 1  # q where which entries live depends on a
+        lead = q if weighed else 1  # q where the table decides per new symbol a which entries live
         # f: the live entries, flat in live[a, i_B, b], so each (a, i_B)'s
         # side by side in ascending b; g = a |B_k| + i_B
         extends = pos > 0
-        f = np.flatnonzero(extends & allowed[:, None, :] if lead > 1 else extends)
+        f = np.flatnonzero(extends & allowed[:, None, :] if weighed else extends)
         g, b = np.divmod(f, pos.shape[1])
         r = np.zeros(len(f), dtype=np.intp)  # each entry's rank within its (a, i_B)
         for d in range(1, pos.shape[1]):
@@ -213,11 +215,11 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
         # compact[l, a, i_B]: the l-th live pos; padding so negative that no
         # parent offset lifts it above the zero slot, where the clip sets it
         at = r * (lead * sizes[m]) + g
-        compact = np.full((terms, lead, sizes[m]), -n_a * n_b, dtype=dtype)
+        compact = np.full((terms, lead, sizes[m]), -n_a * n_b, dtype=np.int32)
         compact.reshape(-1)[at] = np.take(pos, f % pos.size)
-        idx = np.zeros((terms, 1 + len(parent) * sizes[m]), dtype=dtype)
-        local = np.take(compact, a, axis=1) if lead > 1 else compact
-        np.maximum(local + (parent.astype(dtype) * n_b)[:, None], 0, out=idx[:, 1:].reshape(terms, len(parent), -1))
+        idx = np.zeros((terms, 1 + len(parent) * sizes[m]), dtype=np.int32)
+        local = np.take(compact, a, axis=1) if weighed else compact
+        np.maximum(local + (parent.astype(np.int32) * n_b)[:, None], 0, out=idx[:, 1:].reshape(terms, len(parent), -1))
         w, shift, spread = None, unit_shift if weighed else 0.0, log_q if x in old_x else 0.0
         if weighed and not unit:
             present = np.zeros(q, dtype=bool)
@@ -230,10 +232,7 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
                 linear = spread <= _SPREAD
                 table_w = np.exp(logw - shift) if linear else logw
                 live_w = np.full((terms, q, sizes[m]), 0.0 if linear else LOG_ZERO)
-                if lead > 1:
-                    live_w.reshape(-1)[at] = table_w[g // sizes[m], b]
-                else:  # each entry's weight under every a
-                    live_w[r, :, g] = table_w[:, b].T
+                live_w.reshape(-1)[at] = table_w[g // sizes[m], b]
                 w = np.full(idx.shape, 0.0 if linear else LOG_ZERO)
                 w[:, 1:].reshape(terms, len(parent), -1)[...] = np.take(live_w, a, axis=1)
         steps.append((idx, w, shift, spread))
@@ -305,21 +304,22 @@ class RegionEngine:
     chain of each transfer into them, and one suffix chain (`_suffixes`),
     enumerated once for every transfer out of them. Each transition is the
     steps of `_transfer_steps`, which keep each state's live predecessors
-    only and weights only where they differ; equal row pairs share one. A
-    forward sweep runs the steps, and takes each row's vectors only when it
-    reaches that row: the exterior edges into the row, gathered per member
-    from the tables (`_exterior`), plus the row's shared log-weights. Steps
-    and products share one linear-domain rule (`_SPREAD`).
+    only and weights only where they differ; equal row pairs share one.
+    Steps and products share one linear-domain rule (`_SPREAD`).
 
-    An ensemble given as a `SplitEnsemble`, whose head sites touch the top
-    row only (`is_head`), meets in the middle (`_combines`, `_combine`) when
-    that costs fewer flops than a forward sweep per member. One backward
-    sweep runs per tail and target symbol, from the lowest row up, through
-    each transition's S_r x S_s log-weights, built and kept only here; over
-    the top row's states each member's head vector then joins its backward
-    vector. Both products go through `_log_products`, and only over live
-    rows, those with a finite entry: a member whose backward vector is all
-    -inf gets -inf without a product.
+    The kind of ensemble picks the path. A member matrix runs one forward
+    sweep over all its members through the steps (the canopy extremes: two
+    members), and takes each row's vectors only when it reaches that row:
+    the exterior edges into the row, gathered per member from the tables
+    (`_exterior`), plus the row's shared log-weights. A `SplitEnsemble`,
+    whose head sites touch the top row only (`is_head`), meets in the
+    middle (`_combine`). One backward sweep runs per tail and target
+    symbol, from the lowest row up, through each transition's S_r x S_s
+    log-weights, built and kept only here; over the top row's states each
+    member's head vector then joins its backward vector. Both products go
+    through `_log_products`, and only over live rows, those with a finite
+    entry: a member whose backward vector is all -inf gets -inf without a
+    product.
     """
 
     def __init__(
@@ -351,7 +351,7 @@ class RegionEngine:
             row.configs, row.internal = first.configs, first.internal
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
-        # [steps, log-weights] per row pair; _combines builds the log-weights
+        # [steps, log-weights] per row pair; _combine builds the log-weights
         self._trans, shared, suffixes = [], {}, {}  # suffixes: x columns -> old row's suffix chain
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
@@ -469,10 +469,9 @@ class RegionEngine:
         delta_sites, as a symbol matrix or as a `SplitEnsemble` whose head
         columns come first. Returns (n_deltas,) log partitions, or
         (n_deltas, q) split by the target symbol when a target is set. A
-        split ensemble goes to the meet in the middle as it is, when
-        `_combines` picks it. Otherwise a forward sweep runs in blocks of
-        members, whose rows a split ensemble builds from its pairs; each
-        row's vectors, its shared log-weights (internal energies plus static
+        split ensemble meets in the middle as it is (`_combine`). A symbol
+        matrix runs one forward sweep over all its members; each row's
+        vectors, its shared log-weights (internal energies plus static
         terms) and the members' exterior sum, are formed only when the sweep
         reaches that row.
         """
@@ -484,7 +483,6 @@ class RegionEngine:
             return np.zeros(out_shape)
         if self.infeasible:
             return np.full(out_shape, LOG_ZERO)
-        block = max(64, min(4096, 4_000_000 // max(len(r.configs) for r in self.rows)))
 
         def base():
             for i, row in enumerate(self.rows):
@@ -494,58 +492,40 @@ class RegionEngine:
                         vec = vec + terms[i]
                 yield vec
 
-        if self._combines(delta_sites, delta_matrix, min(n, block)):
-            return self._combine(list(base()), block, delta_sites, delta_matrix).reshape(out_shape)
-        out = np.empty(out_shape)
-        for lo in range(0, n, block):
-            dm = delta_matrix[lo : lo + block]
-            vecs = (
-                np.repeat(b[None, :], len(dm), axis=0) if v is None else np.add(v, b, out=v)
-                for v, b in zip(self._exterior(delta_sites, dm), base())
-            )
-            out[lo : lo + len(dm)] = logsumexp(self._sweep(vecs), axis=-1).reshape(-1, *out_shape[1:])
-        return out
+        if isinstance(delta_matrix, SplitEnsemble):
+            return self._combine(list(base()), delta_sites, delta_matrix).reshape(out_shape)
+        vecs = (
+            np.repeat(b[None, :], n, axis=0) if v is None else np.add(v, b, out=v)
+            for v, b in zip(self._exterior(delta_sites, delta_matrix), base())
+        )
+        return logsumexp(self._sweep(vecs), axis=-1).reshape(out_shape)
 
     # -- meet in the middle ------------------------------------------------
 
-    def _combines(self, delta_sites: Sequence[Site], ensemble, members: int) -> bool:
-        """Whether an ensemble meets in the middle (`_combine`): it must be a
-        `SplitEnsemble` whose head sites touch the top row only, no
-        transition's upper row may have more states than `members` (the
-        ensemble, capped at one block), and the combine's flops must be below
-        the forward sweep's. Only then are the transitions' missing
-        log-weights built. Decided before any exterior term is gathered."""
-        if not isinstance(ensemble, SplitEnsemble) or not all(map(self.is_head, delta_sites[: ensemble.heads.shape[1]])):
-            return False
-        sizes = [len(row.configs) for row in self.rows]
-        # log-weights cost S_r step runs, so they pay from S_r members on; with
-        # S_r at most one block, they hold no more floats than a block's vectors
-        if any(size > members for size in sizes[:-1]):
-            return False
-        # multiply-adds: the backward sweeps and the combine against one
-        # forward sweep per member
-        pairs = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        outs = len(ensemble.tails) * (self.phi.q if self._target is not None else 1)
-        if outs * pairs + len(ensemble.heads) * sizes[0] * outs >= len(ensemble) * pairs:
-            return False
-        for size, pair in zip(sizes, self._trans):
-            if pair[1] is None:  # the steps run on the log identity
-                pair[1] = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), pair[0])
-        return True
-
-    def _combine(self, base, block, delta_sites, ensemble: SplitEnsemble):
+    def _combine(self, base, delta_sites, ensemble: SplitEnsemble):
         """Meet-in-the-middle evaluation of a split ensemble.
 
         `_backward` gives one vector per tail and output, and
         `_log_products` joins each member's head vector to its backward
         vector over the top row's states. Only (member, output) pairs whose
         backward vector is live, with a finite entry, are joined; the others
-        are -inf.
+        are -inf. A head column whose site is not a head site (`is_head`)
+        is refused. The transitions' log-weights are built on first use, by
+        running their steps on the log identity.
         """
         split = ensemble.heads.shape[1]
+        if not all(map(self.is_head, delta_sites[:split])):
+            raise ValueError("a split ensemble's head sites must touch the top row only")
+        if not len(ensemble):
+            return np.zeros(0)
+        sizes = [len(row.configs) for row in self.rows]
+        for size, pair in zip(sizes, self._trans):
+            if pair[1] is None:
+                pair[1] = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), pair[0])
+        block = max(64, min(4096, 4_000_000 // max(sizes)))
         heads = next(self._exterior(delta_sites[:split], ensemble.heads))
         if heads is None:
-            heads = np.zeros((len(ensemble.heads), len(self.rows[0].configs)))
+            heads = np.zeros((len(ensemble.heads), sizes[0]))
         tails = list(self._exterior(delta_sites[split:], ensemble.tails))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         back = self._backward(vecs, block)

@@ -628,8 +628,8 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
 
 
 def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
-    """Forward sweeps run the steps and build no log-weight matrix; only a
-    split ensemble that meets in the middle builds its transitions'
+    """Forward sweeps run the steps and build no log-weight matrix; every
+    split ensemble meets in the middle and builds its transitions'
     log-weights, and both arithmetics agree."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
@@ -657,9 +657,8 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert all(logw is None for _, logw in single._trans)
     np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
 
-    # random members mostly decline the combine and run the steps; a
-    # transition has its log-weights exactly when its ensemble was combined
-    combined = 0
+    # every random split ensemble is combined, and only its engine builds
+    # log-weights
     for trial in range(30):
         q = int(rng.integers(2, 4))
         phi = random_interaction(q, rng)
@@ -672,11 +671,11 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         ring = [v for v in boundary(region) if rng.random() < 0.6]
         target = min(region, key=lambda v: (v[1], v[0])) if trial % 2 else None
         ensemble, single = (RegionEngine(region, phi, target=target) for _ in range(2))
-        members = max(len(row.configs) for row in ensemble.rows)  # at least S_r for every transition
+        members = max(len(row.configs) for row in ensemble.rows)
         deltas = rng.integers(q, size=(members, len(ring)))
         taken.clear()
         got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], *split_ensemble(ensemble, ring, deltas))
-        assert all((logw is not None) == bool(taken) for _, logw in ensemble._trans)
+        assert taken == [True] and all(logw is not None for _, logw in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
             one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
@@ -684,8 +683,6 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
             assert logsumexp(np.atleast_1d(one), axis=0) == pytest.approx(want, abs=1e-10)
         assert all(logw is None for _, logw in single._trans)  # also for one-state rows
-        combined += bool(taken)
-    assert combined == 3
 
     # the box oracle, the extremes path and evaluate do not combine, so they
     # build no log-weights either
@@ -711,7 +708,7 @@ def test_target_may_sit_in_any_row(target, rng, monkeypatch):
     region = Region((x, y) for x in range(2) for y in range(3))
     ring = list(boundary(region))
     engine = RegionEngine(region, phi, target=target)
-    # members repeat their head and their tail, so that the combine pays
+    # members repeat their head and their tail, which the combine shares
     head = [j for j, v in enumerate(ring) if v[1] >= 2]
     members = np.empty((24, len(ring)), dtype=np.int64)
     for part, pool in ((head, 3), ([j for j in range(len(ring)) if j not in head], 4)):
@@ -807,8 +804,8 @@ def _spy_combine(monkeypatch) -> list[bool]:
 def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, monkeypatch):
     """The meet-in-the-middle path equals one forward `evaluate` per member,
     zeros included, for split ensembles over head and tail sites, head
-    sites only and tail sites only. Members repeat their head (or tail) so
-    that the combine costs fewer flops than the forward sweep."""
+    sites only and tail sites only. Members repeat their head (or tail),
+    which the combine shares."""
     taken = _spy_combine(monkeypatch)
     random = random_interaction(q, rng)
     # equal neighbours forbidden, so that some members weigh zero: a weighted
@@ -912,28 +909,32 @@ def test_one_split_per_canopy_ensemble(monkeypatch):
 def test_combine_matches_brute_origin_interval(k, monkeypatch):
     """At n = 1 the combined ensemble brackets the 3- and 4-colourings'
     origin conditional as direct enumeration does, and skips the members
-    the forward sweep skips."""
+    that a forward sweep of its member rows skips."""
     taken = _spy_combine(monkeypatch)
     phi = build_checkerboard(k)
     point = diagonal_3coloring_point() if k == 3 else PeriodicPoint([[0, 1], [1, 0]])
-    s_1, u_1, c_1 = canopy_decomposition(1)
-    pi = p_interval(point, (0, 0), 1, phi)
+    canopy = _Canopy(1, phi)
+    pi = p_interval(point, (0, 0), 1, phi, canopy=canopy)
     assert taken == [True] and pi.canopy_path == "ensemble"
+    s_1, u_1, c_1 = canopy.s_n, canopy.u_n, canopy.c_n
     lo, hi = brute_origin_interval(s_1, point.restrict(u_1), c_1, admissible_configurations(c_1, phi), phi, point.value((0, 0)))
     assert (pi.lower, pi.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
-    monkeypatch.setattr(RegionEngine, "_combines", lambda *args: False)
-    forward = p_interval(point, (0, 0), 1, phi)
-    assert (pi.canopy_count, pi.skipped_count) == (forward.canopy_count, forward.skipped_count)
+    engine, (sites, ensemble) = canopy.engine(), canopy.deltas()
+    upper = {(y, x): a for (x, y), a in point.restrict(u_1).symbols.items()}
+    static = [engine.terms_from_boundary(Configuration(Region(upper), upper))]
+    forward = engine.evaluate_deltas(static, [(y, x) for x, y in sites], ensemble[:])
+    assert taken == [True]
+    live = np.isfinite(forward).any(axis=1)
+    assert (pi.canopy_count, pi.skipped_count) == (live.sum(), (~live).sum())
     assert pi.skipped_count > 0 if k == 3 else pi.skipped_count == 0
 
 
-@pytest.mark.parametrize("n, combined", [(1, False), (3, True)])
-def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
-    """Only at n = 3 (1360 members) do the hard-square canopy ensemble's
-    distinct heads and tails cost fewer flops to combine than a forward
-    sweep per member; at n = 1 (30 members, rows of 5 and 3 states) the
-    steps run on the split ensemble's member rows and no log-weights are
-    built."""
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_split_ensemble_meets_in_the_middle(n, monkeypatch):
+    """The hard-square canopy ensemble, split into heads and tails, meets in
+    the middle at n = 1 (30 members, rows of 5 and 3 states) as at n = 3
+    (1360 members): it builds its transitions' log-weights and equals the
+    forward sweep of the same members."""
     taken = _spy_combine(monkeypatch)
     hs = build_hard_square(1.0)
     s_n, u_n, c_n = canopy_decomposition(n)
@@ -941,8 +942,7 @@ def test_combine_runs_only_below_the_forward_flops(n, combined, monkeypatch):
     static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
     deltas = admissible_configurations(c_n, hs)
     got = engine.evaluate_deltas(static, *split_ensemble(engine, list(c_n), deltas))
-    assert all((logw is not None) == combined for _, logw in engine._trans)
-    assert taken == ([True] if combined else [])
+    assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), deltas), rtol=1e-12)
 
 
@@ -1257,6 +1257,40 @@ def test_step_indices_are_int32():
     hs = build_hard_square(1.0)
     engine = RegionEngine(canopy_decomposition(4)[0], hs, target=(0, 0))
     assert all(idx.dtype == np.int32 for steps, _ in engine._trans for idx, *_ in steps)
+
+
+def test_steps_past_the_int32_indices_are_refused_under_any_budget(monkeypatch):
+    """A column whose held states pass the int32 index limit is refused by
+    name, also under a budget that admits them; the limit is set small so
+    that no state past 2^31 is allocated. The 3-colouring strip at width 12
+    holds at most 13 824 states, and the hard-square box 14 at most 1508
+    (`test_budgets_count_the_states_held`)."""
+    cb3, hs, budget = build_checkerboard(3), build_hard_square(1.0), 1 << 30
+    want = strip_pressure(12, cb3)
+    monkeypatch.setattr(transfer, "_INDEX_LIMIT", 13824)
+    assert strip_pressure(12, cb3, budget=budget) == want
+    monkeypatch.setattr(transfer, "_INDEX_LIMIT", 13823)
+    with pytest.raises(BudgetError, match=r"needs 13824 states at column 2 of 12, over the int32 index limit 13823$"):
+        strip_pressure(12, cb3, budget=budget)
+    monkeypatch.setattr(transfer, "_INDEX_LIMIT", 1507)
+    with pytest.raises(BudgetError, match="transfer states of row y=.*: needs 1508 states at column .* int32 index limit 1507"):
+        box_log_partition(14, hs, budget=budget)
+
+
+def test_split_ensemble_heads_must_touch_the_top_row_only():
+    """A split ensemble whose head columns include a site beside a lower
+    row is refused, not swept; with that site as a tail it combines."""
+    hs = build_hard_square(1.0)
+    engine = RegionEngine(box(1), hs)
+    top, low = (-1, 2), (-1, -2)  # beside the top row y = 1, beside the lowest row y = -1
+    assert engine.is_head(top) and not engine.is_head(low)
+    one = np.zeros((1, 1), dtype=np.int64)
+    both = SplitEnsemble(np.zeros((1, 2), dtype=np.int64), one[:, :0], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    with pytest.raises(ValueError, match="head sites"):
+        engine.evaluate_deltas([], [top, low], both)
+    split = SplitEnsemble(one, one, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    got = engine.evaluate_deltas([], [top, low], split)
+    assert got[0] == engine.evaluate(engine.terms_from_boundary(Configuration(Region([top, low]), {top: 0, low: 0})))
 
 
 def _strip_steps(m: int, phi: Interaction) -> list:
