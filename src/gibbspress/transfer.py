@@ -27,6 +27,7 @@ from .sft import admissible_levels
 
 LOG_ZERO = -inf
 _SPREAD = 700.0  # e^-700 lies above the smallest normal double, e^700 below the largest
+_ENTRIES = 1 << 17  # the most entries a block of `_log_products`' logsumexp holds
 
 #: The one resource limit: the most states a single enumeration (a canopy's
 #: heads or tails, a row or a strip), transfer step or canopy pairing may
@@ -315,11 +316,11 @@ class RegionEngine:
     whose head sites touch the top row only (`is_head`), meets in the
     middle (`_combine`). One backward sweep runs per tail and target
     symbol, from the lowest row up, through each transition's S_r x S_s
-    log-weights, built and kept only here; over the top row's states each
-    member's head vector then joins its backward vector. Both products go
-    through `_log_products`, and only over live rows, those with a finite
-    entry: a member whose backward vector is all -inf gets -inf without a
-    product.
+    log-weights, built and kept only here; over the top row's states every
+    head vector then joins every backward vector, and each member takes its
+    pair. Both products go through `_log_products`, which forms them over
+    live rows only, those with a finite entry, on either side: a pair with
+    a row of -inf is -inf without a product.
     """
 
     def __init__(
@@ -505,13 +506,12 @@ class RegionEngine:
     def _combine(self, base, delta_sites, ensemble: SplitEnsemble):
         """Meet-in-the-middle evaluation of a split ensemble.
 
-        `_backward` gives one vector per tail and output, and
-        `_log_products` joins each member's head vector to its backward
-        vector over the top row's states. Only (member, output) pairs whose
-        backward vector is live, with a finite entry, are joined; the others
-        are -inf. A head column whose site is not a head site (`is_head`)
-        is refused. The transitions' log-weights are built on first use, by
-        running their steps on the log identity.
+        `_backward` gives one vector per tail and output, `_log_products`
+        joins every head vector to every backward vector over the top row's
+        states, and each member takes its (head, tail) pair. A head column
+        whose site is not a head site (`is_head`) is refused. The
+        transitions' log-weights are built on first use, by running their
+        steps on the log identity.
         """
         split = ensemble.heads.shape[1]
         if not all(map(self.is_head, delta_sites[:split])):
@@ -522,69 +522,53 @@ class RegionEngine:
         for size, pair in zip(sizes, self._trans):
             if pair[1] is None:
                 pair[1] = _run_steps(np.where(np.eye(size, dtype=bool), 0.0, LOG_ZERO), pair[0])
-        block = max(64, min(4096, 4_000_000 // max(sizes)))
         heads = next(self._exterior(delta_sites[:split], ensemble.heads))
         if heads is None:
             heads = np.zeros((len(ensemble.heads), sizes[0]))
         tails = list(self._exterior(delta_sites[split:], ensemble.tails))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
-        back = self._backward(vecs, block)
-        live = np.isfinite(back).any(-1)
-        position = np.full(len(back), -1)
-        position[live] = np.arange(np.count_nonzero(live))
-        rows = position.reshape(len(ensemble.tails), -1)[ensemble.tail_of]  # (members, outputs)
-        hits = rows >= 0
-        out = np.full(rows.shape, LOG_ZERO)
-        if hits.any():
-            pairs = np.broadcast_to(ensemble.head_of[:, None], rows.shape)[hits], rows[hits]
-            out[hits] = _log_products(heads, back[live], block, pairs)
-        return out
+        joined = _log_products(heads, self._backward(vecs)).reshape(len(heads), len(ensemble.tails), -1)
+        return joined[ensemble.head_of, ensemble.tail_of]
 
-    def _backward(self, vecs: list[np.ndarray], block: int) -> np.ndarray:
+    def _backward(self, vecs: list[np.ndarray]) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
         transition's log-weights: from per-row (T or 1, n_states) vectors,
         the (T * outputs, top-row states) log-weights of the rows below each
         top state, tail major, one output per target symbol from the
-        target's row up (one without a target). Only live rows, those with
-        a finite entry, go through `_log_products`: a row of -inf stays
-        -inf through it and through the row vectors added after it."""
+        target's row up (one without a target)."""
         back = self._split(len(vecs) - 1, vecs[-1][:, None, :])
         for i in range(len(vecs) - 2, -1, -1):
-            logw = self._trans[i][1]
-            flat = back.reshape(-1, back.shape[-1])
-            live = np.isfinite(flat).any(-1)
-            z = np.full((len(flat), len(logw)), LOG_ZERO)
-            if live.any():
-                z[live] = _log_products(flat[live], logw, block)
+            z = _log_products(back.reshape(-1, back.shape[-1]), self._trans[i][1])
             back = self._split(i, z.reshape(*back.shape[:2], -1) + vecs[i][:, None, :])
         return back.reshape(-1, back.shape[-1])
 
 
-def _log_products(a: np.ndarray, b: np.ndarray, block: int, pairs=None) -> np.ndarray:
-    """log(sum_k exp(a[i, k] + b[j, k])) for rows i of `a` and rows j of
-    `b`: (len(a), len(b)) for every (i, j), or (len(i),) for `pairs` =
-    (i, j) index arrays.
+def _log_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) log(sum_k exp(a[i, k] + b[j, k])) of every pair
+    of rows. Only live rows, those with a finite entry, go through a
+    product: a pair with a row of -inf on either side is -inf without one.
 
     When the finite row spreads of `a` and `b` sum to at most `_SPREAD`, one
     exp-shifted GEMM, with per-row shifts on both sides, forms every pair:
     each product of two finite exp-shifted entries is then at least e^-700,
     above the smallest normal double, so no finite term underflows and zero
-    weights stay exact zeros. Past that spread a logsumexp forms only the
-    pairs asked for, `block` pairs (at least one row of `a`) at a time.
+    weights stay exact zeros. Past that spread a logsumexp forms them, over
+    blocks of rows of `a` (at least one) holding at most `_ENTRIES` entries.
     """
+    out = np.full((len(a), len(b)), LOG_ZERO)
+    rows, cols = np.isfinite(a).any(-1), np.isfinite(b).any(-1)
+    a, b = a[rows], b[cols]
+    if not (len(a) and len(b)):
+        return out
     (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b)
     if sa + sb <= _SPREAD:
-        g = ea @ eb.T
         with np.errstate(divide="ignore"):
-            if pairs is None:
-                return np.log(g) + ma + mb.T
-            i, j = pairs  # gathered before the log and the shifts, in the same order
-            return np.log(g[i, j]) + ma[i, 0] + mb[j, 0]
-    i, j = np.broadcast_arrays(*(pairs if pairs is not None else (np.arange(len(a))[:, None], np.arange(len(b)))))
-    step = max(1, block // i[0].size)
-    return np.concatenate([
-        logsumexp(a[i[lo : lo + step]] + b[j[lo : lo + step]], axis=-1) for lo in range(0, len(i), step)
-    ])
+            z = np.log(ea @ eb.T) + ma + mb.T
+    else:
+        step = max(1, _ENTRIES // b.size)
+        z = np.concatenate([logsumexp(a[lo : lo + step, None] + b, axis=-1) for lo in range(0, len(a), step)])
+    out[np.ix_(rows, cols)] = z
+    return out
 
 
 def _exp_shifted(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

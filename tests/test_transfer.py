@@ -876,6 +876,42 @@ def test_combine_skips_dead_rows_and_empty_live_sets(soft, monkeypatch):
     _assert_same_log_weights(got, want)
 
 
+@pytest.mark.parametrize("soft", [False, True], ids=["gemm", "logsumexp"])
+def test_combine_gives_dead_heads_minus_inf(soft, rng, monkeypatch):
+    """A head that no top-row state admits joins nothing. On a 2 x 2 box
+    under a 3-colouring, a head that colours the exterior neighbours of
+    each top-row site 0 and 1 leaves both sites colour 2, which they cannot
+    share: that head's vector is all -inf. Every member equals one forward
+    `evaluate`, and those with a dead head give -inf for every target
+    symbol. Vertical energies 0 and 400 take the logsumexp branch."""
+    taken = _spy_combine(monkeypatch)
+    calls = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
+    vertical = [[np.inf, 0, 400], [400, np.inf, 0], [0, 400, np.inf]] if soft else _HARD
+    phi = Interaction(Alphabet(3), _HARD, vertical)
+    region = Region([(0, 0), (1, 0), (0, 1), (1, 1)])
+    engine = RegionEngine(region, phi, target=(0, 0))
+    sites = sorted(boundary(region))
+    heads = np.array(list(np.ndindex(*[3] * 4)))
+    members = np.zeros((len(heads), len(sites)), dtype=int)
+    head_cols = [j for j, v in enumerate(sites) if engine.is_head(v)]
+    tail_cols = [j for j in range(len(sites)) if j not in head_cols]
+    members[:, head_cols] = heads
+    members[:, tail_cols] = rng.integers(3, size=(len(heads), len(tail_cols)))
+    split_sites, ensemble = split_ensemble(engine, sites, members)
+    head_vecs = next(engine._exterior(split_sites[: len(head_cols)], ensemble.heads))
+    dead = ~np.isfinite(head_vecs).any(-1)
+    assert 0 < dead.sum() < len(dead)
+    got = engine.evaluate_deltas([], split_sites, ensemble)
+    assert taken == [True] and (calls != []) == soft
+    assert np.isneginf(got[dead[ensemble.head_of]]).all() and np.isfinite(got).any()
+    want = np.array([
+        engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), dict(zip(sites, row.tolist())))))
+        for row in members
+    ])
+    _assert_same_log_weights(got, want)
+
+
 @pytest.mark.parametrize("n, counts", [(2, (681, 2775)), (3, (6974, 48322))])
 def test_diag3_brackets_keep_their_skipped_counts(n, counts):
     """Live-row compaction drops no member that counts: every diag3
@@ -1026,7 +1062,7 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     soft3 = Interaction(Alphabet(3), _SOFT, _HARD)
     est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3, 2, monkeypatch)
     assert (est.lower, est.upper) == (0.0, 0.0)
-    # 6912 members, past one block of 4096, join block by block
+    # members listed twice, in both orders, take their own pairs of the one join
     engine, (static, sites, members), out = ensembles[0]
     twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
     both = evaluate_deltas(engine, static, sites, SplitEnsemble(members.heads, members.tails, *twice))
@@ -1058,12 +1094,16 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     "spread_a, spread_b, gemm",
     [(5.0, 10.0, True), (150.0, 550.0, True), (300.0, 550.0, False), (0.0, 800.0, False)],
 )
-@pytest.mark.parametrize("block", [4, 4096])
-def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, block, rng, monkeypatch):
+@pytest.mark.parametrize("entries", [4, 400, 4096])
+def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, entries, rng, monkeypatch):
     """Both branches of the one log-domain product, the exp-shifted GEMM up
     to a summed row spread of 700 (also past a single spread of 400) and the
-    chunked logsumexp beyond, equal a direct logsumexp for every pair and at
-    requested pairs, -inf entries and all-zero rows included."""
+    blocked logsumexp beyond, equal a direct logsumexp for every pair, -inf
+    entries included. A row of -inf on either side gives -inf without a
+    product. The logsumexp runs over blocks of at most `entries` entries,
+    or of one row of `a` when a row alone holds more: with 14 live rows of
+    12 entries on the `b` side, 4 takes one row per block, 400 two and 4096
+    all six live rows of `a` at once."""
     k = 12
 
     def log_weights(shape, spread):
@@ -1077,13 +1117,19 @@ def test_log_products_branches_agree_with_logsumexp(spread_a, spread_b, gemm, bl
     b[7] = LOG_ZERO
     assert transfer._exp_shifted(a)[2] + transfer._exp_shifted(b)[2] == pytest.approx(spread_a + spread_b)
     want = logsumexp(a[:, None, :] + b[None], axis=-1)
-    calls = []
-    monkeypatch.setattr(transfer, "logsumexp", lambda *args, **kw: calls.append(1) or logsumexp(*args, **kw))
-    i, j = rng.integers(7, size=40), rng.integers(15, size=40)
-    for got, ref in ((transfer._log_products(a, b, block), want), (transfer._log_products(a, b, block, (i, j)), want[i, j])):
-        _assert_same_log_weights(got, ref)
-        assert np.isinf(got).any() and np.isfinite(got).any()
-    assert (calls == []) == gemm
+    inputs = []
+    monkeypatch.setattr(transfer, "logsumexp", lambda x, **kw: inputs.append(x) or logsumexp(x, **kw))
+    monkeypatch.setattr(transfer, "_ENTRIES", entries)
+    got = transfer._log_products(a, b)
+    _assert_same_log_weights(got, want)
+    assert np.isneginf(got[3]).all() and np.isneginf(got[:, 7]).all() and np.isfinite(got).any()
+    if gemm:
+        assert inputs == []
+        return
+    assert [len(x) for x in inputs] == {4: [1] * 6, 400: [2] * 3, 4096: [6]}[entries]
+    assert all(x.size <= max(entries, 14 * k) for x in inputs)
+    live_a, live_b = np.delete(a, 3, axis=0), np.delete(b, 7, axis=0)
+    assert np.array_equal(np.concatenate(inputs), live_a[:, None, :] + live_b[None])
 
 
 @pytest.mark.parametrize(
