@@ -3,7 +3,8 @@
 The estimator brackets the conditional probability of the origin symbol
 given the upper-layer part of the boundary by taking min/max over all
 locally admissible canopy configurations (or over the ensemble's two
-extremes, for a model `monotone_check` certifies), then assembles the per-site
+extremes, for a model `monotone_check` certifies, or over nothing where the
+upper layer forces the origin symbol), then assembles the per-site
 information and edge terms into a certified [lower, upper] interval for the
 pressure.
 """
@@ -38,7 +39,9 @@ class PInterval:
     canopy_count: int
     skipped_count: int
     #: "extremes" when only the ensemble's rankwise bottom and top were
-    #: evaluated (`canopy_count` is then 2), "ensemble" otherwise.
+    #: evaluated (`canopy_count` is then 2), "forced" when the upper layer
+    #: alone forces the origin symbol and nothing was evaluated (the
+    #: bracket is exactly [1, 1], both counts are 0), "ensemble" otherwise.
     canopy_path: str = "ensemble"
 
     def __post_init__(self):
@@ -280,6 +283,13 @@ def p_interval(
     skipped and counted rather than treated as errors; outside
     single-site-fillable models such configurations can legitimately occur.
 
+    When every symbol but the origin's has infinite energy against the
+    origin's left or lower neighbour, both in the upper layer, the origin
+    symbol is forced: every member with a finite denominator has
+    conditional exactly 1, and the shifted point's own canopy is one such
+    member, so the bracket is exactly [1, 1] ("forced", both counts 0) and
+    no engine, ensemble or sweep is built for it.
+
     The bracket depends on (z, v) only through the origin symbol and the
     upper layer of the shifted point. `canopy`, shared by the calls of one
     estimate, holds the engine, the ensemble and the brackets already
@@ -300,7 +310,14 @@ def p_interval(
     a0 = x.value((0, 0))
     key = (a0, *(x_u.symbols[u] for u in canopy.u_n))
     if key not in canopy.brackets:
-        canopy.brackets[key] = canopy.shared(key) or canopy.bracket(x_u, a0)
+        left, below = x_u.symbols[(-1, 0)], x_u.symbols[(0, -1)]
+        # the symbols with finite energy against both neighbours: a0 is one,
+        # since z is a point of phi
+        fits = np.isfinite(phi.horizontal[left]) & np.isfinite(phi.vertical[below])
+        if np.count_nonzero(fits) == 1:
+            canopy.brackets[key] = PInterval(1.0, 1.0, n, 0, 0, "forced")
+        else:
+            canopy.brackets[key] = canopy.shared(key) or canopy.bracket(x_u, a0)
     return canopy.brackets[key]
 
 

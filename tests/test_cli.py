@@ -70,8 +70,10 @@ def test_pressure_counterexample(capsys):
     doc = run_json(capsys, "pressure", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n", "1")
     jsonschema.validate(doc, load_schema("pressure.schema.json"))
     assert doc["pressure_lower"] == 0.0 and doc["pressure_upper"] == 0.0
-    assert doc["skipped_count"] > 0
-    assert {t["canopy_path"] for t in doc["per_site"]} == {"ensemble"}
+    # the upper layer forces every origin symbol: nothing is evaluated
+    assert doc["canopy_count"] == doc["skipped_count"] == 0
+    assert {t["canopy_path"] for t in doc["per_site"]} == {"forced"}
+    assert {(t["p_lower"], t["p_upper"]) for t in doc["per_site"]} == {(1.0, 1.0)}
 
 
 def test_pressure_deterministic_modulo_wall_time(capsys):
@@ -141,11 +143,12 @@ def test_study_exit_3_when_nothing_succeeds(capsys):
 
 
 def test_study_records_budget_failures(capsys):
-    # the 3-colouring enumerates its canopy: 216 members at n = 1, 3456 at n = 2
+    # the 5-colouring pairs 100 canopy heads with 100 tails at n = 1, and
+    # 400 heads with 6400 tails at n = 2
     code, out, err = run_cli(
         capsys,
-        "study", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n-range", "1:2",
-        "--budget", "2000",
+        "study", "--model", "checkerboard", "-k", "5", "--nu", "parity", "--n-range", "1:2",
+        "--budget", "10000",
     )
     assert code == 0  # some rows succeeded
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -188,12 +191,18 @@ def test_budget_refusal_exit_4(capsys, monkeypatch):
     )
     assert code == 4 and "transfer states" in err
 
-    # the canopy ensemble is refused part-way through its one enumeration
+    # the canopy ensemble's candidate (head, tail) pairs are refused
+    code, out, err = run_cli(
+        capsys,
+        "pressure", "--model", "checkerboard", "-k", "4", "--nu", "diag3", "--n", "2", "--budget", "5000",
+    )
+    assert code == 4 and "canopy ensemble: needs 186624 states, 144 heads times 1296 tails" in err
+    # the 3-colouring's diag3 sites are forced: no canopy ensemble to refuse
     code, out, err = run_cli(
         capsys,
         "pressure", "--model", "checkerboard", "-k", "3", "--nu", "diag3", "--n", "2", "--budget", "5000",
     )
-    assert code == 4 and "canopy ensemble: needs 5184 states" in err
+    assert code == 0
 
     # --budget is the only setter: the environment is not read. S_n is swept
     # by its columns, whose transfer stages hold 12 states at n = 3

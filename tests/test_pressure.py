@@ -131,13 +131,14 @@ def test_p_interval_brute_validation_random_model(rng):
 
 
 def test_p_interval_frozen_point_is_pinned_to_one():
+    """The upper layer forces every origin symbol of the frozen diag3 point:
+    each bracket is exactly [1, 1], with nothing evaluated."""
     cb = build_checkerboard(3)
     diag = diagonal_3coloring_point()
     for n in (1, 2):
         for v in [(0, 0), (1, 0), (2, 1)]:
             pi = p_interval(diag, v, n, cb)
-            assert pi.lower == 1.0 and pi.upper == 1.0
-            assert pi.skipped_count > 0  # frozen model: many canopies inadmissible
+            assert (pi.lower, pi.upper, pi.canopy_count, pi.skipped_count, pi.canopy_path) == (1.0, 1.0, 0, 0, "forced")
 
 
 def test_p_interval_widths_shrink_with_n():
@@ -159,14 +160,14 @@ def test_p_interval_budget_guard():
 
 
 def test_empty_canopy_ensemble_raises(monkeypatch):
-    cb = build_checkerboard(3)  # not monotone: p_interval enumerates the ensemble
+    cb = build_checkerboard(3)  # not monotone, and a parity origin is not forced: p_interval enumerates the ensemble
 
     def empty(region, phi, budget=0):
         return np.zeros((0, len(region)), dtype=np.int64)
 
     monkeypatch.setattr(pressure_mod, "admissible_configurations", empty)
     with pytest.raises(HypothesisError, match="empty canopy ensemble"):
-        p_interval(diagonal_3coloring_point(), (0, 0), 1, cb)
+        p_interval(PARITY, (0, 0), 1, cb)
 
 
 def test_gk_pressure_product_measure_exact():
@@ -204,7 +205,8 @@ def test_gk_pressure_counterexample_is_exactly_zero():
     for n in (1, 2):
         est = gk_pressure(diag, n, cb)
         assert est.lower == 0.0 and est.upper == 0.0
-        assert est.skipped_count > 0
+        assert est.canopy_count == est.skipped_count == 0
+        assert {t.p.canopy_path for t in est.per_site} == {"forced"}
 
 
 def test_gk_pressure_positivity_violation(monkeypatch):
@@ -275,36 +277,71 @@ ENDS = Interaction(
 #: not symmetric, hard and soft entries; the point [[1, 0], [1, 0]]'s two
 #: rows of shifts are each other's symbol swap
 ASYM = Interaction(Alphabet(2), [[0, INF], [0, 0.5]], [[0, 1.5], [0, 0]])
+ASYM_POINT = PeriodicPoint([[1, 0], [1, 0]])
+
+#: a 1 may not sit below a 0, so each column reads 0s up to some height
+#: and 1s above; its point COLUMNS carries x mod 2 at (x, y)
+STACKED = Interaction(Alphabet(2), np.zeros((2, 2)), [[0, 0], [INF, 0]], name="stacked")
+COLUMNS = PeriodicPoint([[0], [1]])
+
+
+def _with_a_fourth_colour(table) -> np.ndarray:
+    """A 3-colouring table extended by a colour 3 that is free (energy 0)
+    against the other three and forbidden against itself."""
+    out = np.zeros((4, 4))
+    out[:3, :3] = table
+    out[3, 3] = INF
+    return out
+
+
+#: 4-colourings whose tables every rotation of the colours 0, 1, 2 leaves
+#: unchanged; no diag3 origin is forced, as colour 3 fits beside any two
+CB4 = build_checkerboard(4)
+SOFT4 = Interaction(Alphabet(4), _with_a_fourth_colour(SOFT3.horizontal), _with_a_fourth_colour(SOFT3.vertical))
+SOFT4V = Interaction(Alphabet(4), SOFT4.vertical, SOFT4.horizontal)
+#: a soft 4-colouring that no rotation of the colours 0, 1, 2 leaves unchanged
+SKEW4 = Interaction(Alphabet(4), _with_a_fourth_colour(SKEW3.horizontal), SOFT4.vertical)
+#: the 5-colouring with a horizontal 0-1 edge of energy 1 and a 1-0 edge of
+#: energy 0, which swapping 0 and 1 changes
+CB5 = build_checkerboard(5)
+_H5 = CB5.horizontal.copy()
+_H5[0, 1] = 1.0
+SKEW5 = Interaction(Alphabet(5), _H5, CB5.vertical)
 
 
 @pytest.mark.parametrize(
-    "z, n, phi, enumerations, sweeps",
+    "z, n, phi, enumerations, sweeps, distinct",
     [
         # 9 orbit sites with 3 distinct shifts, each a colour rotation of the
         # others: one class, on the ensemble path, which enumerates the
         # canopy's heads and its tails
-        pytest.param(diagonal_3coloring_point(), 2, build_checkerboard(3), 2, 1, id="diag3"),
+        pytest.param(diagonal_3coloring_point(), 2, CB4, 2, 1, 1, id="diag3"),
         # the same shifts under tables no rotation leaves unchanged: 3 classes
-        pytest.param(diagonal_3coloring_point(), 2, SKEW3, 2, 3, id="diag3-skew"),
-        # 4 orbit sites with 2 distinct shifts, on the extremes path
-        pytest.param(PARITY, 3, build_hard_square(1.0), 0, 2, id="hardsquare-parity"),
+        pytest.param(diagonal_3coloring_point(), 2, SKEW4, 2, 3, 3, id="diag3-skew"),
+        # 4 orbit sites with 2 distinct shifts: the one with origin 0 is
+        # forced, the other takes the extremes path
+        pytest.param(PARITY, 3, build_hard_square(1.0), 0, 1, 2, id="hardsquare-parity"),
     ],
 )
-def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, phi, enumerations, sweeps):
+def test_gk_pressure_shares_engine_ensemble_and_equal_shifts(monkeypatch, z, n, phi, enumerations, sweeps, distinct):
     """One estimate builds one S_n engine, enumerates the canopy's heads and
-    tails at most once each and sweeps once per distinct shift, or per
-    symbol-symmetry class of shifts on the ensemble path; the estimate
-    equals, field for field, the one assembled from per-site p_interval
-    calls that share nothing."""
+    tails at most once each and sweeps once per distinct shift that is not
+    forced, or per symbol-symmetry class of shifts on the ensemble path; the
+    estimate equals, field for field, the one assembled from each distinct
+    shift's own p_interval call, which shares nothing."""
     builds = _spy(monkeypatch, RegionEngine, "__init__")
     enums = _spy(monkeypatch, pressure_mod, "admissible_configurations")
     evals = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
     est = gk_pressure(z, n, phi)
     assert (len(builds), len(enums), len(evals)) == (1, enumerations, sweeps)
-    assert len({id(t.p) for t in est.per_site}) == sweeps  # equal shifts share one PInterval
+    assert len({id(t.p) for t in est.per_site}) == distinct  # equal shifts share one PInterval
 
-    terms = [SiteTerm(site=v, p=p_interval(z, v, n, phi), edge_term=per_site_contribution(z, v, phi)) for v in orbit_sites(z)]
-    assert len(builds) == 1 + len(terms)
+    own = {}  # by shifted point
+    for v in orbit_sites(z):
+        if z.shift(v).cell.tobytes() not in own:
+            own[z.shift(v).cell.tobytes()] = p_interval(z, v, n, phi)
+    terms = [SiteTerm(site=v, p=own[z.shift(v).cell.tobytes()], edge_term=per_site_contribution(z, v, phi)) for v in orbit_sites(z)]
+    assert len(builds) == 1 + sum(p.canopy_path != "forced" for p in own.values())
     assert est == assemble_pressure_interval(terms, n, phi.name)
 
 
@@ -316,22 +353,39 @@ def _sweeps_and_brackets(monkeypatch, z, n, phi):
     return est, len(sweeps), len({id(t.p) for t in est.per_site})
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("phi", [build_checkerboard(3), SOFT3, SOFT3V], ids=["cb3", "soft3", "soft3v"])
-def test_diag3_colour_rotations_share_one_bracket(phi, n, monkeypatch):
+@pytest.mark.parametrize(
+    "phi, n, path",
+    [
+        *(
+            pytest.param(phi, n, "forced", id=f"{name}-{n}")
+            for name, phi in (("cb3", build_checkerboard(3)), ("soft3", SOFT3), ("soft3v", SOFT3V))
+            for n in (1, 2, 3)
+        ),
+        *(
+            pytest.param(phi, n, "ensemble", id=f"{name}-{n}")
+            for name, phi in (("cb4", CB4), ("soft4", SOFT4), ("soft4v", SOFT4V))
+            for n in (1, 2)
+        ),
+    ],
+)
+def test_diag3_colour_rotations_share_one_bracket(phi, n, path, monkeypatch):
     """diag3's three shifts are colour rotations of each other, and
-    rotations leave these tables unchanged: one ensemble sweep per n. Each
-    shift's own bracket, computed with nothing shared, equals the shared
-    PInterval field for field."""
+    rotations leave these tables unchanged. Under the 3-colourings the upper
+    layer forces every origin symbol: no sweep, and every site gets the
+    forced [1, 1]. Under the 4-colourings nothing is forced: one ensemble
+    sweep per n, shared by all nine sites. Each shift's own bracket,
+    computed with nothing shared, equals the shared one field for field."""
     z = diagonal_3coloring_point()
-    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, z, n, phi)
-    assert (sweeps, distinct) == (1, 1)
-    shared = est.per_site[0].p
-    assert shared.canopy_path == "ensemble" and (shared.lower, shared.upper) == (1.0, 1.0)
+    sweeps = _spy(monkeypatch, RegionEngine, "evaluate_deltas")
+    canopy = pressure_mod._Canopy(n, phi)
+    brackets = {p_interval(z, v, n, phi, canopy=canopy) for v in orbit_sites(z)}
+    assert len(sweeps) == (path == "ensemble") and len(brackets) == 1
+    (shared,) = brackets
+    assert shared.canopy_path == path
     for v in ((0, 0), (1, 0), (2, 0)):  # origin symbols 0, 1, 2
         assert p_interval(z, v, n, phi) == shared
-    if n == 3:
-        assert (shared.canopy_count, shared.skipped_count) == (6974, 48322)
+    if path == "forced":
+        assert (shared.lower, shared.upper, shared.canopy_count, shared.skipped_count) == (1.0, 1.0, 0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -347,32 +401,39 @@ def test_4_colouring_parity_shares_with_the_unmapped_symbols_in_order(n, monkeyp
 
 @pytest.mark.parametrize("force_ensemble", [False, True], ids=["own-path", "ensemble"])
 @pytest.mark.parametrize(
-    "z, phi",
-    [(PARITY, build_hard_square(1.0)), (PeriodicPoint([[1, 0], [1, 0]]), ASYM)],
-    ids=["hardsquare-parity", "asym"],
+    "z, n, phi, own_path, forced",
+    [
+        (PARITY, 2, build_hard_square(1.0), "extremes", 0),
+        (ASYM_POINT, 2, ASYM, "extremes", 0),
+        (PARITY, 1, SKEW5, "ensemble", None),
+    ],
+    ids=["hardsquare-parity", "asym", "skew5-parity"],
 )
-def test_symbol_swap_that_changes_a_table_shares_nothing(z, phi, force_ensemble, monkeypatch):
+def test_symbol_swap_that_changes_a_table_shares_nothing(z, n, phi, own_path, forced, force_ensemble, monkeypatch):
     """Each point's two classes of shifts are each other's symbol swap, and
     the swap changes a table (the hard square's 1-1 exclusion, the
-    asymmetric model's entries): two brackets, also when no monotone order
-    is found and both take the ensemble path."""
+    asymmetric model's entries, the skewed 5-colouring's 0-1 edge): two
+    brackets, also when no monotone order is found. The upper layer forces
+    the origin 0 of the hard square's and the asymmetric model's shifts, so
+    only the 5-colouring has both classes on the ensemble path."""
     if force_ensemble:
         monkeypatch.setattr(pressure_mod, "monotone_check", lambda phi, target=None: None)
-    est, _, distinct = _sweeps_and_brackets(monkeypatch, z, 2, phi)
+    est, _, distinct = _sweeps_and_brackets(monkeypatch, z, n, phi)
     assert distinct == 2
-    assert all(t.p.canopy_path == "ensemble" for t in est.per_site) == force_ensemble
+    path = "ensemble" if force_ensemble else own_path
+    assert {z.value(t.site): t.p.canopy_path for t in est.per_site} == {a: "forced" if a == forced else path for a in (0, 1)}
 
 
 def test_an_origin_symbol_with_a_monotone_order_is_not_shared(monkeypatch):
     """Sharing needs the new key's origin symbol to take the ensemble path
-    without trying extremes. With an order given for symbol 1 only, diag3's
-    shift with origin 1 computes its own bracket (its rankwise bottom, all
-    0, is not a colouring, so it still ends on the ensemble), and the shift
-    with origin 2 shares the first one's."""
-    order = ((0, 1, 2), (0, 1, 2))
+    without trying extremes. With an order given for symbol 1 only, the
+    4-colouring's diag3 shift with origin 1 computes its own bracket (its
+    rankwise bottom, all 0, is not a colouring, so it still ends on the
+    ensemble), and the shift with origin 2 shares the first one's."""
+    order = ((0, 1, 2, 3), (0, 1, 2, 3))
     monkeypatch.setattr(pressure_mod, "monotone_check", lambda phi, target=None: order if target == 1 else None)
     z = diagonal_3coloring_point()
-    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, z, 2, build_checkerboard(3))
+    est, sweeps, distinct = _sweeps_and_brackets(monkeypatch, z, 2, CB4)
     assert (sweeps, distinct) == (2, 2)
     by_origin = {z.value(t.site): t.p for t in est.per_site}
     assert by_origin[2] is by_origin[0] and by_origin[1] is not by_origin[0]
@@ -389,6 +450,82 @@ def test_an_extremes_bracket_is_not_shared():
     by_origin = {PARITY.value(t.site): t.p for t in est.per_site}
     assert (by_origin[0].canopy_path, by_origin[0].canopy_count) == ("extremes", 2)
     assert (by_origin[1].canopy_path, by_origin[1].canopy_count) == ("ensemble", 729)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "z, phi, forced",
+    [
+        pytest.param(diagonal_3coloring_point(), build_checkerboard(3), set(orbit_sites(diagonal_3coloring_point())), id="cb3-diag3"),
+        pytest.param(diagonal_3coloring_point(), SOFT3, set(orbit_sites(diagonal_3coloring_point())), id="soft3-diag3"),
+        pytest.param(diagonal_3coloring_point(), SOFT3V, set(orbit_sites(diagonal_3coloring_point())), id="soft3v-diag3"),
+        pytest.param(PARITY, build_hard_square(1.0), {(0, 0), (1, 1)}, id="hardsquare-parity"),
+        pytest.param(PARITY, build_checkerboard(2), set(orbit_sites(PARITY)), id="cb2-parity"),
+        pytest.param(COLUMNS, STACKED, {(1, 0)}, id="stacked-columns"),
+        pytest.param(ASYM_POINT, ASYM, {(0, 1), (1, 1)}, id="asym"),
+    ],
+)
+def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n):
+    """Where every symbol but the origin's has infinite energy against the
+    origin's left or lower neighbour, p_interval returns exactly [1, 1] on
+    the forced path with both counts 0, and builds no engine for it. The
+    sweep it replaces agrees: `_Canopy.bracket` on the same key brackets
+    members with a finite denominator to exactly [1, 1] too."""
+    canopy = pressure_mod._Canopy(n, phi)
+    brackets = {v: p_interval(z, v, n, phi, canopy=canopy) for v in orbit_sites(z)}
+    assert {v for v, p in brackets.items() if p.canopy_path == "forced"} == forced
+    assert (canopy._engine is None) == (forced == set(brackets))
+    for v in forced:
+        p = brackets[v]
+        assert (p.lower, p.upper, p.canopy_count, p.skipped_count) == (1.0, 1.0, 0, 0)
+        x = z.shift(v)
+        swept = canopy.bracket(x.restrict(canopy.u_n), x.value((0, 0)))
+        assert (swept.lower, swept.upper) == (1.0, 1.0) and swept.canopy_count > 0
+
+
+@pytest.mark.parametrize(
+    "z, phi",
+    [
+        pytest.param(PARITY, build_ising(0.4), id="ising-parity"),
+        pytest.param(ZEROS, build_ising(0.4), id="ising-zeros"),
+        pytest.param(diagonal_3coloring_point(), CB4, id="cb4-diag3"),
+        pytest.param(diagonal_3coloring_point(), SOFT4, id="soft4-diag3"),
+        pytest.param(PARITY, CB5, id="cb5-parity"),
+        pytest.param(ZEROS, build_hard_square(1.0), id="hardsquare-zeros"),
+    ],
+)
+def test_no_origin_is_forced_where_another_symbol_fits_both_neighbours(z, phi):
+    """Where some symbol other than the origin's has finite energy against
+    both the origin's left and lower neighbours, the rule never fires."""
+    for v in orbit_sites(z):
+        x = z.shift(v)
+        a0, left, below = x.value((0, 0)), x.value((-1, 0)), x.value((0, -1))
+        assert any(np.isfinite(phi.horizontal[left, b]) and np.isfinite(phi.vertical[below, b]) for b in range(phi.q) if b != a0)
+        assert p_interval(z, v, 1, phi).canopy_path != "forced"
+
+
+@pytest.mark.parametrize(
+    "z, phi",
+    [
+        pytest.param(diagonal_3coloring_point(), build_checkerboard(3), id="cb3-diag3"),
+        pytest.param(diagonal_3coloring_point(), SOFT3, id="soft3-diag3"),
+        pytest.param(diagonal_3coloring_point(), SOFT3V, id="soft3v-diag3"),
+        pytest.param(PARITY, build_checkerboard(2), id="cb2-parity"),
+    ],
+)
+def test_an_estimate_whose_sites_are_all_forced_builds_no_engine(z, phi, monkeypatch):
+    """Every orbit site forced: gk_pressure builds no engine and no
+    ensemble, so no budget is spent, and it runs at a budget of 1 to any
+    radius."""
+
+    def refuse(self):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(pressure_mod._Canopy, "engine", refuse)
+    for n in (1, 2, 4, 8):
+        est = gk_pressure(z, n, phi, budget=1)
+        assert {t.p.canopy_path for t in est.per_site} == {"forced"}
+        assert est == gk_pressure(z, n, phi)
 
 
 def test_relabelling_is_fixed_by_the_keys():
@@ -468,58 +605,70 @@ def test_sandwich_weighted_average_inside_interval(rng):
 
 
 @pytest.mark.parametrize(
-    "phi, point, radii",
+    "phi, point, radii, forced",
     [
-        pytest.param(build_hard_square(1.0), ZEROS, (1, 2, 3, 4), id="hardsquare1-zeros"),
-        pytest.param(build_hard_square(3.0), ZEROS, (1, 2, 3, 4), id="hardsquare3-zeros"),
-        pytest.param(build_hard_square(1.0), PARITY, (1, 2, 3), id="hardsquare1-parity"),
-        pytest.param(build_hard_square(3.0), PARITY, (1, 2, 3), id="hardsquare3-parity"),
-        pytest.param(build_ising(0.4), ZEROS, (1, 2, 3), id="ising0.4-zeros"),
-        pytest.param(build_ising(0.4), PeriodicPoint([[1]]), (1, 2), id="ising0.4-ones"),
-        pytest.param(build_full_shift(2), ZEROS, (1, 2), id="fullshift-zeros"),
-        pytest.param(build_full_shift(2), PARITY, (1, 2), id="fullshift-parity"),
+        pytest.param(build_hard_square(1.0), ZEROS, (1, 2, 3, 4), None, id="hardsquare1-zeros"),
+        pytest.param(build_hard_square(3.0), ZEROS, (1, 2, 3, 4), None, id="hardsquare3-zeros"),
+        pytest.param(build_hard_square(1.0), PARITY, (1, 2, 3), 0, id="hardsquare1-parity"),
+        pytest.param(build_hard_square(3.0), PARITY, (1, 2, 3), 0, id="hardsquare3-parity"),
+        pytest.param(build_ising(0.4), ZEROS, (1, 2, 3), None, id="ising0.4-zeros"),
+        pytest.param(build_ising(0.4), PeriodicPoint([[1]]), (1, 2), None, id="ising0.4-ones"),
+        pytest.param(build_full_shift(2), ZEROS, (1, 2), None, id="fullshift-zeros"),
+        pytest.param(build_full_shift(2), PARITY, (1, 2), None, id="fullshift-parity"),
     ],
 )
-def test_extremes_equal_the_ensemble(phi, point, radii):
+def test_extremes_equal_the_ensemble(phi, point, radii, forced):
     """For a monotone model p_interval evaluates two canopy members and
-    brackets exactly as the whole ensemble does, to rounding."""
+    brackets exactly as the whole ensemble does, to rounding. Where the
+    upper layer forces the origin symbol (`forced`: the hard square's 0
+    beside its parity point's 1s) it evaluates nothing, and the whole
+    ensemble gives the same [1, 1] exactly."""
     for n in radii:
         for v in orbit_sites(point):
             pi = p_interval(point, v, n, phi)
             ens = ensemble_interval(point, v, n, phi)
-            assert (pi.canopy_path, pi.canopy_count, pi.skipped_count) == ("extremes", 2, 0)
-            assert abs(pi.lower - ens.lower) <= 1e-14 and abs(pi.upper - ens.upper) <= 1e-14
+            if point.value(v) == forced:
+                assert (pi.canopy_path, pi.canopy_count, pi.skipped_count) == ("forced", 0, 0)
+                assert (pi.lower, pi.upper) == (ens.lower, ens.upper) == (1.0, 1.0)
+            else:
+                assert (pi.canopy_path, pi.canopy_count, pi.skipped_count) == ("extremes", 2, 0)
+                assert abs(pi.lower - ens.lower) <= 1e-14 and abs(pi.upper - ens.upper) <= 1e-14
 
 
 def test_fallback_when_an_extreme_has_a_vanishing_denominator():
-    """The 2-colouring passes monotone_check under the bipartite flip, and
-    both canopy extremes are locally admissible; but one of them is the
-    chessboard phase the upper layer excludes, so its denominator is -inf
-    and p_interval falls back to the ensemble."""
-    cb2 = build_checkerboard(2)
-    order = monotone_check(cb2)
-    assert order == ((0, 1), (1, 0))
+    """STACKED passes monotone_check under the identity order, and both
+    canopy extremes are locally admissible. But the upper layer of COLUMNS
+    at origin 0 holds 1s below S_n's odd columns, which must then be 1s up
+    to the canopy, and the all-0 bottom extreme caps them with 0s: its
+    denominator is -inf and p_interval falls back to the ensemble. (The
+    origin 1 is forced: a 0 may not sit on its lower neighbour's 1. So is
+    every origin of the 2-colouring, which used to show this fallback.)"""
+    order = monotone_check(STACKED)
+    assert order == ((0, 1), (0, 1))
     for n in (1, 2):
         s_n, u_n, c_n = canopy_decomposition(n)
         csites = list(c_n)
-        extremes = pressure_mod._canopy_extremes(csites, order, cb2)
+        extremes = pressure_mod._canopy_extremes(csites, order, STACKED)
         assert extremes is not None
-        for v in orbit_sites(PARITY):
-            x = PARITY.shift(v)
-            engine = RegionEngine(s_n, cb2, target=(0, 0))
-            zvec = engine.evaluate_deltas([engine.terms_from_boundary(x.restrict(u_n))], csites, extremes)
-            assert np.isneginf(logsumexp(zvec, axis=1)).sum() == 1
-            pi = p_interval(PARITY, v, n, cb2)
-            assert pi.canopy_path == "ensemble" and pi.skipped_count > 0
-            assert pi == ensemble_interval(PARITY, v, n, cb2)
+        engine = RegionEngine(s_n, STACKED, target=(0, 0))
+        zvec = engine.evaluate_deltas([engine.terms_from_boundary(COLUMNS.restrict(u_n))], csites, extremes)
+        assert np.isneginf(logsumexp(zvec, axis=1)).sum() == 1
+        pi = p_interval(COLUMNS, (0, 0), n, STACKED)
+        assert pi.canopy_path == "ensemble" and pi.skipped_count > 0 and pi.lower < 1.0
+        ens = ensemble_interval(COLUMNS, (0, 0), n, STACKED)  # swept by rows, not columns: rounding differs
+        assert (pi.canopy_count, pi.skipped_count) == (ens.canopy_count, ens.skipped_count)
+        assert abs(pi.lower - ens.lower) <= 1e-14 and abs(pi.upper - ens.upper) <= 1e-14
+        assert p_interval(COLUMNS, (1, 0), n, STACKED).canopy_path == "forced"
 
 
 def test_fallback_when_an_extreme_is_inadmissible():
-    """A right neighbour must carry 1: attractive under the identity order,
-    but the all-0 bottom canopy has forbidden horizontal pairs, so
-    p_interval enumerates the ensemble."""
+    """A left neighbour must carry 1 (a 0 has no right neighbour):
+    attractive under the identity order, but the all-0 bottom canopy has
+    forbidden horizontal pairs, so p_interval enumerates the ensemble. (Where
+    a right neighbour must carry 1 instead, the origin's left neighbour
+    forces its symbol.)"""
     phi = Interaction(
-        Alphabet(2), np.array([[math.inf, 0.0], [math.inf, 0.0]]), np.zeros((2, 2)), name="right-is-one"
+        Alphabet(2), np.array([[math.inf, math.inf], [0.0, 0.0]]), np.zeros((2, 2)), name="left-is-one"
     )
     order = monotone_check(phi)
     assert order == ((0, 1), (0, 1))
@@ -564,8 +713,8 @@ _SPLIT_CASES = [
 def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
     """The canopy ensemble built from its heads and tails holds exactly the
     rows of the whole canopy's enumeration, and its heads and tails are
-    those the matrix splits into, in the same order. Every bracket, on the
-    ensemble path (forced for the hard square), equals field for field the
+    those the matrix splits into, in the same order. Every bracket, swept
+    on the ensemble path (monotone_check patched out), equals field for field the
     one from sweeping the whole canopy's matrix split by `split_ensemble`.
     Under ENDS some enumerated heads and tails pair with nothing and are
     dropped."""
@@ -593,7 +742,7 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
         assert canopy.bracket(x_u, a0) == pressure_mod._bracket(zvec, a0, n, "ensemble")
 
 
-@pytest.mark.parametrize("z, n, phi", [(diagonal_3coloring_point(), 2, build_checkerboard(3)), (PARITY, 2, ENDS)])
+@pytest.mark.parametrize("z, n, phi", [(diagonal_3coloring_point(), 2, CB4), (PARITY, 2, ENDS)])
 def test_ensemble_path_enumerates_heads_and_tails_only(z, n, phi, monkeypatch):
     """The ensemble path enumerates the canopy's head sites, those the S_n
     engine names, and then its tail sites, the rest of the canopy; never
@@ -707,8 +856,8 @@ LOG_KAPPA = math.log(1.5030480824753323)  # hard-square entropy (Baxter 1999)
 
 def test_hard_square_intervals_at_large_radii():
     """The extremes path takes the parity point to n = 6, 7 under the
-    default budget; every interval contains log kappa and the zeros widths
-    still shrink with n."""
+    default budget, past its two forced 0-sites; every interval contains
+    log kappa and the zeros widths still shrink with n."""
     hs = build_hard_square(1.0)
     parity = periodic_point_from_ssf(hs, 1)
     widths = []
@@ -716,7 +865,7 @@ def test_hard_square_intervals_at_large_radii():
         for n in radii:
             est = gk_pressure(point, n, hs)
             assert est.lower <= LOG_KAPPA <= est.upper
-            assert {t.p.canopy_path for t in est.per_site} == {"extremes"}
+            assert {t.p.canopy_path for t in est.per_site} == ({"extremes"} if point is ZEROS else {"extremes", "forced"})
             widths.append(est.width)
     assert widths == sorted(widths, reverse=True)
     assert widths[-1] < 2.5e-3

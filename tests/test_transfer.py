@@ -17,7 +17,7 @@ from gibbspress.interaction import (
 from gibbspress.lattice import Region, boundary, box, canopy_decomposition
 from gibbspress.pressure import _canopy_extremes, _Canopy, admissible_configurations, gk_pressure, p_interval
 import gibbspress.transfer as transfer
-from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, monotone_check, periodic_point_from_ssf
+from gibbspress.sft import PeriodicPoint, diagonal_3coloring_point, monotone_check, orbit_sites, periodic_point_from_ssf
 from gibbspress.transfer import (
     LOG_ZERO,
     ConstrainedRegion,
@@ -521,14 +521,15 @@ def test_budgets_count_the_states_held():
     assert p_interval(zeros, (0, 0), 3, hs, budget=12) == got
     with pytest.raises(BudgetError, match="needs 12 states"):
         p_interval(zeros, (0, 0), 3, hs, budget=11)
-    # the 3-colouring sweeps its ensemble: 3^10 canopy configurations at
-    # n = 2, 3456 of them admissible; one enumeration over the canopy holds
-    # at most 1728 states before a site, so it needs a budget of 3 * 1728
-    cb3, diag = build_checkerboard(3), diagonal_3coloring_point()
+    # the 3-colouring sweeps its ensemble at the parity point, whose origin
+    # is not forced: 3^10 canopy configurations at n = 2, 3456 of them
+    # admissible; one enumeration over the canopy holds at most 1728 states
+    # before a site, so it needs a budget of 3 * 1728
+    cb3, parity = build_checkerboard(3), PeriodicPoint([[0, 1], [1, 0]])
     with pytest.raises(BudgetError, match="canopy ensemble: needs 5184 states"):
-        p_interval(diag, (0, 0), 2, cb3, budget=5000)
-    got = p_interval(diag, (0, 0), 2, cb3, budget=6000)
-    assert got == p_interval(diag, (0, 0), 2, cb3)
+        p_interval(parity, (0, 0), 2, cb3, budget=5000)
+    got = p_interval(parity, (0, 0), 2, cb3, budget=6000)
+    assert got == p_interval(parity, (0, 0), 2, cb3)
     assert got.canopy_path == "ensemble" and got.canopy_count + got.skipped_count == 3456
 
 
@@ -912,13 +913,19 @@ def test_combine_gives_dead_heads_minus_inf(soft, rng, monkeypatch):
     _assert_same_log_weights(got, want)
 
 
-@pytest.mark.parametrize("n, counts", [(2, (681, 2775)), (3, (6974, 48322))])
+@pytest.mark.parametrize("n, counts", [(2, ((681, 2775), (1681, 1775))), (3, ((6974, 48322), (25553, 29743)))])
 def test_diag3_brackets_keep_their_skipped_counts(n, counts):
-    """Live-row compaction drops no member that counts: every diag3
-    bracket brackets and skips as many canopy members as before it."""
-    est = gk_pressure(diagonal_3coloring_point(), n, build_checkerboard(3))
-    assert {(t.p.canopy_count, t.p.skipped_count) for t in est.per_site} == {counts}
-    assert (est.lower, est.upper) == (0.0, 0.0)
+    """Live-row compaction drops no member that counts: every bracket
+    brackets and skips as many canopy members as before it. The upper layer
+    forces diag3's origins, so the estimate evaluates nothing and its
+    brackets are swept here by `_Canopy.bracket`; the parity point, whose
+    origins the third colour leaves free, sweeps the same canopy through
+    p_interval."""
+    cb3 = build_checkerboard(3)
+    assert {(p.canopy_count, p.skipped_count, p.lower, p.upper) for p in _diag3_brackets(cb3, n)} == {(*counts[0], 1.0, 1.0)}
+    est = gk_pressure(diagonal_3coloring_point(), n, cb3)
+    assert (est.lower, est.upper, est.canopy_count, est.skipped_count) == (0.0, 0.0, 0, 0)
+    assert {(p.canopy_count, p.skipped_count, p.lower, p.upper) for p in _parity_brackets(cb3, n)} == {(*counts[1], 0.0, 1.0)}
 
 
 def test_one_split_per_canopy_ensemble(monkeypatch):
@@ -944,11 +951,12 @@ def test_one_split_per_canopy_ensemble(monkeypatch):
 @pytest.mark.parametrize("k", [3, 4])
 def test_combine_matches_brute_origin_interval(k, monkeypatch):
     """At n = 1 the combined ensemble brackets the 3- and 4-colourings'
-    origin conditional as direct enumeration does, and skips the members
-    that a forward sweep of its member rows skips."""
+    origin conditional at the parity point, which neither forces, as direct
+    enumeration does, and skips the members that a forward sweep of its
+    member rows skips."""
     taken = _spy_combine(monkeypatch)
     phi = build_checkerboard(k)
-    point = diagonal_3coloring_point() if k == 3 else PeriodicPoint([[0, 1], [1, 0]])
+    point = PeriodicPoint([[0, 1], [1, 0]])
     canopy = _Canopy(1, phi)
     pi = p_interval(point, (0, 0), 1, phi, canopy=canopy)
     assert taken == [True] and pi.canopy_path == "ensemble"
@@ -1043,25 +1051,33 @@ def _diag3_brackets(phi, n):
     return [canopy.bracket(z.shift(v).restrict(canopy.u_n), z.value(v)) for v in ((0, 0), (1, 0), (2, 0))]
 
 
-def _diag3_ensembles(phi, n, monkeypatch):
-    """(estimate, [(engine, args, out)] per ensemble `evaluate_deltas` call)
-    of `gk_pressure` at diag3 with forward sweeps forbidden; returns the real
+def _parity_brackets(phi, n):
+    """The p_interval brackets of the parity point's orbit sites, sharing
+    one canopy state as `gk_pressure` does; under a 3-colouring the
+    estimate itself stops at a lower bound of 0 ("positivity violated")."""
+    z, canopy = PeriodicPoint([[0, 1], [1, 0]]), _Canopy(n, phi)
+    return [p_interval(z, v, n, phi, canopy=canopy) for v in orbit_sites(z)]
+
+
+def _parity_ensembles(phi, n, monkeypatch):
+    """(`_parity_brackets`, [(engine, args, out)] per ensemble
+    `evaluate_deltas` call) with forward sweeps forbidden; returns the real
     `evaluate_deltas` and `_sweep` too."""
     calls, evaluate_deltas, sweep = _spy_ensembles(monkeypatch)
-    est = gk_pressure(diagonal_3coloring_point(), n, phi)
+    brackets = _parity_brackets(phi, n)
     ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
     assert ensembles
-    return est, ensembles, evaluate_deltas, sweep
+    return brackets, ensembles, evaluate_deltas, sweep
 
 
 def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
-    """A 3-colouring with horizontal energies 0 and 300 spreads diag3's head
-    and backward vectors past 700 at n = 2: its brackets still combine, to
-    exactly [0, 0], with no forward sweep, and each ensemble equals the
-    forward steps."""
+    """A 3-colouring with horizontal energies 0 and 300 spreads the parity
+    point's head and backward vectors past 700 at n = 2: its brackets still
+    combine, to exactly [0, 1], with no forward sweep, and each ensemble
+    equals the forward steps."""
     soft3 = Interaction(Alphabet(3), _SOFT, _HARD)
-    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3, 2, monkeypatch)
-    assert (est.lower, est.upper) == (0.0, 0.0)
+    brackets, ensembles, evaluate_deltas, sweep = _parity_ensembles(soft3, 2, monkeypatch)
+    assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
     # members listed twice, in both orders, take their own pairs of the one join
     engine, (static, sites, members), out = ensembles[0]
     twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
@@ -1074,15 +1090,15 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
 
 @pytest.mark.parametrize("soft", ["vertical", "horizontal"])
 def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
-    """With the energies 0 and 300 on either table, diag3's brackets at
-    n = 2 combine, to exactly [-300, -300] on the vertical table and
-    [0, 0] on the horizontal one, with no forward sweep, and each ensemble
-    equals the forward steps. The engine sweeps S_n by its columns, so S_n's
-    horizontal table lands on its transitions: their own log-weights then
-    spread past 700, and the backward sweeps take the logsumexp branch."""
+    """With the energies 0 and 300 on either table, the parity point's
+    brackets at n = 2 combine, to exactly [0, 1], with no forward sweep,
+    and each ensemble equals the forward steps. The engine sweeps S_n by
+    its columns, so S_n's horizontal table lands on its transitions: their
+    own log-weights then spread past 700, and the backward sweeps take the
+    logsumexp branch."""
     soft3 = Interaction(Alphabet(3), _HARD, _SOFT) if soft == "vertical" else Interaction(Alphabet(3), _SOFT, _HARD)
-    est, ensembles, evaluate_deltas, sweep = _diag3_ensembles(soft3, 2, monkeypatch)
-    assert (est.lower, est.upper) == ((-300.0, -300.0) if soft == "vertical" else (0.0, 0.0))
+    brackets, ensembles, evaluate_deltas, sweep = _parity_ensembles(soft3, 2, monkeypatch)
+    assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
     spread = max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans)
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
@@ -1207,9 +1223,10 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     """At n = 3 each of diag3's three brackets, computed on its own by
     `_Canopy.bracket`, runs its backward sweep on one vector per distinct
     tail and origin symbol, not on the 55 296 canopy members, and runs no
-    forward sweep; the estimate, whose shifts share one bracket, runs one
-    such sweep. S_n is swept by its columns from the rightmost one, so the
-    tail is the canopy sites that do not touch that column."""
+    forward sweep. The estimate, whose origins the upper layer forces, runs
+    no sweep; the parity point's shifts, which are not forced and share one
+    bracket, run one. S_n is swept by its columns from the rightmost one, so
+    the tail is the canopy sites that do not touch that column."""
     backward, vectors = RegionEngine._backward, []
 
     def spy(self, *args):
@@ -1232,6 +1249,8 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     assert vectors == [tails * 3] * 3
     est = gk_pressure(diagonal_3coloring_point(), n, cb3)
     assert (est.lower, est.upper) == (0.0, 0.0)
+    assert vectors == [tails * 3] * 3
+    assert {(p.lower, p.upper, p.canopy_path) for p in _parity_brackets(cb3, n)} == {(0.0, 1.0, "ensemble")}
     assert vectors == [tails * 3] * 4
 
 
