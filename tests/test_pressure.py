@@ -465,12 +465,14 @@ def test_an_extremes_bracket_is_not_shared():
         pytest.param(ASYM_POINT, ASYM, {(0, 1), (1, 1)}, id="asym"),
     ],
 )
-def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n):
+def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n, monkeypatch):
     """Where every symbol but the origin's has infinite energy against the
     origin's left or lower neighbour, p_interval returns exactly [1, 1] on
     the forced path with both counts 0, and builds no engine for it. The
     sweep it replaces agrees: `_Canopy.bracket` on the same key brackets
-    members with a finite denominator to exactly [1, 1] too."""
+    members with a finite denominator to exactly [1, 1] too. With every
+    orbit site forced, gk_pressure builds no engine and no ensemble, so no
+    budget is spent, and it runs at a budget of 1 at n and at 4n."""
     canopy = pressure_mod._Canopy(n, phi)
     brackets = {v: p_interval(z, v, n, phi, canopy=canopy) for v in orbit_sites(z)}
     assert {v for v, p in brackets.items() if p.canopy_path == "forced"} == forced
@@ -481,6 +483,17 @@ def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n
         x = z.shift(v)
         swept = canopy.bracket(x.restrict(canopy.u_n), x.value((0, 0)))
         assert (swept.lower, swept.upper) == (1.0, 1.0) and swept.canopy_count > 0
+    if forced != set(brackets):
+        return
+
+    def refuse(self):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(pressure_mod._Canopy, "engine", refuse)
+    for m in (n, 4 * n):
+        est = gk_pressure(z, m, phi, budget=1)
+        assert {t.p.canopy_path for t in est.per_site} == {"forced"}
+        assert est == gk_pressure(z, m, phi)
 
 
 @pytest.mark.parametrize(
@@ -502,30 +515,6 @@ def test_no_origin_is_forced_where_another_symbol_fits_both_neighbours(z, phi):
         a0, left, below = x.value((0, 0)), x.value((-1, 0)), x.value((0, -1))
         assert any(np.isfinite(phi.horizontal[left, b]) and np.isfinite(phi.vertical[below, b]) for b in range(phi.q) if b != a0)
         assert p_interval(z, v, 1, phi).canopy_path != "forced"
-
-
-@pytest.mark.parametrize(
-    "z, phi",
-    [
-        pytest.param(diagonal_3coloring_point(), build_checkerboard(3), id="cb3-diag3"),
-        pytest.param(diagonal_3coloring_point(), SOFT3, id="soft3-diag3"),
-        pytest.param(diagonal_3coloring_point(), SOFT3V, id="soft3v-diag3"),
-        pytest.param(PARITY, build_checkerboard(2), id="cb2-parity"),
-    ],
-)
-def test_an_estimate_whose_sites_are_all_forced_builds_no_engine(z, phi, monkeypatch):
-    """Every orbit site forced: gk_pressure builds no engine and no
-    ensemble, so no budget is spent, and it runs at a budget of 1 to any
-    radius."""
-
-    def refuse(self):
-        raise AssertionError("an engine was built")
-
-    monkeypatch.setattr(pressure_mod._Canopy, "engine", refuse)
-    for n in (1, 2, 4, 8):
-        est = gk_pressure(z, n, phi, budget=1)
-        assert {t.p.canopy_path for t in est.per_site} == {"forced"}
-        assert est == gk_pressure(z, n, phi)
 
 
 def test_relabelling_is_fixed_by_the_keys():

@@ -1070,14 +1070,26 @@ def _parity_ensembles(phi, n, monkeypatch):
     return brackets, ensembles, evaluate_deltas, sweep
 
 
+def _assert_diag3_forced(phi, interval):
+    """diag3's estimate at n = 2 is exactly `interval`, on the forced path at
+    every site; its brackets swept by `_Canopy.bracket`, with forward sweeps
+    still forbidden, are exactly [1, 1]."""
+    est = gk_pressure(diagonal_3coloring_point(), 2, phi)
+    assert (est.lower, est.upper) == interval
+    assert {(t.p.lower, t.p.upper, t.p.canopy_path) for t in est.per_site} == {(1.0, 1.0, "forced")}
+    assert [(p.lower, p.upper, p.canopy_path) for p in _diag3_brackets(phi, 2)] == [(1.0, 1.0, "ensemble")] * 3
+
+
 def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     """A 3-colouring with horizontal energies 0 and 300 spreads the parity
     point's head and backward vectors past 700 at n = 2: its brackets still
     combine, to exactly [0, 1], with no forward sweep, and each ensemble
-    equals the forward steps."""
+    equals the forward steps. diag3's origins are forced: its estimate is
+    exactly [0, 0], and its brackets swept on their own are exactly [1, 1]."""
     soft3 = Interaction(Alphabet(3), _SOFT, _HARD)
     brackets, ensembles, evaluate_deltas, sweep = _parity_ensembles(soft3, 2, monkeypatch)
     assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
+    _assert_diag3_forced(soft3, (0.0, 0.0))
     # members listed twice, in both orders, take their own pairs of the one join
     engine, (static, sites, members), out = ensembles[0]
     twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
@@ -1095,10 +1107,13 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     and each ensemble equals the forward steps. The engine sweeps S_n by
     its columns, so S_n's horizontal table lands on its transitions: their
     own log-weights then spread past 700, and the backward sweeps take the
-    logsumexp branch."""
+    logsumexp branch. diag3's origins are forced: its estimate is exactly
+    [-300, -300] on the vertical table and [0, 0] on the horizontal one, and
+    its brackets swept on their own are exactly [1, 1]."""
     soft3 = Interaction(Alphabet(3), _HARD, _SOFT) if soft == "vertical" else Interaction(Alphabet(3), _SOFT, _HARD)
     brackets, ensembles, evaluate_deltas, sweep = _parity_ensembles(soft3, 2, monkeypatch)
     assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
+    _assert_diag3_forced(soft3, (-300.0, -300.0) if soft == "vertical" else (0.0, 0.0))
     spread = max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans)
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
