@@ -5,6 +5,10 @@ acting on ordered symbol pairs: horizontal[a, b] is the energy of the edge
 {v, v+e1} when v carries a and v+e1 carries b, and vertical[a, b] the same
 for {v, v+e2}. +inf encodes a forbidden edge and is absorbing under
 addition.
+
+`Interaction.edges` is the one place that orientation lives: it gives a
+site's four edges, each with the table indexed by the site's own symbol
+first, and every per-site edge lookup of the package goes through it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ from .lattice import Region, Site
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sft import PeriodicPoint
-
-HORIZONTAL = 0
-VERTICAL = 1
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -66,6 +66,15 @@ class Interaction:
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         return (self.horizontal, self.vertical)
 
+    def edges(self, v: Site) -> tuple[tuple[Site, np.ndarray], ...]:
+        """v's four edges as (neighbour u, table indexed [v's symbol, u's
+        symbol]), ordered left, right, below, above; the right and above
+        edges, [1::2], are v's forward edges. The left and below tables are
+        transposed views."""
+        x, y = v
+        h, vt = self.horizontal, self.vertical
+        return (((x - 1, y), h.T), ((x + 1, y), h), ((x, y - 1), vt.T), ((x, y + 1), vt))
+
 
 @dataclass(frozen=True)
 class Configuration:
@@ -92,13 +101,11 @@ def energy(w: Configuration, phi: Interaction) -> float:
     """Sum of edge energies over edges with both endpoints in w's region."""
     total = 0.0
     sym = w.symbols
-    for (x, y), a in sym.items():
-        b = sym.get((x + 1, y))
-        if b is not None:
-            total += phi.horizontal[a, b]
-        b = sym.get((x, y + 1))
-        if b is not None:
-            total += phi.vertical[a, b]
+    for v, a in sym.items():
+        for u, table in phi.edges(v)[1::2]:  # forward edges: each edge once
+            b = sym.get(u)
+            if b is not None:
+                total += table[a, b]
     return float(total)
 
 
@@ -114,16 +121,10 @@ def energy_with_boundary(w: Configuration, delta: Configuration, phi: Interactio
             raise ValueError("inconsistent concatenation")
     total = energy(w, phi)
     dsym = delta.symbols
-    wsym = w.symbols
-    for (x, y), a in wsym.items():
-        for axis, u_fwd, u_bwd in (
-            (HORIZONTAL, (x + 1, y), (x - 1, y)),
-            (VERTICAL, (x, y + 1), (x, y - 1)),
-        ):
-            if u_fwd not in w.region and u_fwd in dsym:
-                total += phi.tables[axis][a, dsym[u_fwd]]
-            if u_bwd not in w.region and u_bwd in dsym:
-                total += phi.tables[axis][dsym[u_bwd], a]
+    for v, a in w.symbols.items():
+        for u, table in phi.edges(v):
+            if u not in w.region and u in dsym:
+                total += table[a, dsym[u]]
     return float(total)
 
 
@@ -134,10 +135,9 @@ def per_site_contribution(z: "PeriodicPoint", v: Site, phi: Interaction) -> floa
     at the shift of z by v; it uses the two forward edges only, not all four
     neighbors.
     """
-    x, y = v
     a = z.value(v)
-    e_h = phi.horizontal[a, z.value((x + 1, y))]
-    e_v = phi.vertical[a, z.value((x, y + 1))]
+    _, (right, h), _, (above, vt) = phi.edges(v)
+    e_h, e_v = h[a, z.value(right)], vt[a, z.value(above)]
     if not (math.isfinite(e_h) and math.isfinite(e_v)):
         raise HypothesisError("point not in the underlying constraint set")
     return float(-(e_h + e_v))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, per_site_contribution
-from .lattice import Region, Site, canopy_decomposition, neighbors, site_key
+from .lattice import Region, Site, canopy_decomposition
 from .sft import (
     PeriodicPoint,
     admissible_states,
@@ -128,10 +128,9 @@ def _pairs(head: Region, heads: np.ndarray, tail: Region, tails: np.ndarray, phi
     ok = np.ones((len(heads), len(tails)), dtype=bool)
     col = {v: j for j, v in enumerate(tail)}
     for i, v in enumerate(head):
-        for u in (u for u in neighbors(v) if u in col):
-            a, b = heads[:, i, None], tails[None, :, col[u]]
-            table = phi.horizontal if u[1] == v[1] else phi.vertical
-            ok &= np.isfinite(table[b, a] if site_key(u) < site_key(v) else table[a, b])  # (left or lower, other)
+        for u, table in phi.edges(v):
+            if u in col:
+                ok &= np.isfinite(table[heads[:, i, None], tails[None, :, col[u]]])
     kept = ok.any(axis=1), ok.any(axis=0)
     head_of, tail_of = (np.cumsum(k)[i] - 1 for k, i in zip(kept, np.nonzero(ok)))  # renumbered past those dropped
     return SplitEnsemble(heads[kept[0]], tails[kept[1]], head_of, tail_of)
@@ -257,7 +256,7 @@ class _Canopy:
         extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)
         if extremes is not None:
             zvec = sweep(self.sites, extremes)
-            if np.isfinite(logsumexp(zvec, axis=1)).all():
+            if np.isfinite(zvec).any(axis=1).all():
                 return _bracket(zvec, a0, self.n, "extremes")
         return _bracket(sweep(*self.deltas()), a0, self.n, "ensemble")
 
@@ -310,10 +309,10 @@ def p_interval(
     a0 = x.value((0, 0))
     key = (a0, *(x_u.symbols[u] for u in canopy.u_n))
     if key not in canopy.brackets:
-        left, below = x_u.symbols[(-1, 0)], x_u.symbols[(0, -1)]
         # the symbols with finite energy against both neighbours: a0 is one,
         # since z is a point of phi
-        fits = np.isfinite(phi.horizontal[left]) & np.isfinite(phi.vertical[below])
+        (left, t_left), _, (below, t_below), _ = phi.edges((0, 0))
+        fits = np.isfinite(t_left[:, x_u.symbols[left]]) & np.isfinite(t_below[:, x_u.symbols[below]])
         if np.count_nonzero(fits) == 1:
             canopy.brackets[key] = PInterval(1.0, 1.0, n, 0, 0, "forced")
         else:

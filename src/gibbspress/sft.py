@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetError, HypothesisError
 from .interaction import Configuration, Interaction, energy
-from .lattice import Region, Site
+from .lattice import NEIGHBOR_OFFSETS, Region, Site
 
 class PeriodicPoint:
     """Fully periodic configuration given by a rectangular cell.
@@ -76,17 +76,6 @@ def is_locally_admissible(w: Configuration, phi: Interaction) -> bool:
     return math.isfinite(energy(w, phi))
 
 
-def _fills(eta: tuple[int, ...], a: int, phi: Interaction) -> bool:
-    # eta in NEIGHBOR_OFFSETS order: south, west, east, north
-    s, w, e, n = eta
-    return bool(
-        np.isfinite(phi.vertical[s, a])
-        and np.isfinite(phi.horizontal[w, a])
-        and np.isfinite(phi.horizontal[a, e])
-        and np.isfinite(phi.vertical[a, n])
-    )
-
-
 @dataclass(frozen=True)
 class SsfResult:
     """Outcome of the single-site fillability scan.
@@ -113,35 +102,27 @@ def ssf_check(phi: Interaction) -> SsfResult:
 
     Fillability is checked against the supplied tables as-is (the forbidden
     list is the set of +inf entries), so the verdict is list-dependent.
+    fills[eta + (a,)] is True when the origin's symbol a has finite energy
+    on all four edges to the neighbor configuration eta.
     """
     q = phi.q
-    witness: dict[tuple[int, ...], int] = {}
-    counterexample = None
-    for eta in product(range(q), repeat=4):
-        for a in range(q):
-            if _fills(eta, a, phi):
-                witness[eta] = a
-                break
-        else:
-            if counterexample is None:
-                counterexample = eta
-    return SsfResult(witness=witness, counterexample=counterexample)
+    fills = np.ones((q,) * 5, dtype=bool)
+    for u, table in phi.edges((0, 0)):
+        shape = [1] * 5
+        shape[NEIGHBOR_OFFSETS.index(u)] = shape[4] = q
+        fills &= np.isfinite(table.T).reshape(shape)
+    def scan(mask):  # the etas where mask holds, in scan order
+        return compress(product(range(q), repeat=4), mask.ravel().tolist())
+
+    filled = fills.any(axis=-1)
+    witness = dict(zip(scan(filled), fills.argmax(axis=-1)[filled].tolist()))
+    return SsfResult(witness=witness, counterexample=next(scan(~filled), None))
 
 
 def safe_symbol_check(phi: Interaction) -> int | None:
     """Smallest symbol admissible next to every neighbor configuration, if any."""
-    q = phi.q
-    for a in range(q):
-        ok = all(
-            np.isfinite(phi.horizontal[a, b])
-            and np.isfinite(phi.horizontal[b, a])
-            and np.isfinite(phi.vertical[a, b])
-            and np.isfinite(phi.vertical[b, a])
-            for b in range(q)
-        )
-        if ok:
-            return a
-    return None
+    safe = np.logical_and.reduce([np.isfinite(table).all(axis=1) for _, table in phi.edges((0, 0))])
+    return int(safe.argmax()) if safe.any() else None
 
 
 def periodic_point_from_ssf(phi: Interaction, b: int) -> PeriodicPoint:
@@ -236,13 +217,12 @@ def admissible_levels(sites: Sequence[Site], phi: Interaction, budget: int):
     of the admissible states after each site, where keep[i] = parent * q +
     symbol extends state `parent` of the level before by `symbol`."""
     col = {v: j for j, v in enumerate(sites)}
-    h, vt = phi.tables
     k = phi.q
     syms = np.arange(k, dtype=np.int8 if k <= np.iinfo(np.int8).max else np.int64)
     cfg = np.zeros((1, 0), dtype=syms.dtype)
     energies = np.zeros(1)
     yield None, cfg, energies
-    for j, (x, y) in enumerate(sites):
+    for j, v in enumerate(sites):
         if len(cfg) * k > budget:
             raise BudgetError(
                 f"needs {len(cfg) * k} states at site {j + 1} of {len(sites)}, "
@@ -250,17 +230,10 @@ def admissible_levels(sites: Sequence[Site], phi: Interaction, budget: int):
             )
         # e[i, s]: energy of state i extended by symbol syms[s]
         e = energies[:, None]
-        for table, u, new_first in (
-            (h, (x - 1, y), False),
-            (h, (x + 1, y), True),
-            (vt, (x, y - 1), False),
-            (vt, (x, y + 1), True),
-        ):
+        for u, table in phi.edges(v):
             i = col.get(u)
-            if i is None or i >= j:
-                continue
-            b = cfg[:, i, None]
-            e = e + (table[syms, b] if new_first else table[b, syms])
+            if i is not None and i < j:
+                e = e + table[syms, cfg[:, i, None]]
         e = np.broadcast_to(e, (len(cfg), k)).ravel()
         keep = np.flatnonzero(~np.isposinf(e))
         cfg = np.column_stack([cfg[keep // k], syms[keep % k]])

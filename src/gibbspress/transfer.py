@@ -39,19 +39,14 @@ _INDEX_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def logsumexp(a, axis: int):
-    """log(sum(exp(a))) along `axis` with -inf-safe handling; empty sums
-    give -inf."""
-    a = np.asarray(a, dtype=float)
-    axis = axis % a.ndim
-    if a.shape[axis] == 0:
-        shape = list(a.shape)
-        del shape[axis]
-        return np.full(shape, LOG_ZERO)
-    m = np.max(a, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
+    """log(sum(exp(a))) along `axis`, moved last for `_exp_shifted`, with
+    -inf-safe handling; empty sums give -inf."""
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
+    if a.shape[-1] == 0:
+        return np.full(a.shape[:-1], LOG_ZERO)
+    e, m, _ = _exp_shifted(a)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - m_safe), axis=axis)) + np.squeeze(m_safe, axis=axis)
-    return np.where(np.squeeze(np.isfinite(m), axis=axis), out, LOG_ZERO)
+        return np.log(e.sum(axis=-1)) + m[..., 0]
 
 
 @dataclass(frozen=True)
@@ -273,8 +268,7 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
 @dataclass(frozen=True, eq=False)  # fields are arrays: compared by identity
 class SplitEnsemble:
     """Ensemble members as (head, tail) pairs: member i is heads[head_of[i]]
-    followed by tails[tail_of[i]]. `len()` counts members, and indexing
-    gives member rows."""
+    followed by tails[tail_of[i]]. `len()` counts members."""
 
     heads: np.ndarray
     tails: np.ndarray
@@ -283,9 +277,6 @@ class SplitEnsemble:
 
     def __len__(self) -> int:
         return len(self.head_of)
-
-    def __getitem__(self, index) -> np.ndarray:
-        return np.column_stack([self.heads[self.head_of[index]], self.tails[self.tail_of[index]]])
 
 
 class RegionEngine:
@@ -410,23 +401,21 @@ class RegionEngine:
         """Yield, row by row from the top, the (len(symbols), n_states) sum
         of the edges from the exterior `sites` into that row, one member per
         row of `symbols` (one column per site), or None for a row no site
-        touches. Each site's four edges are walked once and grouped by the
-        neighbour's row, so only the row at hand is ever held; sites inside
-        the region add nothing. Summed as 0 - e_1 - e_2 ... in (site, edge)
-        order, each edge gathered straight from its table."""
+        touches. Each site's four edges (`Interaction.edges`) are walked once
+        and grouped by the neighbour's row, so only the row at hand is ever
+        held; sites inside the region add nothing. Summed as 0 - e_1 - e_2
+        ... in (site, edge) order, each edge gathered straight from its
+        table, the exterior symbol first."""
         by_row: dict[int, list] = {}
-        for d, (x, y) in enumerate(sites):
-            # (neighbour, axis, the exterior site comes first in the edge's ordered pair)
-            edges = (((x - 1, y), 0, False), ((x + 1, y), 0, True), ((x, y - 1), 1, False), ((x, y + 1), 1, True))
-            for u, axis, ext_first in () if (x, y) in self._row_of else edges:
+        for d, v in enumerate(sites):
+            for u, table in () if v in self._row_of else self.phi.edges(v):
                 i = self._row_of.get(u)
                 if i is not None:
-                    by_row.setdefault(i, []).append((d, axis, self.rows[i].col[u], ext_first))
+                    by_row.setdefault(i, []).append((d, table, self.rows[i].col[u]))
         for i, row in enumerate(self.rows):
             vec = None
-            for d, axis, j, ext_first in by_row.get(i, ()):
-                a, col = symbols[:, d, None], row.configs[:, j]
-                t = self.phi.tables[axis][(a, col) if ext_first else (col, a)]  # a fresh array
+            for d, table, j in by_row.get(i, ()):
+                t = table[symbols[:, d, None], row.configs[:, j]]  # a fresh array
                 vec = np.subtract(0.0, t, out=t) if vec is None else np.subtract(vec, t, out=vec)
             yield vec
 

@@ -7,7 +7,7 @@ exceptions: `stage_transfer_steps` builds the engine's transfer steps the
 slow way, by enumerating every stage on its own, in their dense form, which
 `dense_sweep` runs, and `split_ensemble` splits
 a member matrix into distinct heads and tails for the engine's meet in the
-middle, by sorting its rows.
+middle, by sorting its rows, which `member_rows` joins back.
 """
 
 from __future__ import annotations
@@ -217,3 +217,9 @@ def split_ensemble(engine, sites, members):
     )
     split = transfer.SplitEnsemble(heads, tails, head_of.reshape(-1), tail_of.reshape(-1))
     return [sites[j] for j in head + tail], split
+
+
+def member_rows(ensemble: transfer.SplitEnsemble) -> np.ndarray:
+    """The member matrix of a split ensemble: member i's head columns, then
+    its tail columns, in member order."""
+    return np.column_stack([ensemble.heads[ensemble.head_of], ensemble.tails[ensemble.tail_of]])

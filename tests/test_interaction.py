@@ -80,6 +80,24 @@ def test_ising_tables():
     assert ib.horizontal[0, 1] == pytest.approx(0.3)
 
 
+def test_edges_orient_each_table_by_the_site_first():
+    """On a 4-symbol model whose 32 table entries are all distinct, each of
+    a site's four edges reads the entry the module docstring assigns it:
+    horizontal[a, b] when a sits left of b, vertical[a, b] when a sits
+    below b, with v's own symbol first in the returned table."""
+    h = np.arange(16.0).reshape(4, 4) * 1.5 - 7.0
+    vt = np.arange(16.0).reshape(4, 4).T * -2.0 + 100.0
+    assert len(set(h.ravel()) | set(vt.ravel())) == 32
+    phi = Interaction(Alphabet(4), h, vt)
+    x, y = v = (3, -2)
+    edges = phi.edges(v)
+    assert [u for u, _ in edges] == [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)]
+    for a in range(4):  # v's symbol
+        for b in range(4):  # the neighbour's symbol
+            left, right, below, above = (table[a, b] for _, table in edges)
+            assert (left, right, below, above) == (h[b, a], h[a, b], vt[b, a], vt[a, b])
+
+
 def test_energy_examples():
     hs = build_hard_square(1.0)
     assert energy(cfg({(0, 0): 1, (1, 0): 1}), hs) == math.inf
@@ -115,6 +133,24 @@ def test_energy_with_boundary_examples():
     w = cfg({(0, 0): 0})
     below_left = cfg({(0, -1): 1, (-1, 0): 2})
     assert energy_with_boundary(w, below_left, cb) == 0.0
+
+
+def test_energy_with_boundary_on_a_non_symmetric_table():
+    """On the asymmetric model every edge into the boundary takes the entry
+    with the left or lower site's symbol first, whichever of the two lies in
+    w's region, and w's internal edge counts once."""
+    asym = interaction_from_json(
+        {"alphabet_size": 2, "horizontal": [[0, "inf"], [0, 0.5]], "vertical": [[0, 1.5], [0, 0]]}
+    )
+    w = cfg({(0, 0): 0})
+    assert energy_with_boundary(w, cfg({(-1, 0): 1}), asym) == 0.0  # horizontal[1, 0]
+    assert energy_with_boundary(w, cfg({(1, 0): 1}), asym) == math.inf  # horizontal[0, 1]
+    assert energy_with_boundary(w, cfg({(0, -1): 1}), asym) == 0.0  # vertical[1, 0]
+    assert energy_with_boundary(w, cfg({(0, 1): 1}), asym) == 1.5  # vertical[0, 1]
+    pair = cfg({(0, 0): 1, (1, 0): 1})  # internal edge horizontal[1, 1] = 0.5
+    delta = cfg({(-1, 0): 1, (2, 0): 0, (0, -1): 0, (0, 1): 0, (1, 1): 1, (-1, 1): 0})
+    # + horizontal[1, 1] + horizontal[1, 0] + vertical[0, 1] + vertical[1, 0] + vertical[1, 1]
+    assert energy_with_boundary(pair, delta, asym) == 0.5 + 0.5 + 0.0 + 1.5 + 0.0 + 0.0
 
 
 def test_energy_with_boundary_excludes_boundary_internal_edges():

@@ -35,7 +35,7 @@ from gibbspress.sft import (
 )
 from gibbspress.transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
 
-from oracles import brute_origin_interval, split_ensemble
+from oracles import brute_origin_interval, member_rows, split_ensemble
 
 ZEROS = PeriodicPoint([[0]])
 PARITY = PeriodicPoint([[0, 1], [1, 0]])
@@ -711,7 +711,7 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
     canopy = pressure_mod._Canopy(n, phi)
     sites, split = canopy.deltas()
     matrix = admissible_configurations(canopy.c_n, phi)
-    members = split[:][:, [sites.index(v) for v in canopy.sites]]
+    members = member_rows(split)[:, [sites.index(v) for v in canopy.sites]]
     assert len(members) == len(matrix) and np.array_equal(np.unique(members, axis=0), matrix)
 
     engine = canopy.engine()

@@ -1,5 +1,10 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gibbspress.errors import HypothesisError
 from gibbspress.interaction import (
@@ -56,6 +61,42 @@ def test_ssf_checkerboards():
     r3 = ssf_check(build_checkerboard(3))
     assert not r3.satisfied
     assert r3.counterexample == (0, 0, 1, 2)  # first eta using all three colors
+
+
+@st.composite
+def _sparse_tables(draw):
+    """A model with q <= 5 and two unrelated tables, about a third of whose
+    entries are +inf."""
+    q = draw(st.integers(2, 5))
+    entry = st.sampled_from([math.inf, math.inf, -1.0, 0.0, 0.5, 2.0])
+    h, vt = (np.array(draw(st.lists(entry, min_size=q * q, max_size=q * q))).reshape(q, q) for _ in range(2))
+    assume(np.isfinite(h).any() and np.isfinite(vt).any())
+    return Interaction(Alphabet(q), h, vt)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_tables())
+def test_ssf_and_safe_symbol_equal_a_brute_scan(phi):
+    """Both certificates equal a scan of the definitions: eta = (below,
+    left, right, above) is filled by a when vertical[below, a],
+    horizontal[left, a], horizontal[a, right] and vertical[a, above] are all
+    finite; a is safe when every edge from a to any b, in either table and
+    either order, is finite. Witnesses come in scan order, the smallest
+    fill each."""
+    h, vt, q = phi.horizontal, phi.vertical, phi.q
+    witness, counterexample = {}, None
+    for eta in product(range(q), repeat=4):
+        below, left, right, above = eta
+        fills = [a for a in range(q) if np.isfinite([vt[below, a], h[left, a], h[a, right], vt[a, above]]).all()]
+        if fills:
+            witness[eta] = fills[0]
+        elif counterexample is None:
+            counterexample = eta
+    safe = [a for a in range(q) if np.isfinite([h[a], h[:, a], vt[a], vt[:, a]]).all()]
+    result = ssf_check(phi)
+    assert list(result.witness.items()) == list(witness.items())
+    assert result.counterexample == counterexample
+    assert safe_symbol_check(phi) == (safe[0] if safe else None)
 
 
 def test_neighbor_order_is_canonical():

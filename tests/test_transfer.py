@@ -38,6 +38,7 @@ from oracles import (
     brute_origin_interval,
     brute_strip_log_lambda,
     dense_sweep,
+    member_rows,
     split_ensemble,
     stage_transfer_steps,
 )
@@ -932,12 +933,12 @@ def test_one_split_per_canopy_ensemble(monkeypatch):
     """diag3's three distinct brackets at n = 2, each computed by
     `_Canopy.bracket` of one canopy state, pass one canopy ensemble, already
     split into heads and tails, to one engine, which combines it as it is:
-    no member is coded or sorted (`np.unique` never runs) and no member row
-    is built."""
-    unique, rows = [], []
-    np_unique, getitem = np.unique, SplitEnsemble.__getitem__
+    no member is coded or sorted (`np.unique` never runs), and no member row
+    can be built: a split ensemble has no indexing (the tests'
+    `member_rows` builds them)."""
+    unique = []
+    np_unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *args, **kw: unique.append(1) or np_unique(*args, **kw))
-    monkeypatch.setattr(SplitEnsemble, "__getitem__", lambda self, index: rows.append(1) or getitem(self, index))
     calls, _, _ = _spy_ensembles(monkeypatch)
     _diag3_brackets(build_checkerboard(3), 2)
     ensembles = [(engine, args, out) for engine, args, out in calls if len(out) > 1]
@@ -945,7 +946,7 @@ def test_one_split_per_canopy_ensemble(monkeypatch):
     members = ensembles[0][1][2]
     assert isinstance(members, SplitEnsemble) and all(args[2] is members for _, args, _ in ensembles)
     assert (len(members.heads), len(members.tails), len(members)) == (36, 144, 3456)
-    assert unique == [] and rows == []
+    assert unique == [] and not hasattr(SplitEnsemble, "__getitem__")
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -966,7 +967,7 @@ def test_combine_matches_brute_origin_interval(k, monkeypatch):
     engine, (sites, ensemble) = canopy.engine(), canopy.deltas()
     upper = {(y, x): a for (x, y), a in point.restrict(u_1).symbols.items()}
     static = [engine.terms_from_boundary(Configuration(Region(upper), upper))]
-    forward = engine.evaluate_deltas(static, [(y, x) for x, y in sites], ensemble[:])
+    forward = engine.evaluate_deltas(static, [(y, x) for x, y in sites], member_rows(ensemble))
     assert taken == [True]
     live = np.isfinite(forward).any(axis=1)
     assert (pi.canopy_count, pi.skipped_count) == (live.sum(), (~live).sum())
@@ -1097,7 +1098,7 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members[:]))
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, member_rows(members)))
 
 
 @pytest.mark.parametrize("soft", ["vertical", "horizontal"])
@@ -1118,7 +1119,7 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, members[:]))
+        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, member_rows(members)))
 
 
 @pytest.mark.parametrize(
