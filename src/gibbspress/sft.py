@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, product
 from typing import Sequence
 
@@ -76,16 +77,26 @@ def is_locally_admissible(w: Configuration, phi: Interaction) -> bool:
     return math.isfinite(energy(w, phi))
 
 
-@dataclass(frozen=True)
+def _scan(mask: np.ndarray):
+    """The neighbor configurations where the q^4 `mask` holds, in
+    lexicographic scan order."""
+    return compress(product(range(len(mask)), repeat=4), mask.ravel().tolist())
+
+
+@dataclass(frozen=True, eq=False)  # fills is an array: compared by identity
 class SsfResult:
     """Outcome of the single-site fillability scan.
 
-    `witness` maps each neighbor configuration (keyed in NEIGHBOR_OFFSETS
-    order) to the smallest symbol filling it; `counterexample` is the first
-    neighbor configuration with no fill, in lexicographic scan order.
+    fills[eta + (a,)] is True when the origin's symbol a has finite energy
+    on all four edges to the neighbor configuration eta (keyed in
+    NEIGHBOR_OFFSETS order). `witness` maps each eta with a fill to the
+    smallest symbol filling it, a dict built on first read: at q = 24 it
+    holds 331 776 entries, which `witness_count` does not need.
+    `counterexample` is the first eta with no fill, in lexicographic scan
+    order.
     """
 
-    witness: dict[tuple[int, ...], int] | None
+    fills: np.ndarray
     counterexample: tuple[int, ...] | None
 
     @property
@@ -94,7 +105,12 @@ class SsfResult:
 
     @property
     def witness_count(self) -> int:
-        return 0 if self.witness is None else len(self.witness)
+        return int(self.fills.any(axis=-1).sum())
+
+    @cached_property
+    def witness(self) -> dict[tuple[int, ...], int]:
+        filled = self.fills.any(axis=-1)
+        return dict(zip(_scan(filled), self.fills.argmax(axis=-1)[filled].tolist()))
 
 
 def ssf_check(phi: Interaction) -> SsfResult:
@@ -102,8 +118,6 @@ def ssf_check(phi: Interaction) -> SsfResult:
 
     Fillability is checked against the supplied tables as-is (the forbidden
     list is the set of +inf entries), so the verdict is list-dependent.
-    fills[eta + (a,)] is True when the origin's symbol a has finite energy
-    on all four edges to the neighbor configuration eta.
     """
     q = phi.q
     fills = np.ones((q,) * 5, dtype=bool)
@@ -111,12 +125,7 @@ def ssf_check(phi: Interaction) -> SsfResult:
         shape = [1] * 5
         shape[NEIGHBOR_OFFSETS.index(u)] = shape[4] = q
         fills &= np.isfinite(table.T).reshape(shape)
-    def scan(mask):  # the etas where mask holds, in scan order
-        return compress(product(range(q), repeat=4), mask.ravel().tolist())
-
-    filled = fills.any(axis=-1)
-    witness = dict(zip(scan(filled), fills.argmax(axis=-1)[filled].tolist()))
-    return SsfResult(witness=witness, counterexample=next(scan(~filled), None))
+    return SsfResult(fills=fills, counterexample=next(_scan(~fills.any(axis=-1)), None))
 
 
 def safe_symbol_check(phi: Interaction) -> int | None:

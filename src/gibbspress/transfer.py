@@ -1,21 +1,24 @@
 """Exact log-domain partition functions on finite regions by row-sweep
 dynamic programming, conditional probabilities, and the strip oracle.
 
-A stored weight is its natural log, -inf for weight zero. Sums of weights
-multiply and add exp-shifted values while the spreads they combine sum to
-at most `_SPREAD`, and go through logsumexp past it.
+The engine stores a weight as its natural log, -inf for weight zero. Sums
+of weights multiply and add exp-shifted values while the spreads they
+combine sum to at most `_SPREAD`, and go through logsumexp past it. The
+strip oracle holds its power iterate in the linear domain, largest entry
+1, until the same rule first fails, and as log-weights from then on
+(`strip_pressure`).
 
 A transition between two rows runs as site-by-site transfer steps
-(`_transfer_steps`, `_run_steps`). A step stores, for every state, only
-its predecessors of nonzero weight, and stores weights only where they
-are not all equal: the hard square at lambda = 1 and the colourings
-gather and sum, with no multiply.
+(`_transfer_steps`, `_linear_step`, `_run_steps`). A step stores, for
+every state, only its predecessors of nonzero weight, and stores weights
+only where they are not all equal: the hard square at lambda = 1 and the
+colourings gather and sum, with no multiply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, sqrt
+from math import inf, log, sqrt
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -125,9 +128,37 @@ def _suffixes(old: _Row, y: int, phi: Interaction, budget: int) -> tuple[list, n
         keeps, reversed_old, _ = _chain(old.sites[::-1], phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"transfer states of row y={y}: {exc}") from None
-    rank = np.empty(len(reversed_old), dtype=np.int64)
-    rank[np.lexsort(reversed_old.T)] = np.arange(len(rank))
-    return keeps, rank
+    return keeps, _rank(reversed_old)
+
+
+def _rank(reversed_configs: np.ndarray) -> np.ndarray:
+    """rank[j]: the lexicographic rank, first site most significant, of
+    the row state whose symbols reversed_configs[j] holds in reverse."""
+    rank = np.empty(len(reversed_configs), dtype=np.int64)
+    rank[np.lexsort(reversed_configs.T)] = np.arange(len(rank))
+    return rank
+
+
+def _strip_chains(widest: int, phi: Interaction, budget: int):
+    """Yield, for every strip width m = 1 .. widest in turn, its row's
+    chains: the prefix chain, configs and energies `_enumerate_row` would
+    give, then the suffix chain and the reversed configs it ends in, which
+    `_suffixes` would rank. Two runs of `admissible_levels` over the widest
+    row, one left to right and one right to left, serve every width: the
+    tables do not depend on position, so the first m levels of either run
+    are those of the width-m row's own run. A refusal names the strip's
+    row, y = 0, and counts the sites of the widest row."""
+    sites = [(x, 0) for x in range(widest)]
+    prefix, suffix = [], []
+    try:
+        levels = zip(*(admissible_levels(run, phi, budget) for run in (sites, sites[::-1])))
+        next(levels)  # the empty configuration
+        for (keep, configs, energies), (back, reversed_configs, _) in levels:
+            prefix.append(keep)
+            suffix.append(back)
+            yield prefix[:], configs, energies, suffix[:], reversed_configs
+    except BudgetError as exc:
+        raise BudgetError(f"transfer states of row y=0: {exc}") from None
 
 
 def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, phi: Interaction, budget: int) -> list:
@@ -236,15 +267,30 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     return steps
 
 
+def _linear_step(e: np.ndarray, idx: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """One transfer step (`_transfer_steps`) on linear-domain vectors along
+    the last axis, each with the zero slot in front, weight 0, which the
+    step keeps in front of its output and its padding indices gather. It
+    gathers its index rows, multiplies them by its weights only where it
+    has any, and adds them in ascending b, leaving out its shift. A single
+    vector adds its rows one at a time and a batch sums them: each is the
+    faster at its shape, and both add in b order, to the same bits."""
+    if e.ndim > 1 and e.size == e.shape[-1]:  # a single vector in a batch's shape
+        return _linear_step(e.reshape(-1), idx, w).reshape(*e.shape[:-1], -1)
+    t = e.take(idx, axis=-1)
+    if w is not None:
+        np.multiply(t, w, out=t)
+    return sum(t[1:], t[0]) if e.ndim == 1 else t.sum(axis=-2)
+
+
 def _run_steps(v: np.ndarray, steps) -> np.ndarray:
     """Apply transfer steps (`_transfer_steps`) to log-weight vectors along
-    the last axis: in the linear domain when the vectors' row spread plus
-    the steps' spreads is at most `_SPREAD` (finite entries stay within
-    [e^-700, e^700], so no step rescales, and zeros stay exact), else by
-    one logsumexp per step. The vectors get a zero slot in front, weight 0,
-    which every step keeps in front of its output and its padding indices
-    gather. A step gathers its index rows, multiplies them by its weights
-    only where it has any, and sums them in ascending b."""
+    the last axis: in the linear domain (`_linear_step`) when the vectors'
+    row spread plus the steps' spreads is at most `_SPREAD` (finite entries
+    stay within [e^-700, e^700], so no step rescales, and zeros stay
+    exact), else by one logsumexp per step. The vectors get a zero slot in
+    front, weight 0, which every step keeps in front of its output and its
+    padding indices gather."""
     slotted = np.empty((*v.shape[:-1], 1 + v.shape[-1]))
     slotted[..., 0], slotted[..., 1:] = LOG_ZERO, v
     e, m, spread = _exp_shifted(slotted)
@@ -252,9 +298,7 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
         if spread + sum(step[3] for step in steps) <= _SPREAD:
             del slotted  # only the logsumexp steps read it
             for idx, w, _, _ in steps:
-                t = np.take(e, idx, axis=-1)
-                e = (t if w is None else np.multiply(t, w, out=t)).sum(axis=-2)
-                del t  # so that no two gathers are held at once
+                e = _linear_step(e, idx, w)
             out = np.log(e[..., 1:])
             out += m + sum(step[2] for step in steps)
             return out
@@ -678,25 +722,26 @@ _SQUARINGS = 10
 
 
 def _ritz(pairs: list) -> np.ndarray | None:
-    """The Perron Ritz vector of span{exp x_j}, from power iterates' pairs
-    (x_j, y_j) of log-weights with y_j = log A exp x_j, which share one
-    finite pattern: log-weights of log-max 0 on that pattern, or None when
-    a Gram-Schmidt column collapses (`_COLLAPSE`) or the vector is not
-    positive wherever x_j is finite.
+    """The Perron Ritz vector of span{x_j}, from power iterates' pairs
+    (x_j, y_j) of linear weights with y_j = A x_j / c, one common factor c,
+    which share one support: weights of largest entry 1 on that support
+    and 0 off it, or None when a Gram-Schmidt column collapses
+    (`_COLLAPSE`) or the vector is not positive on the support.
 
-    Row j of `vw` holds exp x_j beside the image exp(y_j - c), one common
-    shift c, so Gram-Schmidt, run twice per column, orthonormalises the
-    exp x_j into Q and applies the same column operations to the images,
-    which gives A Q e^-c. The dominant eigenvector of Q^T A Q is a column
-    of its repeated square, mapped back through Q. Dot products only: the
-    strip path's first LAPACK calls would raise its peak RSS by about 2 MB."""
-    finite = np.isfinite(pairs[0][0])
-    n = len(finite)
+    Row j of `vw` holds x_j beside the image y_j / c', c' the images'
+    largest entry, so Gram-Schmidt, run twice per column, orthonormalises
+    the x_j into Q and applies the same column operations to the images,
+    which gives A Q / (c c'). The dominant eigenvector of Q^T A Q is a
+    column of its repeated square, mapped back through Q. The products are
+    einsum calls: BLAS `@` was faster in only 5 of 10 alternating runs of
+    the 3-colouring strip benchmark on a 2-core host, and peaked 0.6 MB
+    higher."""
+    support = pairs[0][0] > 0
+    n = len(support)
     vw = np.empty((len(pairs), 2 * n))
     for j, (x, y) in enumerate(pairs):
         vw[j, :n], vw[j, n:] = x, y
-    vw[:, n:] -= vw[:, n:].max()
-    np.exp(vw, out=vw)  # -inf gives exact zeros, which stay zeros
+    vw[:, n:] /= vw[:, n:].max()
     v = vw[:, :n]
     for j in range(len(pairs)):
         norm = sqrt(np.einsum("i,i", v[j], v[j]))
@@ -706,19 +751,19 @@ def _ritz(pairs: list) -> np.ndarray | None:
         if not left > _COLLAPSE * norm:
             return None
         vw[j] /= left
-    p = np.einsum("ki,ji->kj", v, vw[:, n:])  # Q^T A Q e^-c
+    p = np.einsum("ki,ji->kj", v, vw[:, n:])  # Q^T A Q / (c c')
     for _ in range(_SQUARINGS):
         top = np.abs(p).max()
         if not top > 0:
             return None
         p /= top
         p = np.einsum("ij,jk->ik", p, p)
-    z = np.einsum("k,ki->i", p[:, np.abs(p).sum(axis=0).argmax()], v)[finite]
+    z = np.einsum("k,ki->i", p[:, np.abs(p).sum(axis=0).argmax()], v)[support]
     z = z if z.sum() > 0 else -z
     if not (z > 0).all():
         return None
-    out = np.full(n, LOG_ZERO)
-    out[finite] = np.log(z / z.max())
+    out = np.zeros(n)
+    out[support] = z / z.max()
     return out
 
 
@@ -728,64 +773,103 @@ def strip_pressure(
     tol: float = 1e-10,
     max_iter: int = 100000,
     budget: int = DEFAULT_BUDGET,
+    *,
+    _chains: tuple | None = None,
 ) -> StripBounds:
     """Per-site pressure bracket for the width-m strip.
 
     Power-iterates the row transfer operator A from the all-ones vector on
     admissible rows and returns Collatz-Wielandt bounds on log(lambda_max),
     stopping when the per-site gap drops below tol. Degenerate strips (no
-    admissible row survives) yield a [-inf, -inf] bracket.
+    admissible row survives) yield a [-inf, -inf] bracket. `_chains` is the
+    row's entry of `_strip_chains`, when `strip_sequence` has it already.
 
     The operator is applied as the site-by-site steps of `_transfer_steps`
     from the row to itself, each a gather and sum over every state's live
     predecessors, with a multiply only where the vertical weights differ
-    (none for the hard square at lambda = 1 or the colourings). After every
-    `_RESTART_SPAN` iterations with one stable finite pattern, the next
-    iterate is replaced by the Perron Ritz vector of their span (`_ritz`),
-    an explicitly restarted Rayleigh-Ritz step that costs no application of
-    A. A restart is declined when the iterates' span collapses or the Ritz
-    vector is not positive. A restart that fails to shrink the bracket is
-    undone: the iteration goes on from the power iterate it replaced, and
-    restarts go on. So each failed restart spends exactly one application,
-    and every other bracket is the one plain power iteration gives from the
-    same iterate. `iterations` counts the applications of A, and every
-    bracket is the Collatz-Wielandt bracket of a true application to a
-    positive vector, whatever the Ritz step returned.
+    (none for the hard square at lambda = 1 or the colourings), and then
+    by the row weights. The iterate is held in the linear domain, largest
+    entry 1, with the zero slot in front that the steps gather: the
+    Collatz-Wielandt ratios are y/x, and only their least and largest go to
+    logs. Each application checks the `_SPREAD` rule on the iterate's
+    spread plus the steps' and the row weights'; once the rule fails, the
+    iterate turns to log-weights for good, and the steps run through
+    `_run_steps`. After every `_RESTART_SPAN` linear iterations with one
+    stable support, the next iterate is replaced by the Perron Ritz vector
+    of their span (`_ritz`), an explicitly restarted Rayleigh-Ritz step
+    that costs no application of A. A restart is declined when the
+    iterates' span collapses or the Ritz vector is not positive. A restart
+    that fails to shrink the bracket is undone: the iteration goes on from
+    the power iterate it replaced, and restarts go on. So each failed
+    restart spends exactly one application, and every other bracket is
+    the one plain power iteration gives from the same iterate.
+    `iterations` counts the applications of A, and every bracket is the
+    Collatz-Wielandt bracket of a true application to a positive vector,
+    whatever the Ritz step returned.
     """
     if m < 1:
         raise ValueError("strip width must be positive")
     row = _Row(0, [(x, 0) for x in range(m)])
     try:
-        prefix = _enumerate_row(row, phi, budget)
+        if _chains is None:
+            for _chains in _strip_chains(m, phi, budget):
+                pass
+        prefix, row.configs, energy, suffix, reversed_configs = _chains
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        steps = _transfer_steps(row, row, prefix, _suffixes(row, row.y, phi, budget), phi.vertical, phi, budget)
+        steps = _transfer_steps(row, row, prefix, (suffix, _rank(reversed_configs)), phi.vertical, phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
     # the iteration runs these steps up to max_iter times, and np.take would
     # convert int32 indices to intp on every run: convert them once
     steps = [(idx.astype(np.intp), *rest) for idx, *rest in steps]
-    x = np.zeros(len(row.configs))
+    internal = -energy  # finite: every row is admissible
+    top, low = float(internal.max()), float(internal.min())
+    weights = np.exp(internal - top) if low < top else None
+    # the spread a linear application adds, and the log of the factor it leaves out
+    added, scale = sum(step[3] for step in steps) + top - low, sum(step[2] for step in steps) + top
+    x = np.ones(1 + len(internal))
+    x[0] = 0.0
+    linear = True
     lo = hi = LOG_ZERO
     it = 0
     # (x, y) pairs since the last restart, and the power iterate and bracket
     # width a pending restart replaced
     pairs, replaced, gap = [], None, inf
     for it in range(1, max_iter + 1):
-        y = _run_steps(x, steps) + row.internal
-        mask = np.isfinite(x) & np.isfinite(y)
+        live_x = x > 0 if linear else np.isfinite(x)
+        if linear and added - log(x.min(where=live_x, initial=1.0)) > _SPREAD:
+            linear, pairs, live_x = False, [], live_x[1:]
+            with np.errstate(divide="ignore"):
+                x, replaced = (None if v is None else np.log(v[1:]) for v in (x, replaced))
+        if linear:
+            y = x
+            for idx, w, _, _ in steps:
+                y = _linear_step(y, idx, w)
+            if weights is not None:
+                y[1:] *= weights
+            live_y = y > 0
+        else:
+            y = _run_steps(x, steps) + internal
+            live_y = np.isfinite(y)
+        mask = live_x & live_y
         if not mask.any():
             return StripBounds(m, LOG_ZERO, LOG_ZERO, it)
-        ratios = y[mask] - x[mask]
-        lo, hi = float(ratios.min()), float(ratios.max())
-        stable = bool((np.isfinite(y) == np.isfinite(x)).all())
-        following = y - y[mask].max()
+        if linear:
+            ratios = y[mask] / x[mask]
+            lo, hi = log(ratios.min()) + scale, log(ratios.max()) + scale
+            following = y / y.max()
+        else:
+            ratios = y[mask] - x[mask]
+            lo, hi = float(ratios.min()), float(ratios.max())
+            following = y - y[mask].max()
+        stable = np.array_equal(live_x, live_y)
         if replaced is not None and not hi - lo < gap:  # x, a Ritz vector, did not narrow the bracket
             following = replaced
         replaced = None
         if stable and (hi - lo) / m < tol:
             break
-        pairs = pairs + [(x, y)] if stable else []
+        pairs = pairs + [(x, y)] if stable and linear else []
         if len(pairs) == _RESTART_SPAN:
             ritz, pairs = _ritz(pairs), []
             if ritz is not None:
@@ -820,12 +904,23 @@ def strip_sequence(
 
     For every requested width m >= 2 the predecessor width m-1 is computed
     as well so the ratio interval can be formed by interval arithmetic.
+    Every width is one `strip_pressure` call, and all of them share one
+    enumeration of the widest row's chains (`_strip_chains`). Where a
+    shared level is refused, the width runs its own enumeration, which is
+    refused at the same site and says so in that width's terms.
     """
     widths = sorted(set(widths))
     if not widths or widths[0] < 1:
         raise ValueError("widths must be positive")
-    needed = set(widths) | {m - 1 for m in widths if m >= 2}
-    cache = {m: strip_pressure(m, phi, tol=tol, max_iter=max_iter, budget=budget) for m in sorted(needed)}
+    needed = sorted(set(widths) | {m - 1 for m in widths if m >= 2})
+    chains = _strip_chains(needed[-1], phi, budget)
+    cache = {}
+    for m in needed:
+        try:
+            shared = next(c for c in chains if len(c[0]) == m)  # c[0]: one keep array per site
+        except BudgetError:
+            shared = None
+        cache[m] = strip_pressure(m, phi, tol=tol, max_iter=max_iter, budget=budget, _chains=shared)
     points = []
     for m in widths:
         b = cache[m]

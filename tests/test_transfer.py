@@ -255,16 +255,19 @@ _RAND4 = Interaction(
     [[-0.11, -1.05, 1.63, -0.63], [0.51, 1.41, 0.57, -1.85], [0.39, 1.58, 1.89, 0.29], [-1.29, 1.65, -0.44, -0.98]],
     name="rand4",
 )
+# forbids a 0 left of a 1, so its rows read left to right and right to
+# left are different sets
+_ASYM = Interaction(Alphabet(2), [[0, math.inf], [0, 0.5]], [[0, 1.5], [0, 0]], name="asym")
 
 
 def _spy_restarts(monkeypatch) -> list[bool]:
     """Whether each restart of `strip_pressure` got a Ritz vector. Every
-    restart's iterates and images share one finite pattern."""
+    restart's iterates and images share one support."""
     outcomes, ritz = [], transfer._ritz
 
     def spy(pairs):
-        finite = np.isfinite(pairs[0][0])
-        assert all(np.array_equal(np.isfinite(v), finite) for pair in pairs for v in pair)
+        support = pairs[0][0] > 0
+        assert all(np.array_equal(v > 0, support) for pair in pairs for v in pair)
         out = ritz(pairs)
         outcomes.append(out is not None)
         return out
@@ -289,10 +292,13 @@ def test_strip_matches_dense_eigenvalue(rng, monkeypatch):
     )
     # a 0 must be followed by a 1 and a 1 by nothing: no row of width 3
     dead_end = Interaction(Alphabet(2), [[inf, 0], [inf, inf]], np.zeros((2, 2)), name="dead-end")
+    # from width 6 on, the iterate's spread soon joins the steps' and the
+    # row weights' past 700, and it turns to log-weights mid-iteration
+    stiff = Interaction(Alphabet(2), [[0, 30], [30, 0]], [[0, 60], [60, 0]], name="stiff")
     randoms = [random_interaction(q, rng) for q in (2, 2, 3, 3)]
     outcomes = _spy_restarts(monkeypatch)
     restarted = []
-    for phi in model_gallery() + randoms + [orphan, dead_end, build_ising(0.4), _RAND4]:
+    for phi in model_gallery() + randoms + [orphan, dead_end, build_ising(0.4), _RAND4, _ASYM, stiff]:
         for m in range(1, 9):
             if phi.q**m > 3**8:
                 continue
@@ -336,10 +342,10 @@ def test_a_poor_restart_costs_one_application(monkeypatch):
     noise = np.random.default_rng(5)
     tried = []
 
-    def poor(pairs):  # positive on the iterates' finite pattern, log-weights spread over 30
+    def poor(pairs):  # positive on the iterates' support, log-weights spread over 30
         x = pairs[-1][0]
         tried.append(1)
-        return np.where(np.isfinite(x), -30.0 * noise.random(len(x)), LOG_ZERO)
+        return np.where(x > 0, np.exp(-30.0 * noise.random(len(x))), 0.0)
 
     monkeypatch.setattr(transfer, "_ritz", poor)
     for (phi, m), want in zip(models, plain):
@@ -353,24 +359,24 @@ def test_a_poor_restart_costs_one_application(monkeypatch):
 
 def test_ritz_declines_a_collapsed_span_and_a_vector_that_is_not_positive():
     def pairs(a, xs):
-        return [(x, np.log(a @ np.exp(x))) for x in xs]
+        return [(x, a @ x) for x in xs]
 
     # three iterates of a 2-state operator span two dimensions; two give
     # its Perron vector (lambda - 1, 1), lambda = (3 + 5^(1/2)) / 2
     a = np.array([[2.0, 1.0], [1.0, 1.0]])
-    xs = [np.zeros(2)]
+    xs = [np.ones(2)]
     for _ in range(2):
-        xs.append(np.log(a @ np.exp(xs[-1])))
-    perron = np.log([(1 + math.sqrt(5)) / 2, 1.0]) - math.log((1 + math.sqrt(5)) / 2)
+        xs.append(a @ xs[-1])
+    perron = np.array([(1 + math.sqrt(5)) / 2, 1.0]) / ((1 + math.sqrt(5)) / 2)
     np.testing.assert_allclose(transfer._ritz(pairs(a, xs[:2])), perron, rtol=0, atol=1e-12)
     assert transfer._ritz(pairs(a, xs)) is None
-    # the finite pattern is kept
-    padded = [(np.append(x, LOG_ZERO), np.append(y, LOG_ZERO)) for x, y in pairs(a, xs[:2])]
-    np.testing.assert_allclose(transfer._ritz(padded), np.append(perron, LOG_ZERO), rtol=0, atol=1e-12)
+    # the support is kept
+    padded = [(np.append(x, 0.0), np.append(y, 0.0)) for x, y in pairs(a, xs[:2])]
+    np.testing.assert_allclose(transfer._ritz(padded), np.append(perron, 0.0), rtol=0, atol=1e-12)
     # [[3, -1], [-1, 3]] maps (1, 1) and (1, 1/2) to positive vectors, but
     # its dominant eigenvector is (1, -1)
     b = np.array([[3.0, -1.0], [-1.0, 3.0]])
-    assert transfer._ritz(pairs(b, [np.zeros(2), np.log([1.0, 0.5])])) is None
+    assert transfer._ritz(pairs(b, [np.ones(2), np.array([1.0, 0.5])])) is None
 
 
 def test_strip_bounds_ordered_across_gallery():
@@ -392,6 +398,32 @@ def test_strip_checkerboard2_is_frozen():
 def test_strip_budget_guard():
     with pytest.raises(BudgetError, match="transfer states"):
         strip_pressure(8, build_checkerboard(5), budget=10000)
+
+
+def test_strip_sequence_enumerates_once_to_the_same_brackets(monkeypatch):
+    """`strip_sequence` enumerates the widest row once in each direction,
+    and every width's bracket equals a lone `strip_pressure` call exactly:
+    on the gallery, the q = 4 table and a table that is not symmetric."""
+    levels = transfer.admissible_levels
+    for phi in model_gallery() + [_RAND4, _ASYM]:
+        widths = [m for m in range(1, 9) if phi.q**m <= 3**8]
+        want = [strip_pressure(m, phi) for m in widths]
+        runs = []
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "admissible_levels", lambda sites, *args: runs.append(len(sites)) or levels(sites, *args))
+            got = [point.bounds for point in strip_sequence(phi, widths)]
+        assert got == want, phi.name
+        assert runs == [widths[-1]] * 2, phi.name
+
+
+def test_strip_sequence_refuses_a_width_in_its_own_terms():
+    """The shared run covers 8 sites, but the 5-colouring is refused at
+    width 7, the first width it cannot hold, as that width's own run is."""
+    with pytest.raises(BudgetError) as refusal:
+        strip_sequence(build_checkerboard(5), [8], budget=10000)
+    assert str(refusal.value) == (
+        "strip of width 7: transfer states of row y=0: needs 25600 states at site 7 of 7, over the limit 10000"
+    )
 
 
 def test_strip_sequence_ratio_cancels_surface_term():
@@ -1224,7 +1256,8 @@ def test_strip_with_energies_of_800_takes_the_log_steps(monkeypatch):
     """Rows alternate 0101... and 1010..., a column turning 0 into 1 costs
     800 and one turning 1 into 0 costs 0. The steps' weights spread 800, so
     they run as logsumexp steps, and every even width m gives exactly
-    log lambda = -400 m, which underflowing linear steps would lose."""
+    log lambda = -400 m, which underflowing linear steps would lose. The
+    3-colouring's iterate stays linear: at width 11 no logsumexp runs."""
     inf = math.inf
     phi = Interaction(Alphabet(2), [[inf, 0], [0, inf]], [[inf, 800], [0, inf]])
     calls = []
@@ -1233,6 +1266,9 @@ def test_strip_with_energies_of_800_takes_the_log_steps(monkeypatch):
         sb = strip_pressure(m, phi)
         assert (sb.log_lambda_lower, sb.log_lambda_upper, sb.iterations) == (-400.0 * m, -400.0 * m, 1)
     assert calls
+    calls.clear()
+    strip_pressure(11, build_checkerboard(3))
+    assert calls == []
 
 
 def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
