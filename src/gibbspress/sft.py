@@ -266,11 +266,11 @@ def admissible_states(
 
     This is the package's one enumerator and its one budget rule: the
     states held before a site, times q, must not exceed `budget`. A
-    canopy's heads and tails are one call each, engine rows and strips one
-    run of its loop (`admissible_levels`), and a transfer's stages are
-    products of two chains of its levels, the new row's being the levels of
-    that row's own run. Callers that restrict a site to fewer symbols do so
-    afterwards, e.g. with `RegionEngine.terms_from_pins`.
+    canopy's heads and tails are one call each; an engine row or strip is
+    two runs of its loop (`admissible_levels`) in lock step, one each way
+    (`transfer._row_chains`), whose levels chain into a transfer's stages.
+    Callers that restrict a site to fewer symbols do so afterwards, e.g.
+    with `RegionEngine.terms_from_pins`.
     """
     for _, cfg, energies in admissible_levels(sites, phi, budget):
         pass

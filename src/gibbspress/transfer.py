@@ -17,6 +17,7 @@ colourings gather and sum, with no multiply.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import inf, log, sqrt
 from typing import Mapping, Sequence
@@ -87,19 +88,6 @@ class _Row:
         self.internal: np.ndarray | None = None
 
 
-def _enumerate_row(row: _Row, phi: Interaction, budget: int) -> list:
-    """Fill row.configs / row.internal with the row's admissible states, in
-    lexicographic order (first site most significant), and return the keep
-    arrays of its levels: the prefix chain of a transfer into the row
-    (`_transfer_steps`)."""
-    try:
-        keeps, row.configs, energy = _chain(row.sites, phi, budget)
-    except BudgetError as exc:
-        raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
-    row.internal = -energy
-    return keeps
-
-
 def _columns(old: _Row, new: _Row, q: int) -> list[int]:
     """Sorted x columns of the transfer between two rows. Refuses rows so
     wide that q^columns, the most states a stage could hold, passes the
@@ -110,27 +98,6 @@ def _columns(old: _Row, new: _Row, q: int) -> list[int]:
     return columns
 
 
-def _chain(sites: list[Site], phi: Interaction, budget: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The keep arrays of `admissible_levels` over `sites`, one per site,
-    and the last level's configs and energies."""
-    keeps = []
-    for keep, cfg, energies in admissible_levels(sites, phi, budget):
-        keeps.append(keep)
-    return keeps[1:], cfg, energies
-
-
-def _suffixes(old: _Row, y: int, phi: Interaction, budget: int) -> tuple[list, np.ndarray]:
-    """The suffix chain of every transfer out of the enumerated row `old`:
-    the keep arrays of its right-to-left enumeration, one per site, and
-    rank, where rank[j] is the row of old.configs that holds the chain's
-    last-level state j. A refusal names the row y the transfer leads to."""
-    try:
-        keeps, reversed_old, _ = _chain(old.sites[::-1], phi, budget)
-    except BudgetError as exc:
-        raise BudgetError(f"transfer states of row y={y}: {exc}") from None
-    return keeps, _rank(reversed_old)
-
-
 def _rank(reversed_configs: np.ndarray) -> np.ndarray:
     """rank[j]: the lexicographic rank, first site most significant, of
     the row state whose symbols reversed_configs[j] holds in reverse."""
@@ -139,26 +106,28 @@ def _rank(reversed_configs: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _strip_chains(widest: int, phi: Interaction, budget: int):
-    """Yield, for every strip width m = 1 .. widest in turn, its row's
-    chains: the prefix chain, configs and energies `_enumerate_row` would
-    give, then the suffix chain and the reversed configs it ends in, which
-    `_suffixes` would rank. Two runs of `admissible_levels` over the widest
-    row, one left to right and one right to left, serve every width: the
-    tables do not depend on position, so the first m levels of either run
-    are those of the width-m row's own run. A refusal names the strip's
-    row, y = 0, and counts the sites of the widest row."""
-    sites = [(x, 0) for x in range(widest)]
+def _row_chains(row: _Row, phi: Interaction, budget: int):
+    """Run `admissible_levels` over the row left to right and right to left
+    in lock step, and yield, after the m-th site of each run, the chains of
+    a transfer (`_transfer_steps`): the prefix chain, the keep arrays of the
+    left-to-right run, one per site, with its configs and energies, then
+    the suffix chain, those of the right-to-left run, with the reversed
+    configs it ends in, which `_rank` orders. The last entry is the row's
+    own. On consecutive sites every entry m is that of the row's first m
+    sites: the tables do not depend on position, so the first m levels of
+    the right-to-left run are those of the first m sites' own run, and one
+    run over the widest strip serves every width (`strip_sequence`). A
+    refusal names the row's y."""
     prefix, suffix = [], []
     try:
-        levels = zip(*(admissible_levels(run, phi, budget) for run in (sites, sites[::-1])))
+        levels = zip(*(admissible_levels(run, phi, budget) for run in (row.sites, row.sites[::-1])))
         next(levels)  # the empty configuration
         for (keep, configs, energies), (back, reversed_configs, _) in levels:
             prefix.append(keep)
             suffix.append(back)
             yield prefix[:], configs, energies, suffix[:], reversed_configs
     except BudgetError as exc:
-        raise BudgetError(f"transfer states of row y=0: {exc}") from None
+        raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
 
 
 def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, phi: Interaction, budget: int) -> list:
@@ -167,11 +136,10 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     columns a state holds the new symbols left of the cut and the old ones
     from the cut on, shifted one x right so that no edge crosses the cut.
     So stage k is the lexicographic product A_k x B_k of a level of the new
-    row's left-to-right enumeration (its prefixes, the keep arrays
-    `_enumerate_row` returned for it) and one of the old row's right-to-left
-    enumeration (its suffixes, `_suffixes`). Stage 0 is old.configs,
-    reached through the suffix chain's rank, and the last stage is
-    new.configs.
+    row's left-to-right enumeration (its prefixes) and one of the old row's
+    right-to-left enumeration (its suffixes), the chains `_row_chains`
+    yields for each row. Stage 0 is old.configs, reached through the
+    suffix chain's rank, and the last stage is new.configs.
 
     A column in both rows swaps the old symbol b for the new symbol a with
     log-weight -table[b, a] (0 when table is None), one only in the old row
@@ -336,9 +304,9 @@ class RegionEngine:
     partition functions split by the target site's symbol, which may lie in
     any row: a sweep in either direction splits its vectors by that symbol
     where it passes the target's row (`_split`). Rows with equal x columns
-    share one enumeration of their states, whose levels are also the prefix
-    chain of each transfer into them, and one suffix chain (`_suffixes`),
-    enumerated once for every transfer out of them. Each transition is the
+    share one run of `_row_chains`: their states, the prefix chain of each
+    transfer into them and the suffix chain of each transfer out of them,
+    held only until the transitions are built. Each transition is the
     steps of `_transfer_steps`, which keep each state's live predecessors
     only and weights only where they differ; equal row pairs share one.
     Steps and products share one linear-domain rule (`_SPREAD`).
@@ -378,25 +346,25 @@ class RegionEngine:
 
         for r, s in zip(self.rows, self.rows[1:]):  # refuse wide regions before any enumeration
             _columns(r, s, phi.q)
-        chains: dict[tuple[int, ...], tuple[_Row, list]] = {}  # x columns: (first row, its prefix chain)
+        # x columns: (configs, internal, prefix chain, (suffix chain, rank))
+        chains: dict[tuple[int, ...], tuple] = {}
         for row in self.rows:  # rows with equal x columns share states
             cols = tuple(v[0] for v in row.sites)
             if cols not in chains:
-                chains[cols] = row, _enumerate_row(row, phi, budget)
-            first = chains[cols][0]
-            row.configs, row.internal = first.configs, first.internal
+                for prefix, configs, energy, suffix, reversed_configs in _row_chains(row, phi, budget):
+                    pass
+                chains[cols] = configs, -energy, prefix, (suffix, _rank(reversed_configs))
+            row.configs, row.internal = chains[cols][:2]
         self.infeasible = any(len(row.configs) == 0 for row in self.rows)
 
         # [steps, log-weights] per row pair; _combine builds the log-weights
-        self._trans, shared, suffixes = [], {}, {}  # suffixes: x columns -> old row's suffix chain
+        self._trans, shared = [], {}
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
             if key not in shared:
-                if key[1] not in suffixes:
-                    suffixes[key[1]] = _suffixes(r, s.y, phi, budget)
                 # s lies below r, so the vertical edge is the ordered pair (s, r)
                 table = phi.vertical.T if r.y - s.y == 1 else None
-                shared[key] = [_transfer_steps(r, s, chains[key[2]][1], suffixes[key[1]], table, phi, budget), None]
+                shared[key] = [_transfer_steps(r, s, chains[key[2]][2], chains[key[1]][3], table, phi, budget), None]
             self._trans.append(shared[key])
 
         # (row index, (q, n_states) masks by the target's symbol), or None
@@ -714,6 +682,9 @@ class StripBounds:
 
 #: Power iterations a strip restart combines (`_ritz`).
 _RESTART_SPAN = 4
+#: `strip_sequence`'s run of `_row_chains` over its widest row, whose
+#: entries its `strip_pressure` calls read in ascending width; empty outside
+_STRIP_RUN: ContextVar = ContextVar("_STRIP_RUN", default=())
 #: A Gram-Schmidt column that keeps at most this fraction of its norm has
 #: collapsed: the iterates span fewer dimensions than they number.
 _COLLAPSE = 1e-8
@@ -773,16 +744,15 @@ def strip_pressure(
     tol: float = 1e-10,
     max_iter: int = 100000,
     budget: int = DEFAULT_BUDGET,
-    *,
-    _chains: tuple | None = None,
 ) -> StripBounds:
     """Per-site pressure bracket for the width-m strip.
 
     Power-iterates the row transfer operator A from the all-ones vector on
     admissible rows and returns Collatz-Wielandt bounds on log(lambda_max),
     stopping when the per-site gap drops below tol. Degenerate strips (no
-    admissible row survives) yield a [-inf, -inf] bracket. `_chains` is the
-    row's entry of `_strip_chains`, when `strip_sequence` has it already.
+    admissible row survives) yield a [-inf, -inf] bracket. The row's
+    chains are the last entry of its `_row_chains`, or, for a width of
+    `strip_sequence`, the entry of its shared run (`_STRIP_RUN`).
 
     The operator is applied as the site-by-site steps of `_transfer_steps`
     from the row to itself, each a gather and sum over every state's live
@@ -811,10 +781,12 @@ def strip_pressure(
         raise ValueError("strip width must be positive")
     row = _Row(0, [(x, 0) for x in range(m)])
     try:
-        if _chains is None:
-            for _chains in _strip_chains(m, phi, budget):
+        try:
+            chains = next(c for c in _STRIP_RUN.get() if len(c[0]) == m)  # c[0]: one keep array per site
+        except (StopIteration, BudgetError):  # no shared run, or a refused one: refused again in this width's terms
+            for chains in _row_chains(row, phi, budget):
                 pass
-        prefix, row.configs, energy, suffix, reversed_configs = _chains
+        prefix, row.configs, energy, suffix, reversed_configs = chains
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
         steps = _transfer_steps(row, row, prefix, (suffix, _rank(reversed_configs)), phi.vertical, phi, budget)
@@ -904,23 +876,20 @@ def strip_sequence(
 
     For every requested width m >= 2 the predecessor width m-1 is computed
     as well so the ratio interval can be formed by interval arithmetic.
-    Every width is one `strip_pressure` call, and all of them share one
-    enumeration of the widest row's chains (`_strip_chains`). Where a
-    shared level is refused, the width runs its own enumeration, which is
-    refused at the same site and says so in that width's terms.
+    Every width is one `strip_pressure` call, and all of them read one run
+    of `_row_chains` over the widest row (`_STRIP_RUN`). Where a shared
+    level is refused, the width runs its own enumeration, which is refused
+    at the same site and says so in that width's terms.
     """
     widths = sorted(set(widths))
     if not widths or widths[0] < 1:
         raise ValueError("widths must be positive")
     needed = sorted(set(widths) | {m - 1 for m in widths if m >= 2})
-    chains = _strip_chains(needed[-1], phi, budget)
-    cache = {}
-    for m in needed:
-        try:
-            shared = next(c for c in chains if len(c[0]) == m)  # c[0]: one keep array per site
-        except BudgetError:
-            shared = None
-        cache[m] = strip_pressure(m, phi, tol=tol, max_iter=max_iter, budget=budget, _chains=shared)
+    token = _STRIP_RUN.set(_row_chains(_Row(0, [(x, 0) for x in range(needed[-1])]), phi, budget))
+    try:
+        cache = {m: strip_pressure(m, phi, tol=tol, max_iter=max_iter, budget=budget) for m in needed}
+    finally:
+        _STRIP_RUN.reset(token)
     points = []
     for m in widths:
         b = cache[m]

@@ -18,6 +18,7 @@ import numpy as np
 
 from gibbspress.interaction import Configuration, Interaction
 from gibbspress.lattice import Region
+from gibbspress.sft import admissible_states
 import gibbspress.transfer as transfer
 from gibbspress.transfer import LOG_ZERO, ConstrainedRegion
 
@@ -158,7 +159,7 @@ def stage_transfer_steps(old, new, table, phi: Interaction, budget: int) -> list
             n_new = len(at)
             at.update({(u + 1, 0): old_x[u] for u in columns[k:] if u in old_x})
             stage = transfer._Row(new.y, list(at))
-            transfer._enumerate_row(stage, phi, budget)
+            stage.configs, _ = admissible_states(stage.sites, phi, budget)
             keys = np.concatenate([stage.configs[:, n_new:].T, stage.configs[:, :n_new][:, ::-1].T])
             stage.configs = stage.configs[np.lexsort(keys)]
         p = sum(u in new_x for u in columns[: k - 1])  # the column's position in both stages

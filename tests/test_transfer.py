@@ -1306,6 +1306,49 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
     assert vectors == [tails * 3] * 4
 
 
+def _chains(row, phi: Interaction) -> list:
+    """Every entry of `_row_chains` for `row`, at the default budget: the
+    last is the row's own."""
+    return list(transfer._row_chains(row, phi, transfer.DEFAULT_BUDGET))
+
+
+#: Two-row regions whose rows have gaps: sites 0, 1, 3 over 0, 1, 4, and
+#: 0, 1, 2 over 0, 1, 3. A row's right-to-left run then holds more states
+#: than its left-to-right run: 3 then 1 share no edge, 0 and 1 do.
+_GAPPED_013_014 = [(0, 1), (1, 1), (3, 1), (0, 0), (1, 0), (4, 0)]
+_GAPPED_012_013 = [(0, 1), (1, 1), (2, 1), (0, 0), (1, 0), (3, 0)]
+
+
+def test_gapped_rows_are_refused_by_their_own_runs():
+    """A row's chains come from one lock-step run in both directions, so a
+    row is refused by the larger of its two runs, and the refusal names
+    that row. The hard square's gapped row 0, 1, 3 holds 6 states, but
+    its right-to-left run needs 8 before site 0; the 0, 1, 2 over 0, 1, 3
+    region is refused by its lower row's right-to-left run before any
+    column of its transfer, which needs 8 states at column 2. Either region
+    is built exactly from budget 8 (27 for the 3-colouring) on."""
+    hs, cb3 = build_hard_square(1.0), build_checkerboard(3)
+    want = {
+        (6, 0): "transfer states of row y=1: needs 8 states at site 3 of 3, over the limit 6",
+        (7, 0): "transfer states of row y=1: needs 8 states at site 3 of 3, over the limit 7",
+        (6, 1): "transfer states of row y=0: needs 8 states at site 3 of 3, over the limit 6",
+        (7, 1): "transfer states of row y=0: needs 8 states at site 3 of 3, over the limit 7",
+    }
+    for i, sites in enumerate([_GAPPED_013_014, _GAPPED_012_013]):
+        for budget in (6, 7):
+            with pytest.raises(BudgetError) as refusal:
+                RegionEngine(Region(sites), hs, budget=budget)
+            assert str(refusal.value) == want[budget, i]
+        for phi, least in ((hs, 8), (cb3, 27)):
+            for budget in range(1, 40):
+                try:
+                    RegionEngine(Region(sites), phi, budget=budget)
+                    built = True
+                except BudgetError:
+                    built = False
+                assert built == (budget >= least), (phi.name, sites, budget)
+
+
 @pytest.mark.parametrize(
     "phi",
     [
@@ -1323,29 +1366,32 @@ def test_diag3_sweeps_backward_once_per_tail_and_symbol(monkeypatch):
 def test_steps_match_the_per_stage_reference(phi, rng):
     """The steps built from the prefix and suffix chains are those built by
     enumerating every stage and searching its row codes, with the dead
-    entries dropped: strips, box rows, and S_n in both orientations, whose
-    rows differ in length, so that some columns lie in one row only. Step
-    by step, the reference's live entries, in b order and padded with the
-    zero slot, are the compact step entry for entry, with the same shift,
-    spread and weights; and both sweep random vectors bit-identically, the
-    reference over every one of its rows."""
+    entries dropped: strips of every width from one shared run, box rows,
+    S_n in both orientations, whose rows differ in length, so that some
+    columns lie in one row only, and rows with gaps, whose two runs differ
+    in shape. Step by step, the reference's live entries, in b order and
+    padded with the zero slot, are the compact step entry for entry, with
+    the same shift, spread and weights; and both sweep random vectors
+    bit-identically, the reference over every one of its rows."""
     pairs = []
-    for m in range(1, 8):
-        row = transfer._Row(0, [(x, 0) for x in range(m)])
-        pairs.append((row, row, transfer._enumerate_row(row, phi, transfer.DEFAULT_BUDGET), phi.vertical))
+    strip = transfer._Row(0, [(x, 0) for x in range(7)])
+    for m, (prefix, configs, _, suffix, reversed_configs) in enumerate(_chains(strip, phi), 1):
+        row = transfer._Row(0, strip.sites[:m])
+        row.configs = configs
+        pairs.append((row, row, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical))
     regions = [Region((x, y) for x in range(5) for y in range(5))]
     for n in (1, 2, 3):
         s_n = canopy_decomposition(n)[0]
         regions += [s_n, Region((y, x) for x, y in s_n)]
+    regions += [Region(_GAPPED_013_014), Region(_GAPPED_012_013)]
     for region in regions:
         engine = RegionEngine(region, phi)
-        for r, s in zip(engine.rows, engine.rows[1:]):  # the engine holds no prefix chain once built
-            prefix = transfer._enumerate_row(s, phi, transfer.DEFAULT_BUDGET)
-            pairs.append((r, s, prefix, phi.vertical.T if r.y - s.y == 1 else None))
-    for old, new, prefix, table in pairs:
+        for r, s in zip(engine.rows, engine.rows[1:]):  # the engine holds no chain once built
+            (_, _, _, suffix, reversed_configs), (prefix, *_) = (_chains(row, phi)[-1] for row in (r, s))
+            pairs.append((r, s, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical.T if r.y - s.y == 1 else None))
+    for old, new, prefix, suffix, table in pairs:
         if not len(old.configs):
             continue
-        suffix = transfer._suffixes(old, new.y, phi, transfer.DEFAULT_BUDGET)
         steps = transfer._transfer_steps(old, new, prefix, suffix, table, phi, transfer.DEFAULT_BUDGET)
         reference = stage_transfer_steps(old, new, table, phi, transfer.DEFAULT_BUDGET)
         for (idx, w, shift, spread), (ref_idx, ref_logw) in zip(steps, reference, strict=True):
@@ -1414,8 +1460,8 @@ def _strip_steps(m: int, phi: Interaction) -> list:
     """The steps of the width-m strip's transfer from its row to itself."""
     budget = transfer.DEFAULT_BUDGET
     row = transfer._Row(0, [(x, 0) for x in range(m)])
-    prefix = transfer._enumerate_row(row, phi, budget)
-    return transfer._transfer_steps(row, row, prefix, transfer._suffixes(row, 0, phi, budget), phi.vertical, phi, budget)
+    prefix, row.configs, _, suffix, reversed_configs = _chains(row, phi)[-1]
+    return transfer._transfer_steps(row, row, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical, phi, budget)
 
 
 def test_steps_keep_live_predecessors_and_weights_only_where_they_differ():
@@ -1454,18 +1500,19 @@ def test_steps_keep_live_predecessors_and_weights_only_where_they_differ():
     assert (2, 1 + 4608) in shapes and all(rows == 2 for rows, states in shapes if states == 1 + 4608)
 
 
-def test_engine_enumerates_one_suffix_chain_per_old_row(monkeypatch):
+def test_engine_runs_each_column_set_once_per_direction(monkeypatch):
     """The S_5 engine, swept by its columns as `_Canopy` builds it, has
-    three distinct transfers, 6 sites to 6, 6 to 5 and 5 to 5, out of two
-    distinct old rows; each old row's suffix chain is enumerated once and
-    shared by every transfer out of it."""
-    calls = []
-    suffixes = transfer._suffixes
-    monkeypatch.setattr(transfer, "_suffixes", lambda old, *args: calls.append(len(old.sites)) or suffixes(old, *args))
+    three distinct transfers, 6 sites to 6, 6 to 5 and 5 to 5, between
+    rows of two distinct x-column sets; `admissible_levels` runs once per
+    direction per set, and its chains serve every transfer into and out of
+    the set's rows."""
+    runs = []
+    levels = transfer.admissible_levels
+    monkeypatch.setattr(transfer, "admissible_levels", lambda sites, *args: runs.append(len(sites)) or levels(sites, *args))
     s_5 = canopy_decomposition(5)[0]
     engine = RegionEngine(Region((y, x) for x, y in s_5), build_hard_square(1.0), target=(0, 0))
     assert len({id(pair) for pair in engine._trans}) == 3
-    assert sorted(calls) == [5, 6]
+    assert sorted(runs) == [5, 5, 6, 6]
 
 
 def test_engine_rows_share_the_int64_code_limit(monkeypatch):
@@ -1477,10 +1524,10 @@ def test_engine_rows_share_the_int64_code_limit(monkeypatch):
         log_partition(ConstrainedRegion(wider), cb2)
 
     # refused before any row is enumerated
-    def enumerate_row(*args):
+    def row_chains(*args):
         raise AssertionError("a row was enumerated")
 
-    monkeypatch.setattr(transfer, "_enumerate_row", enumerate_row)
+    monkeypatch.setattr(transfer, "_row_chains", row_chains)
     with pytest.raises(BudgetError, match="int64"):
         box_log_partition(63, cb2)
 
