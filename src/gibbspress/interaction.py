@@ -8,7 +8,7 @@ addition.
 
 `Interaction.edges` is the one place that orientation lives: it gives a
 site's four edges, each with the table indexed by the site's own symbol
-first, and every per-site edge lookup of the package goes through it.
+first, and it is the package's only reader of a table by direction.
 """
 
 from __future__ import annotations
@@ -70,10 +70,14 @@ class Interaction:
         """v's four edges as (neighbour u, table indexed [v's symbol, u's
         symbol]), ordered left, right, below, above; the right and above
         edges, [1::2], are v's forward edges. The left and below tables are
-        transposed views."""
+        transposed views; `dict(phi.edges(v)).get(u)` is edge v-u's table."""
         x, y = v
         h, vt = self.horizontal, self.vertical
         return (((x - 1, y), h.T), ((x + 1, y), h), ((x, y - 1), vt.T), ((x, y + 1), vt))
+
+    def transposed(self) -> "Interaction":
+        """The model mirrored in the diagonal, (x, y) -> (y, x): tables swapped."""
+        return Interaction(self.alphabet, self.vertical, self.horizontal, self.name)
 
 
 @dataclass(frozen=True)
@@ -89,9 +93,6 @@ class Configuration:
 
     def value(self, v: Site) -> int:
         return self.symbols[v]
-
-    def restrict(self, region: Region) -> "Configuration":
-        return Configuration(region, {v: self.symbols[v] for v in region})
 
 
 EMPTY_CONFIGURATION = Configuration(Region(()), {})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -174,16 +175,16 @@ def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
 
 class _Canopy:
     """What the orbit sites of one estimate share: the radius-n split, the
-    S_n engine and the canopy ensemble, both built on first use, and the
-    brackets by (origin symbol, *upper layer) of the shifted point, one
-    computed per class of keys that table-preserving symbol permutations
-    map onto each other on the ensemble path (`shared`).
+    S_n engine and the canopy ensemble, both built on first read, and the
+    brackets by (origin symbol, *upper layer in `u_n` order), one computed
+    per class of keys that table-preserving symbol permutations map onto
+    each other on the ensemble path (`shared`).
 
     The engine sweeps S_n by its columns, at most n + 1 sites against a
-    row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), with the two
-    tables swapped, and so do the upper layer and canopy sites passed to it.
-    The ensemble stays in S_n's own frame, built already split for the
-    engine's meet in the middle (`deltas`).
+    row's 2n + 1: it runs on S_n transposed, (x, y) -> (y, x), under
+    `Interaction.transposed`, and so do the upper layer and canopy sites
+    passed to it. The ensemble stays in S_n's own frame, built already
+    split for the engine's meet in the middle (`deltas`).
     """
 
     def __init__(self, n: int, phi: Interaction, budget: int = DEFAULT_BUDGET):
@@ -193,33 +194,27 @@ class _Canopy:
         self.s_n, self.u_n, self.c_n = canopy_decomposition(n)
         self.sites = list(self.c_n)
         self.brackets: dict[tuple[int, ...], PInterval] = {}
-        self._engine: RegionEngine | None = None
-        self._deltas: tuple[list[Site], SplitEnsemble] | None = None
 
+    @cached_property
     def engine(self) -> RegionEngine:
-        if self._engine is None:
-            transposed = Interaction(self.phi.alphabet, self.phi.vertical, self.phi.horizontal, self.phi.name)
-            try:
-                self._engine = RegionEngine(Region((y, x) for x, y in self.s_n), transposed, (0, 0), self.budget)
-            except BudgetError as exc:
-                raise BudgetError(f"S_n swept by columns (row y=k is column x=k): {exc}") from None
-        return self._engine
+        try:
+            return RegionEngine(Region((y, x) for x, y in self.s_n), self.phi.transposed(), (0, 0), self.budget)
+        except BudgetError as exc:
+            raise BudgetError(f"S_n swept by columns (row y=k is column x=k): {exc}") from None
 
+    @cached_property
     def deltas(self) -> tuple[list[Site], SplitEnsemble]:
         """The canopy's head sites (`RegionEngine.is_head`) then tail sites,
         the rest, and its ensemble as the `_pairs` of one
         `admissible_configurations` call on each."""
-        if self._deltas is None:
-            engine = self.engine()
-            head = Region(v for v in self.sites if engine.is_head((v[1], v[0])))
-            tail = self.c_n.difference(head)
-            try:
-                heads, tails = (admissible_configurations(part, self.phi, budget=self.budget) for part in (head, tail))
-                ensemble = _pairs(head, heads, tail, tails, self.phi, self.budget)
-            except BudgetError as exc:
-                raise BudgetError(f"canopy ensemble: {exc}") from None
-            self._deltas = [*head, *tail], ensemble
-        return self._deltas
+        head = Region(v for v in self.sites if self.engine.is_head((v[1], v[0])))
+        tail = self.c_n.difference(head)
+        try:
+            heads, tails = (admissible_configurations(part, self.phi, budget=self.budget) for part in (head, tail))
+            ensemble = _pairs(head, heads, tail, tails, self.phi, self.budget)
+        except BudgetError as exc:
+            raise BudgetError(f"canopy ensemble: {exc}") from None
+        return [*head, *tail], ensemble
 
     def shared(self, key: tuple[int, ...]) -> PInterval | None:
         """A stored ensemble bracket that a symbol permutation sigma leaving
@@ -245,12 +240,13 @@ class _Canopy:
                 return p
         return None
 
-    def bracket(self, x_u: Configuration, a0: int) -> PInterval:
+    def bracket(self, upper: dict[Site, int], a0: int) -> PInterval:
+        """The swept bracket of origin symbol a0 under `upper`, U_n's symbols by site."""
+        transposed = {(y, x): a for (x, y), a in upper.items()}
+        terms = [self.engine.terms_from_boundary(Configuration(Region(transposed), transposed))]
+
         def sweep(sites: list[Site], members) -> np.ndarray:
-            engine = self.engine()
-            upper = {(y, x): a for (x, y), a in x_u.symbols.items()}
-            terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
-            return engine.evaluate_deltas([terms], [(y, x) for x, y in sites], members)
+            return self.engine.evaluate_deltas(terms, [(y, x) for x, y in sites], members)
 
         order = monotone_check(self.phi, target=a0)
         extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)
@@ -258,7 +254,7 @@ class _Canopy:
             zvec = sweep(self.sites, extremes)
             if np.isfinite(zvec).any(axis=1).all():
                 return _bracket(zvec, a0, self.n, "extremes")
-        return _bracket(sweep(*self.deltas()), a0, self.n, "ensemble")
+        return _bracket(sweep(*self.deltas), a0, self.n, "ensemble")
 
 
 def p_interval(
@@ -289,11 +285,11 @@ def p_interval(
     member, so the bracket is exactly [1, 1] ("forced", both counts 0) and
     no engine, ensemble or sweep is built for it.
 
-    The bracket depends on (z, v) only through the origin symbol and the
-    upper layer of the shifted point. `canopy`, shared by the calls of one
-    estimate, holds the engine, the ensemble and the brackets already
-    computed: a repeated (origin symbol, upper layer) returns the same
-    PInterval, and so does one that a table-preserving symbol permutation
+    The bracket depends on (z, v) only through its key, the origin symbol
+    z(v) and the upper layer z(v + u), u in U_n, both read from z itself.
+    `canopy`, shared by the calls of one estimate, holds the engine, the
+    ensemble and the brackets already computed: a repeated key returns the
+    same PInterval, and so does one that a table-preserving symbol permutation
     maps a stored ensemble bracket's key onto (`_Canopy.shared`: equal in
     exact arithmetic, with the stored bracket's rounding). `canopy` must
     have been built for this n, phi and budget.
@@ -304,19 +300,18 @@ def p_interval(
         raise ValueError("shared canopy state was built for another n, phi or budget")
     if not z.is_point_of(phi):
         raise HypothesisError("point not in the underlying constraint set")
-    x = z.shift(v)
-    x_u = x.restrict(canopy.u_n)
-    a0 = x.value((0, 0))
-    key = (a0, *(x_u.symbols[u] for u in canopy.u_n))
+    a0 = z.value(v)
+    upper = {u: z.value((v[0] + u[0], v[1] + u[1])) for u in canopy.u_n}
+    key = (a0, *upper.values())
     if key not in canopy.brackets:
         # the symbols with finite energy against both neighbours: a0 is one,
         # since z is a point of phi
         (left, t_left), _, (below, t_below), _ = phi.edges((0, 0))
-        fits = np.isfinite(t_left[:, x_u.symbols[left]]) & np.isfinite(t_below[:, x_u.symbols[below]])
+        fits = np.isfinite(t_left[:, upper[left]]) & np.isfinite(t_below[:, upper[below]])
         if np.count_nonzero(fits) == 1:
             canopy.brackets[key] = PInterval(1.0, 1.0, n, 0, 0, "forced")
         else:
-            canopy.brackets[key] = canopy.shared(key) or canopy.bracket(x_u, a0)
+            canopy.brackets[key] = canopy.shared(key) or canopy.bracket(upper, a0)
     return canopy.brackets[key]
 
 

@@ -49,16 +49,16 @@ class PeriodicPoint:
     def is_point_of(self, phi: Interaction) -> bool:
         """True iff every edge of the periodic extension carries finite energy.
 
-        Checking the p1*p2 horizontal and vertical edge classes of the cell
-        covers every edge of the plane by periodicity (equivalently, local
+        Checking the p1*p2 classes of each forward edge of the cell covers
+        every edge of the plane by periodicity (equivalently, local
         admissibility on a (2 p1) x (2 p2) window).
         """
         cell = self.cell
         if int(cell.max()) >= phi.q:
             return False
-        return bool(
-            np.isfinite(phi.horizontal[cell, np.roll(cell, -1, axis=0)]).all()
-            and np.isfinite(phi.vertical[cell, np.roll(cell, -1, axis=1)]).all()
+        return all(
+            np.isfinite(table[cell, np.roll(cell, (-u[0], -u[1]), axis=(0, 1))]).all()
+            for u, table in phi.edges((0, 0))[1::2]
         )
 
     def __repr__(self) -> str:
@@ -90,8 +90,8 @@ class SsfResult:
     fills[eta + (a,)] is True when the origin's symbol a has finite energy
     on all four edges to the neighbor configuration eta (keyed in
     NEIGHBOR_OFFSETS order). `witness` maps each eta with a fill to the
-    smallest symbol filling it, a dict built on first read: at q = 24 it
-    holds 331 776 entries, which `witness_count` does not need.
+    smallest symbol filling it, a dict built on first read (331 776 entries
+    at q = 24), which `witness_count` and `periodic_point_from_ssf` skip.
     `counterexample` is the first eta with no fill, in lexicographic scan
     order.
     """
@@ -138,14 +138,14 @@ def periodic_point_from_ssf(phi: Interaction, b: int) -> PeriodicPoint:
     """The 2x2 parity point with b on odd-parity sites and a fill a on even.
 
     Requires the fillability scan to pass; a is the smallest symbol filling
-    the constant-b neighbor configuration.
+    the constant-b neighbor configuration, read from the fill array.
     """
     if not 0 <= b < phi.q:
         raise ValueError("symbol out of range")
     result = ssf_check(phi)
     if not result.satisfied:
         raise HypothesisError("SSF prerequisite failed")
-    a = result.witness[(b, b, b, b)]
+    a = int(result.fills[b, b, b, b].argmax())
     point = PeriodicPoint(np.array([[a, b], [b, a]]))
     if not point.is_point_of(phi):  # certified by fillability, re-checked anyway
         raise HypothesisError("SSF prerequisite failed")

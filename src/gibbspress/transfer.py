@@ -43,14 +43,16 @@ _INDEX_LIMIT = int(np.iinfo(np.int32).max)
 
 
 def logsumexp(a, axis: int):
-    """log(sum(exp(a))) along `axis`, moved last for `_exp_shifted`, with
-    -inf-safe handling; empty sums give -inf."""
+    """log(sum(exp(a - m))) + m along `axis`, m the maxima along it (0 for
+    a row of -inf, which gives -inf); empty sums give -inf."""
     a = np.moveaxis(np.asarray(a, dtype=float), axis, -1)
     if a.shape[-1] == 0:
         return np.full(a.shape[:-1], LOG_ZERO)
-    e, m, _ = _exp_shifted(a)
+    m = np.max(a, axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    d = a - m
     with np.errstate(divide="ignore"):
-        return np.log(e.sum(axis=-1)) + m[..., 0]
+        return np.log(np.exp(d, out=d).sum(axis=-1)) + m[..., 0]
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _row_chains(row: _Row, phi: Interaction, budget: int):
         raise BudgetError(f"transfer states of row y={row.y}: {exc}") from None
 
 
-def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, phi: Interaction, budget: int) -> list:
+def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, phi: Interaction, budget: int) -> list:
     """Site-by-site steps of the transfer from the enumerated, nonempty row
     `old` to the enumerated row `new`, one per column in x order. After k
     columns a state holds the new symbols left of the cut and the old ones
@@ -142,16 +144,17 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     suffix chain's rank, and the last stage is new.configs.
 
     A column in both rows swaps the old symbol b for the new symbol a with
-    log-weight -table[b, a] (0 when table is None), one only in the old row
-    sums its symbol out and one only in the new row inserts it. State
-    (i_A, i_B)'s predecessor with old symbol b is arithmetic,
-    parent_A[i_A] |B_{k-1}| + pos_B[i_B, b]: parent_A is the prefix level's
-    (the identity where the new row has no site), and pos_B[i_B, b] the
-    suffix i_B extended by b, whose extensions the suffix level's sorted
-    keep array holds side by side, in ascending b (the identity where the
-    old row has no site). Its weight is nonzero, the entry live, where b
-    extends i_B and table[b, a] is finite, which the q x q table decides
-    per new symbol a.
+    log-weight -table[a, b], the table of the edge from its new-row site to
+    its old-row site (`Interaction.edges`), 0 when the rows are not
+    adjacent; one only in the old row sums its symbol out and one only in
+    the new row inserts it. State (i_A, i_B)'s predecessor with old symbol
+    b is arithmetic, parent_A[i_A] |B_{k-1}| + pos_B[i_B, b]: parent_A is
+    the prefix level's (the identity where the new row has no site), and
+    pos_B[i_B, b] the suffix i_B extended by b, whose extensions the suffix
+    level's sorted keep array holds side by side, in ascending b (the
+    identity where the old row has no site). Its weight is nonzero, the
+    entry live, where b extends i_B and table[a, b] is finite, which the
+    q x q table decides per new symbol a.
 
     A step is (idx, w, shift, spread). idx holds, for every state, its live
     predecessors in ascending b, padded to the most any state has (at most
@@ -168,8 +171,9 @@ def _transfer_steps(old: _Row, new: _Row, prefix: list, suffix: tuple, table, ph
     columns = _columns(old, new, q)
     old_x, new_x = ({v[0] for v in row.sites} for row in (old, new))
     suffix, rank = suffix
+    table = dict(phi.edges((0, 0))).get((0, old.y - new.y))
     if table is not None:
-        logw = -table.T  # logw[a, b]: new symbol a over old symbol b
+        logw = -table  # logw[a, b]: new symbol a against old symbol b
         allowed = np.isfinite(logw)
         values = logw[allowed]
         unit = values.size == 0 or values.min() == values.max()
@@ -362,9 +366,7 @@ class RegionEngine:
         for r, s in [] if self.infeasible else zip(self.rows, self.rows[1:]):
             key = (r.y - s.y, *(tuple(v[0] for v in row.sites) for row in (r, s)))
             if key not in shared:
-                # s lies below r, so the vertical edge is the ordered pair (s, r)
-                table = phi.vertical.T if r.y - s.y == 1 else None
-                shared[key] = [_transfer_steps(r, s, chains[key[2]][2], chains[key[1]][3], table, phi, budget), None]
+                shared[key] = [_transfer_steps(r, s, chains[key[2]][2], chains[key[1]][3], phi, budget), None]
             self._trans.append(shared[key])
 
         # (row index, (q, n_states) masks by the target's symbol), or None
@@ -789,7 +791,8 @@ def strip_pressure(
         prefix, row.configs, energy, suffix, reversed_configs = chains
         if not len(row.configs):
             return StripBounds(m, LOG_ZERO, LOG_ZERO, 0)
-        steps = _transfer_steps(row, row, prefix, (suffix, _rank(reversed_configs)), phi.vertical, phi, budget)
+        below = _Row(-1, [(x, -1) for x in range(m)])  # the row itself, one step down
+        steps = _transfer_steps(below, row, prefix, (suffix, _rank(reversed_configs)), phi, budget)
     except BudgetError as exc:
         raise BudgetError(f"strip of width {m}: {exc}") from None
     # the iteration runs these steps up to max_iter times, and np.take would

@@ -116,18 +116,25 @@ def test_p_interval_brute_validation_hard_square():
 
 
 def test_p_interval_brute_validation_random_model(rng):
+    """Also on rectangular points with periods (3, 2) and (1, 3), at every
+    orbit site: p_interval reads the origin and upper layer from the cell,
+    the reference from its own shift and restrict, negative offsets
+    included."""
     from conftest import random_interaction
 
     phi = random_interaction(2, rng)
     s1, u1, c1 = canopy_decomposition(1)
-    z = PeriodicPoint([[0, 1], [1, 0]])
-    for v in [(0, 0), (1, 0)]:
-        x = z.shift(v)
-        deltas = admissible_configurations(c1, phi)
-        lo, hi = brute_origin_interval(s1, x.restrict(u1), c1, deltas, phi, x.value((0, 0)))
-        pi = p_interval(z, v, 1, phi)
-        assert pi.lower == pytest.approx(lo, abs=1e-12)
-        assert pi.upper == pytest.approx(hi, abs=1e-12)
+    deltas = admissible_configurations(c1, phi)
+    rectangles = [PeriodicPoint([[0, 1], [1, 1], [1, 0]]), PeriodicPoint([[1, 0, 0]])]
+    cases = [(PARITY, [(0, 0), (1, 0)])] + [(z, orbit_sites(z)) for z in rectangles]
+    assert [z.periods for z, _ in cases[1:]] == [(3, 2), (1, 3)]
+    for z, sites in cases:
+        for v in sites:
+            x = z.shift(v)
+            lo, hi = brute_origin_interval(s1, x.restrict(u1), c1, deltas, phi, x.value((0, 0)))
+            pi = p_interval(z, v, 1, phi)
+            assert pi.lower == pytest.approx(lo, abs=1e-12)
+            assert pi.upper == pytest.approx(hi, abs=1e-12)
 
 
 def test_p_interval_frozen_point_is_pinned_to_one():
@@ -476,12 +483,12 @@ def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n
     canopy = pressure_mod._Canopy(n, phi)
     brackets = {v: p_interval(z, v, n, phi, canopy=canopy) for v in orbit_sites(z)}
     assert {v for v, p in brackets.items() if p.canopy_path == "forced"} == forced
-    assert (canopy._engine is None) == (forced == set(brackets))
+    assert ("engine" not in vars(canopy)) == (forced == set(brackets))
     for v in forced:
         p = brackets[v]
         assert (p.lower, p.upper, p.canopy_count, p.skipped_count) == (1.0, 1.0, 0, 0)
         x = z.shift(v)
-        swept = canopy.bracket(x.restrict(canopy.u_n), x.value((0, 0)))
+        swept = canopy.bracket(x.restrict(canopy.u_n).symbols, x.value((0, 0)))
         assert (swept.lower, swept.upper) == (1.0, 1.0) and swept.canopy_count > 0
     if forced != set(brackets):
         return
@@ -489,11 +496,24 @@ def test_forced_origins_are_exactly_one_with_nothing_evaluated(z, phi, forced, n
     def refuse(self):
         raise AssertionError("an engine was built")
 
-    monkeypatch.setattr(pressure_mod._Canopy, "engine", refuse)
+    monkeypatch.setattr(pressure_mod._Canopy, "engine", property(refuse))
     for m in (n, 4 * n):
         est = gk_pressure(z, m, phi, budget=1)
         assert {t.p.canopy_path for t in est.per_site} == {"forced"}
         assert est == gk_pressure(z, m, phi)
+
+
+def test_gk_pressure_reads_each_key_from_the_point(monkeypatch):
+    """p_interval reads an orbit site's origin symbol and upper layer
+    straight from the point's cell: over diag3 under the 3-colouring, whose
+    nine sites are all forced, gk_pressure constructs no PeriodicPoint and
+    no Configuration at all."""
+    z, cb3 = diagonal_3coloring_point(), build_checkerboard(3)
+    points = _spy(monkeypatch, PeriodicPoint, "__init__")
+    configurations = _spy(monkeypatch, Configuration, "__init__")
+    est = gk_pressure(z, 3, cb3)
+    assert len(est.per_site) == 9 and {t.p.canopy_path for t in est.per_site} == {"forced"}
+    assert (len(points), len(configurations)) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -683,7 +703,7 @@ def test_extremes_path_enumerates_no_canopy(monkeypatch):
     assert pi.canopy_path == "extremes" and pi.lower <= pi.upper
     monkeypatch.undo()
     with pytest.raises(BudgetError, match="canopy ensemble: needs"):
-        pressure_mod._Canopy(7, hs, budget=5000).deltas()
+        pressure_mod._Canopy(7, hs, budget=5000).deltas
 
 
 _SPLIT_CASES = [
@@ -709,12 +729,12 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
     dropped."""
     monkeypatch.setattr(pressure_mod, "monotone_check", lambda *args, **kwargs: None)
     canopy = pressure_mod._Canopy(n, phi)
-    sites, split = canopy.deltas()
+    sites, split = canopy.deltas
     matrix = admissible_configurations(canopy.c_n, phi)
     members = member_rows(split)[:, [sites.index(v) for v in canopy.sites]]
     assert len(members) == len(matrix) and np.array_equal(np.unique(members, axis=0), matrix)
 
-    engine = canopy.engine()
+    engine = canopy.engine
     ref_sites, ref = split_ensemble(engine, [(y, x) for x, y in canopy.sites], matrix)
     assert ref_sites == [(y, x) for x, y in sites]
     assert np.array_equal(ref.heads, split.heads) and np.array_equal(ref.tails, split.tails)
@@ -728,7 +748,7 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
         x_u, a0 = x.restrict(canopy.u_n), x.value((0, 0))
         upper = {(b, a): s for (a, b), s in x_u.symbols.items()}
         zvec = engine.evaluate_deltas([engine.terms_from_boundary(Configuration(Region(upper), upper))], ref_sites, ref)
-        assert canopy.bracket(x_u, a0) == pressure_mod._bracket(zvec, a0, n, "ensemble")
+        assert canopy.bracket(x_u.symbols, a0) == pressure_mod._bracket(zvec, a0, n, "ensemble")
 
 
 @pytest.mark.parametrize("z, n, phi", [(diagonal_3coloring_point(), 2, CB4), (PARITY, 2, ENDS)])
@@ -740,7 +760,7 @@ def test_ensemble_path_enumerates_heads_and_tails_only(z, n, phi, monkeypatch):
     est = gk_pressure(z, n, phi)
     assert {t.p.canopy_path for t in est.per_site} == {"ensemble"}
     canopy = pressure_mod._Canopy(n, phi)
-    head = {v for v in canopy.c_n if canopy.engine().is_head((v[1], v[0]))}
+    head = {v for v in canopy.c_n if canopy.engine.is_head((v[1], v[0]))}
     assert [set(args[0]) for args in enums] == [head, set(canopy.c_n) - head] and head
 
 
@@ -750,11 +770,11 @@ def test_canopy_ensemble_budget_is_its_candidate_pairs(n, phi, needed):
     the budget bounds: it is built at a budget of exactly H x T and refused
     one below it. That is also the budget the whole canopy's one
     enumeration needs."""
-    sites, split = pressure_mod._Canopy(n, phi, budget=needed).deltas()
+    sites, split = pressure_mod._Canopy(n, phi, budget=needed).deltas
     h = split.heads.shape[1]
     assert math.prod(len(admissible_configurations(Region(part), phi)) for part in (sites[:h], sites[h:])) == needed
     with pytest.raises(BudgetError) as refused:
-        pressure_mod._Canopy(n, phi, budget=needed - 1).deltas()
+        pressure_mod._Canopy(n, phi, budget=needed - 1).deltas
     assert str(refused.value).startswith(f"canopy ensemble: needs {needed} states")
     admissible_configurations(canopy_decomposition(n)[2], phi, budget=needed)
     with pytest.raises(BudgetError, match=f"needs {needed} states"):
@@ -864,10 +884,9 @@ def test_hard_square_parity_at_n_16(monkeypatch):
     """S_n is swept by its columns, at most n + 1 sites tall, so the parity
     interval at n = 16 takes about half a second: it contains log kappa and
     is at most 3e-6 wide."""
-    engines = []
-    engine = pressure_mod._Canopy.engine
-    monkeypatch.setattr(pressure_mod._Canopy, "engine", lambda self: engines.append(engine(self)) or engines[-1])
+    builds = _spy(monkeypatch, RegionEngine, "__init__")
     hs, n = build_hard_square(1.0), 16
     est = gk_pressure(periodic_point_from_ssf(hs, 1), n, hs)
     assert est.lower <= LOG_KAPPA <= est.upper and est.width <= 3e-6
+    engines = [args[0] for args in builds]
     assert engines and max(len(row.sites) for engine in engines for row in engine.rows) == n + 1

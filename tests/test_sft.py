@@ -15,6 +15,7 @@ from gibbspress.interaction import (
     build_full_shift,
     build_hard_square,
     build_ising,
+    energy,
 )
 from gibbspress.lattice import NEIGHBOR_OFFSETS, Region, box, canopy_decomposition, site_key
 from gibbspress.pressure import admissible_configurations
@@ -178,10 +179,31 @@ def test_shift_acts_on_points():
 
 
 def test_point_invariant_detects_forbidden_cells():
+    """Also on every rectangular cell under asymmetric tables and their
+    transposes, where a table read on the wrong axis or a cell rolled the
+    wrong way reads the wrong ordered pair: the verdict is the finiteness
+    of the energy of the (2 p1) x (2 p2) window, which holds every edge
+    class of the cell. The 2-symbol table (a 0 may not sit left of a 1)
+    tells the axes apart; on a binary cycle a 0-1 step occurs exactly when
+    a 1-0 step does, so the 3-symbol one (a 0 may not sit left of a 1, nor
+    below a 2) tells the roll directions apart."""
     hs = build_hard_square(1.0)
     assert not PeriodicPoint([[1]]).is_point_of(hs)
     assert PeriodicPoint([[0]]).is_point_of(hs)
     assert not diagonal_3coloring_point().is_point_of(build_checkerboard(2))
+    inf = math.inf
+    asym = Interaction(Alphabet(2), [[0, inf], [0, 0.5]], [[0, 1.5], [0, 0]])
+    asym3 = Interaction(Alphabet(3), [[0, inf, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, inf], [0, 0, 0], [0.5, 0, 0]])
+    for phi in (asym, asym.transposed(), asym3, asym3.transposed()):
+        verdicts = set()
+        for p1, p2 in ((3, 2), (1, 3), (2, 3)):
+            window = Region((x, y) for x in range(2 * p1) for y in range(2 * p2))
+            for symbols in product(range(phi.q), repeat=p1 * p2):
+                z = PeriodicPoint(np.reshape(symbols, (p1, p2)))
+                verdict = z.is_point_of(phi)
+                assert verdict == math.isfinite(energy(z.restrict(window), phi))
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 def random_admissible_by_growth(region, phi, rng):

@@ -785,7 +785,7 @@ def test_forward_sweep_holds_one_rows_member_vectors():
     canopy = _Canopy(16, hs)
     shifted = periodic_point_from_ssf(hs, 1).shift((1, 0))
     a0 = shifted.value((0, 0))
-    engine = canopy.engine()
+    engine = canopy.engine
     upper = {(y, x): a for (x, y), a in shifted.restrict(canopy.u_n).symbols.items()}
     terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
     extremes = _canopy_extremes(canopy.sites, monotone_check(hs, target=a0), hs)
@@ -996,7 +996,7 @@ def test_combine_matches_brute_origin_interval(k, monkeypatch):
     s_1, u_1, c_1 = canopy.s_n, canopy.u_n, canopy.c_n
     lo, hi = brute_origin_interval(s_1, point.restrict(u_1), c_1, admissible_configurations(c_1, phi), phi, point.value((0, 0)))
     assert (pi.lower, pi.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
-    engine, (sites, ensemble) = canopy.engine(), canopy.deltas()
+    engine, (sites, ensemble) = canopy.engine, canopy.deltas
     upper = {(y, x): a for (x, y), a in point.restrict(u_1).symbols.items()}
     static = [engine.terms_from_boundary(Configuration(Region(upper), upper))]
     forward = engine.evaluate_deltas(static, [(y, x) for x, y in sites], member_rows(ensemble))
@@ -1081,7 +1081,7 @@ def _diag3_brackets(phi, n):
     computed by `_Canopy.bracket` of one canopy state, so that none is
     shared with another."""
     z, canopy = diagonal_3coloring_point(), _Canopy(n, phi)
-    return [canopy.bracket(z.shift(v).restrict(canopy.u_n), z.value(v)) for v in ((0, 0), (1, 0), (2, 0))]
+    return [canopy.bracket(z.shift(v).restrict(canopy.u_n).symbols, z.value(v)) for v in ((0, 0), (1, 0), (2, 0))]
 
 
 def _parity_brackets(phi, n):
@@ -1376,9 +1376,9 @@ def test_steps_match_the_per_stage_reference(phi, rng):
     pairs = []
     strip = transfer._Row(0, [(x, 0) for x in range(7)])
     for m, (prefix, configs, _, suffix, reversed_configs) in enumerate(_chains(strip, phi), 1):
-        row = transfer._Row(0, strip.sites[:m])
-        row.configs = configs
-        pairs.append((row, row, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical))
+        row, below = transfer._Row(0, strip.sites[:m]), transfer._Row(-1, [(x, -1) for x in range(m)])
+        row.configs = below.configs = configs
+        pairs.append((below, row, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical))
     regions = [Region((x, y) for x in range(5) for y in range(5))]
     for n in (1, 2, 3):
         s_n = canopy_decomposition(n)[0]
@@ -1392,7 +1392,7 @@ def test_steps_match_the_per_stage_reference(phi, rng):
     for old, new, prefix, suffix, table in pairs:
         if not len(old.configs):
             continue
-        steps = transfer._transfer_steps(old, new, prefix, suffix, table, phi, transfer.DEFAULT_BUDGET)
+        steps = transfer._transfer_steps(old, new, prefix, suffix, phi, transfer.DEFAULT_BUDGET)
         reference = stage_transfer_steps(old, new, table, phi, transfer.DEFAULT_BUDGET)
         for (idx, w, shift, spread), (ref_idx, ref_logw) in zip(steps, reference, strict=True):
             live = np.isfinite(ref_logw)
@@ -1457,11 +1457,12 @@ def test_split_ensemble_heads_must_touch_the_top_row_only():
 
 
 def _strip_steps(m: int, phi: Interaction) -> list:
-    """The steps of the width-m strip's transfer from its row to itself."""
+    """The steps of the width-m strip's transfer from its row, one step
+    down, to itself."""
     budget = transfer.DEFAULT_BUDGET
-    row = transfer._Row(0, [(x, 0) for x in range(m)])
+    row, below = transfer._Row(0, [(x, 0) for x in range(m)]), transfer._Row(-1, [(x, -1) for x in range(m)])
     prefix, row.configs, _, suffix, reversed_configs = _chains(row, phi)[-1]
-    return transfer._transfer_steps(row, row, prefix, (suffix, transfer._rank(reversed_configs)), phi.vertical, phi, budget)
+    return transfer._transfer_steps(below, row, prefix, (suffix, transfer._rank(reversed_configs)), phi, budget)
 
 
 def test_steps_keep_live_predecessors_and_weights_only_where_they_differ():
