@@ -307,6 +307,9 @@ def main(argv=None) -> int:
     if getattr(args, "width", None) is not None and args.width < 1:
         print("gibbspress: --width must be positive", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "budget", 0) < 0:
+        print("gibbspress: --budget must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.out is not None:
             _check_out(args.out)

@@ -243,10 +243,10 @@ class _Canopy:
     def bracket(self, upper: dict[Site, int], a0: int) -> PInterval:
         """The swept bracket of origin symbol a0 under `upper`, U_n's symbols by site."""
         transposed = {(y, x): a for (x, y), a in upper.items()}
-        terms = [self.engine.terms_from_boundary(Configuration(Region(transposed), transposed))]
+        boundary = Configuration(Region(transposed), transposed)
 
         def sweep(sites: list[Site], members) -> np.ndarray:
-            return self.engine.evaluate_deltas(terms, [(y, x) for x, y in sites], members)
+            return self.engine.evaluate_deltas(boundary, [(y, x) for x, y in sites], members)
 
         order = monotone_check(self.phi, target=a0)
         extremes = None if order is None else _canopy_extremes(self.sites, order, self.phi)

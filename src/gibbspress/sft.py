@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress, product
 from typing import Sequence
 
@@ -89,11 +88,9 @@ class SsfResult:
 
     fills[eta + (a,)] is True when the origin's symbol a has finite energy
     on all four edges to the neighbor configuration eta (keyed in
-    NEIGHBOR_OFFSETS order). `witness` maps each eta with a fill to the
-    smallest symbol filling it, a dict built on first read (331 776 entries
-    at q = 24), which `witness_count` and `periodic_point_from_ssf` skip.
-    `counterexample` is the first eta with no fill, in lexicographic scan
-    order.
+    NEIGHBOR_OFFSETS order); fills[eta].argmax() is the smallest symbol
+    filling eta where fills[eta].any(). `counterexample` is the first eta
+    with no fill, in lexicographic scan order.
     """
 
     fills: np.ndarray
@@ -106,11 +103,6 @@ class SsfResult:
     @property
     def witness_count(self) -> int:
         return int(self.fills.any(axis=-1).sum())
-
-    @cached_property
-    def witness(self) -> dict[tuple[int, ...], int]:
-        filled = self.fills.any(axis=-1)
-        return dict(zip(_scan(filled), self.fills.argmax(axis=-1)[filled].tolist()))
 
 
 def ssf_check(phi: Interaction) -> SsfResult:
@@ -270,7 +262,7 @@ def admissible_states(
     two runs of its loop (`admissible_levels`) in lock step, one each way
     (`transfer._row_chains`), whose levels chain into a transfer's stages.
     Callers that restrict a site to fewer symbols do so afterwards, e.g.
-    with `RegionEngine.terms_from_pins`.
+    with the pin maps of `RegionEngine.evaluate`.
     """
     for _, cfg, energies in admissible_levels(sites, phi, budget):
         pass

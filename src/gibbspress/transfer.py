@@ -61,7 +61,7 @@ class ConstrainedRegion:
     boundary configuration (disjoint from the region).
 
     Allowed sets restrict symbols per call: they enter the engine's sums as
-    set-valued pins (`RegionEngine.terms_from_pins`), so the region's rows
+    set-valued pins (`RegionEngine.evaluate`), so the region's rows
     are enumerated, and counted against the budget, over the full alphabet.
     """
 
@@ -299,35 +299,36 @@ class RegionEngine:
     """Reusable row-sweep DP over a fixed region and interaction.
 
     Rows and transitions depend on the region's geometry and the model only.
-    Rows are processed from the top down; every per-call condition enters as
-    additive per-row log-weight vectors: region sites restricted to a symbol
-    or a set of symbols through `terms_from_pins`, exterior sites through
-    `terms_from_boundary` or the ensemble of `evaluate_deltas`, which share
-    one exterior sum. So one engine serves an entire ensemble of boundary
-    conditions. With `target` set, evaluation returns the vector of log
-    partition functions split by the target site's symbol, which may lie in
-    any row: a sweep in either direction splits its vectors by that symbol
-    where it passes the target's row (`_split`). Rows with equal x columns
-    share one run of `_row_chains`: their states, the prefix chain of each
-    transfer into them and the suffix chain of each transfer out of them,
-    held only until the transitions are built. Each transition is the
-    steps of `_transfer_steps`, which keep each state's live predecessors
-    only and weights only where they differ; equal row pairs share one.
-    Steps and products share one linear-domain rule (`_SPREAD`).
+    Rows are processed from the top down. Every per-call condition is plain
+    data, an exterior `Configuration`, pin maps {site: symbol or tuple of
+    symbols} or the ensemble of `evaluate_deltas`, which only the engine
+    turns into additive per-row log-weight vectors (`terms_from_boundary`,
+    `terms_from_pins`, `_exterior`), each row's when the sweep reaches it.
+    So one engine serves an entire ensemble of boundary conditions. With
+    `target` set, evaluation returns the vector of log partition functions
+    split by the target site's symbol, which may lie in any row: a sweep in
+    either direction splits its vectors by that symbol where it passes the
+    target's row (`_split`). Rows with equal x columns share one run of
+    `_row_chains`: their states, the prefix chain of each transfer into
+    them and the suffix chain of each transfer out of them, held only until
+    the transitions are built. Each transition is the steps of
+    `_transfer_steps`, which keep each state's live predecessors only and
+    weights only where they differ; equal row pairs share one. Steps and
+    products share one linear-domain rule (`_SPREAD`).
 
     The kind of ensemble picks the path. A member matrix runs one forward
     sweep over all its members through the steps (the canopy extremes: two
     members), and takes each row's vectors only when it reaches that row:
-    the exterior edges into the row, gathered per member from the tables
-    (`_exterior`), plus the row's shared log-weights. A `SplitEnsemble`,
-    whose head sites touch the top row only (`is_head`), meets in the
-    middle (`_combine`). One backward sweep runs per tail and target
-    symbol, from the lowest row up, through each transition's S_r x S_s
-    log-weights, built and kept only here; over the top row's states every
-    head vector then joins every backward vector, and each member takes its
-    pair. Both products go through `_log_products`, which forms them over
-    live rows only, those with a finite entry, on either side: a pair with
-    a row of -inf is -inf without a product.
+    the exterior edges into the row, gathered per member from the tables,
+    plus the row's shared log-weights. A `SplitEnsemble`, whose head sites
+    touch the top row only (`is_head`), meets in the middle (`_combine`).
+    One backward sweep runs per tail and target symbol, from the lowest row
+    up, through each transition's S_r x S_s log-weights, built and kept
+    only here; over the top row's states every head vector then joins every
+    backward vector, and each member takes its pair. Both products go
+    through `_log_products`, which forms them over live rows only, those
+    with a finite entry, on either side: a pair with a row of -inf is -inf
+    without a product.
     """
 
     def __init__(
@@ -382,34 +383,32 @@ class RegionEngine:
 
     # -- per-call term builders ------------------------------------------
 
-    def terms_from_boundary(self, config: Configuration) -> list[np.ndarray | None]:
-        """Per-row log-weight vectors for edges into a pinned exterior
-        configuration. Exterior sites not adjacent to the region, and sites
-        inside it, are ignored."""
+    def terms_from_boundary(self, config: Configuration):
+        """A generator of per-row log-weight vectors for edges into a pinned
+        exterior configuration, each formed when it is reached; symbols are
+        checked at the call. Exterior sites not adjacent to the region, and
+        sites inside it, are ignored."""
         sites = list(config.symbols)
         symbols = np.array([[config.symbols[v] for v in sites]], dtype=np.int64)
         if ((symbols < 0) | (symbols >= self.phi.q)).any():
             raise ValueError("boundary symbol out of alphabet range")
-        return [None if vec is None else vec[0] for vec in self._exterior(sites, symbols)]
+        return (None if vec is None else vec[0] for vec in self._exterior(sites, symbols))
 
-    def terms_from_pins(self, pins: Mapping[Site, int | Sequence[int]]) -> list[np.ndarray | None]:
-        """Per-row vectors restricting region sites to a symbol, or to a
-        tuple of allowed symbols. Sites outside the region are ignored."""
+    def terms_from_pins(self, pins: Mapping[Site, int | Sequence[int]]):
+        """A generator of per-row vectors, as `terms_from_boundary`'s: 0
+        where the row's pinned sites hold their symbol, or one of their
+        allowed symbols, and -inf elsewhere; None for a row with no pinned
+        site. Sites outside the region are ignored."""
         pins = {v: np.asarray(a, dtype=np.int64) for v, a in pins.items()}
         if any(((a < 0) | (a >= self.phi.q)).any() for a in pins.values()):
             raise ValueError("pin symbol out of alphabet range")
-        terms: list[np.ndarray | None] = []
-        for row in self.rows:
-            vec = None
-            for v, a in pins.items():
-                j = row.col.get(v)
-                if j is None:
-                    continue
-                if vec is None:
-                    vec = np.zeros(len(row.configs))
-                vec = vec + np.where(np.isin(row.configs[:, j], a), 0.0, LOG_ZERO)
-            terms.append(vec)
-        return terms
+
+        def rows():
+            for row in self.rows:
+                held = [np.isin(row.configs[:, row.col[v]], a) for v, a in pins.items() if v in row.col]
+                yield np.where(np.logical_and.reduce(held), 0.0, LOG_ZERO) if held else None
+
+        return rows()
 
     def _exterior(self, sites: Sequence[Site], symbols: np.ndarray):
         """Yield, row by row from the top, the (len(symbols), n_states) sum
@@ -452,22 +451,22 @@ class RegionEngine:
             v = self._split(i, _run_steps(v, steps) + vec[:, None, :])
         return v
 
-    def evaluate(self, *term_lists: Sequence[np.ndarray | None]):
-        """Log partition function (scalar, or per-target-symbol vector).
-
-        Each argument is a per-row list of additive log-weight vectors as
-        produced by terms_from_boundary / terms_from_pins.
-        """
-        out = self.evaluate_deltas(term_lists, (), np.zeros((1, 0), dtype=np.int64))[0]
+    def evaluate(self, boundary: Configuration = EMPTY_CONFIGURATION, *pins: Mapping[Site, int | Sequence[int]]):
+        """Log partition function (scalar, or per-target-symbol vector)
+        under a pinned exterior configuration and any pin maps, {site:
+        symbol or tuple of allowed symbols}: a one-member `evaluate_deltas`."""
+        out = self.evaluate_deltas(boundary, (), np.zeros((1, 0), dtype=np.int64), *pins)[0]
         return out if self._target is not None else float(out)
 
     def evaluate_deltas(
         self,
-        static_terms: Sequence[Sequence[np.ndarray | None]],
+        boundary: Configuration,
         delta_sites: Sequence[Site],
         delta_matrix: np.ndarray | SplitEnsemble,
+        *pins: Mapping[Site, int | Sequence[int]],
     ) -> np.ndarray:
-        """Evaluate a whole ensemble of exterior configurations.
+        """Evaluate a whole ensemble of exterior configurations, under the
+        `boundary` and `pins` of `evaluate`.
 
         delta_matrix has one row per ensemble member, one column per site of
         delta_sites, as a symbol matrix or as a `SplitEnsemble` whose head
@@ -475,12 +474,13 @@ class RegionEngine:
         (n_deltas, q) split by the target symbol when a target is set. A
         split ensemble meets in the middle as it is (`_combine`). A symbol
         matrix runs one forward sweep over all its members; each row's
-        vectors, its shared log-weights (internal energies plus static
-        terms) and the members' exterior sum, are formed only when the sweep
-        reaches that row.
+        vectors, its shared log-weights (internal energies plus boundary and
+        pin terms) and the members' exterior sum, are formed only when the
+        sweep reaches that row.
         """
         if not isinstance(delta_matrix, SplitEnsemble):
             delta_matrix = np.asarray(delta_matrix)
+        terms = [self.terms_from_boundary(boundary), *map(self.terms_from_pins, pins)]  # checked before any sweep
         n = len(delta_matrix)
         out_shape = (n, self.phi.q) if self._target is not None else (n,)
         if not self.rows:
@@ -489,11 +489,11 @@ class RegionEngine:
             return np.full(out_shape, LOG_ZERO)
 
         def base():
-            for i, row in enumerate(self.rows):
+            for row, *row_terms in zip(self.rows, *terms):
                 vec = row.internal
-                for terms in static_terms:
-                    if terms[i] is not None:
-                        vec = vec + terms[i]
+                for t in row_terms:
+                    if t is not None:
+                        vec = vec + t
                 yield vec
 
         if isinstance(delta_matrix, SplitEnsemble):
@@ -597,13 +597,12 @@ def log_partition(
     allowed sets, counting region-internal edges and edges into the pinned
     boundary. -inf means no admissible configuration.
     """
-    engine = RegionEngine(cr.region, phi, budget=budget)
-    return engine.evaluate(engine.terms_from_boundary(cr.boundary), engine.terms_from_pins(cr.allowed))
+    return RegionEngine(cr.region, phi, budget=budget).evaluate(cr.boundary, cr.allowed)
 
 
 def _conditioned(cr: ConstrainedRegion, phi: Interaction, budget: int):
-    """Engine, static terms (boundary and allowed sets) and log denominator
-    for conditioning on cr's boundary, which must cover the region's full
+    """Engine and log denominator, `evaluate(cr.boundary, cr.allowed)`, for
+    conditioning on cr's boundary, which must cover the region's full
     exterior boundary."""
     if not len(cr.region):
         raise ValueError("conditional probability needs a nonempty region")
@@ -613,11 +612,10 @@ def _conditioned(cr: ConstrainedRegion, phi: Interaction, budget: int):
             f"boundary must cover the full exterior boundary; missing {sorted(missing)}"
         )
     engine = RegionEngine(cr.region, phi, budget=budget)
-    static = [engine.terms_from_boundary(cr.boundary), engine.terms_from_pins(cr.allowed)]
-    denom = engine.evaluate(*static)
+    denom = engine.evaluate(cr.boundary, cr.allowed)
     if denom == LOG_ZERO:
         raise HypothesisError("boundary condition inadmissible")
-    return engine, static, denom
+    return engine, denom
 
 
 def conditional_probability(
@@ -635,8 +633,8 @@ def conditional_probability(
     for v in event:
         if v not in cr.region:
             raise ValueError("event site outside the region")
-    engine, static, denom = _conditioned(cr, phi, budget)
-    num = engine.evaluate(*static, engine.terms_from_pins(event))
+    engine, denom = _conditioned(cr, phi, budget)
+    num = engine.evaluate(cr.boundary, cr.allowed, event)
     return float(np.exp(num - denom))
 
 
@@ -653,10 +651,10 @@ def conditional_sum_check(
     """
     if site not in cr.region:
         raise ValueError("site outside the region")
-    engine, static, denom = _conditioned(cr, phi, budget)
+    engine, denom = _conditioned(cr, phi, budget)
     probs = np.empty(phi.q)
     for a in range(phi.q):
-        num = engine.evaluate(*static, engine.terms_from_pins({site: a}))
+        num = engine.evaluate(cr.boundary, cr.allowed, {site: a})
         probs[a] = np.exp(num - denom)
     return probs
 

@@ -170,6 +170,23 @@ def test_usage_errors(capsys):
         assert run_cli(capsys, "pressure", "--model", "ising", f"--beta={value}", "--n", "1")[0] == 2
 
 
+def test_negative_budget_is_a_usage_error(capsys):
+    """A negative --budget is malformed input: exit 2 before any work. A
+    budget of 0 is a budget, and still refuses the work it cannot hold."""
+    commands = {
+        "pressure": ("--model", "hardsquare", "--nu", "parity", "--n", "1"),
+        "oracle": ("--model", "hardsquare", "--mode", "strip", "--width", "3"),
+        "study": ("--model", "hardsquare", "--n-range", "1:2"),
+    }
+    refused = (2, "", "gibbspress: --budget must be nonnegative\n")
+    for command, argv in commands.items():
+        assert run_cli(capsys, command, *argv, "--budget", "-5") == refused
+    assert run_cli(capsys, "pressure", *commands["pressure"], "--budget", "0")[0] == 4
+    assert run_cli(capsys, "oracle", *commands["oracle"], "--budget", "0")[0] == 4
+    code, out, _ = run_cli(capsys, "study", *commands["study"], "--budget", "0")
+    assert code == 3 and out.count("budget: ") == 2
+
+
 def test_hypothesis_failures_exit_3(capsys):
     code, out, err = run_cli(
         capsys, "pressure", "--model", "checkerboard", "-k", "3", "--nu", "zeros", "--n", "1"

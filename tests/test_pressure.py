@@ -49,7 +49,7 @@ def ensemble_interval(z, v, n, phi):
     a0 = x.value((0, 0))
     deltas = admissible_configurations(c_n, phi)
     engine = RegionEngine(s_n, phi, target=(0, 0))
-    zvec = engine.evaluate_deltas([engine.terms_from_boundary(x.restrict(u_n))], list(c_n), deltas)
+    zvec = engine.evaluate_deltas(x.restrict(u_n), list(c_n), deltas)
     den = logsumexp(zvec, axis=1)
     ok = np.isfinite(den)
     p = np.exp(zvec[ok, a0] - den[ok])
@@ -660,7 +660,7 @@ def test_fallback_when_an_extreme_has_a_vanishing_denominator():
         extremes = pressure_mod._canopy_extremes(csites, order, STACKED)
         assert extremes is not None
         engine = RegionEngine(s_n, STACKED, target=(0, 0))
-        zvec = engine.evaluate_deltas([engine.terms_from_boundary(COLUMNS.restrict(u_n))], csites, extremes)
+        zvec = engine.evaluate_deltas(COLUMNS.restrict(u_n), csites, extremes)
         assert np.isneginf(logsumexp(zvec, axis=1)).sum() == 1
         pi = p_interval(COLUMNS, (0, 0), n, STACKED)
         assert pi.canopy_path == "ensemble" and pi.skipped_count > 0 and pi.lower < 1.0
@@ -747,7 +747,7 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
         x = z.shift(v)
         x_u, a0 = x.restrict(canopy.u_n), x.value((0, 0))
         upper = {(b, a): s for (a, b), s in x_u.symbols.items()}
-        zvec = engine.evaluate_deltas([engine.terms_from_boundary(Configuration(Region(upper), upper))], ref_sites, ref)
+        zvec = engine.evaluate_deltas(Configuration(Region(upper), upper), ref_sites, ref)
         assert canopy.bracket(x_u.symbols, a0) == pressure_mod._bracket(zvec, a0, n, "ensemble")
 
 

@@ -51,7 +51,8 @@ def test_ssf_hard_square_constant_witness():
     result = ssf_check(build_hard_square(1.0))
     assert result.satisfied
     assert result.witness_count == 16
-    assert set(result.witness.values()) == {0}
+    filled = result.fills.any(axis=-1)
+    assert set(result.fills.argmax(axis=-1)[filled].tolist()) == {0}
 
 
 def test_ssf_checkerboards():
@@ -95,7 +96,9 @@ def test_ssf_and_safe_symbol_equal_a_brute_scan(phi):
             counterexample = eta
     safe = [a for a in range(q) if np.isfinite([h[a], h[:, a], vt[a], vt[:, a]]).all()]
     result = ssf_check(phi)
-    assert list(result.witness.items()) == list(witness.items())
+    filled = result.fills.any(axis=-1)
+    smallest = {eta: int(result.fills[eta].argmax()) for eta in product(range(q), repeat=4) if filled[eta]}
+    assert list(smallest.items()) == list(witness.items())
     assert result.counterexample == counterexample
     assert safe_symbol_check(phi) == (safe[0] if safe else None)
 
@@ -224,9 +227,10 @@ def random_admissible_by_growth(region, phi, rng):
 
 
 def test_witness_extension_keeps_admissibility(rng):
-    """Greedy fill with the witness map grows admissible configurations."""
+    """Greedy fill with each neighbour configuration's smallest fill,
+    `fills[eta].argmax()`, grows admissible configurations."""
     for phi in (build_hard_square(1.0), build_checkerboard(5)):
-        witness = ssf_check(phi).witness
+        fills = ssf_check(phi).fills
         for _ in range(5):
             base = random_admissible_by_growth(box(2), phi, rng)
             assert is_locally_admissible(base, phi)
@@ -235,7 +239,8 @@ def test_witness_extension_keeps_admissibility(rng):
                 eta = tuple(
                     symbols.get((v[0] + dx, v[1] + dy), 0) for dx, dy in NEIGHBOR_OFFSETS
                 )
-                symbols[v] = witness[eta]
+                assert fills[eta].any()
+                symbols[v] = int(fills[eta].argmax())
             grown = Configuration(box(3), symbols)
             assert is_locally_admissible(grown, phi)
 

@@ -6,6 +6,7 @@ import pytest
 
 from gibbspress.errors import BudgetError, HypothesisError
 from gibbspress.interaction import (
+    EMPTY_CONFIGURATION,
     Alphabet,
     Configuration,
     Interaction,
@@ -590,21 +591,20 @@ def test_engine_target_vector_matches_pinned_runs():
     phi = build_checkerboard(3)
     region = Region([(0, 0), (1, 0), (0, 1), (1, 1)])
     engine = RegionEngine(region, phi, target=(0, 0))
-    zvec = engine.evaluate(engine.terms_from_boundary(Configuration(Region([]), {})))
+    zvec = engine.evaluate(Configuration(Region([]), {}))
     for a in range(3):
         pinned = log_partition(ConstrainedRegion(region, {(0, 0): (a,)}), phi)
         assert zvec[a] == pytest.approx(pinned, abs=1e-12)
 
 
 def test_evaluate_is_a_one_member_ensemble(rng):
-    """evaluate on boundary terms equals evaluate_deltas on the same
-    symbols as a one-member ensemble, exactly, also with pinned sites."""
+    """evaluate on a boundary configuration equals evaluate_deltas on the
+    same symbols as a one-member ensemble, exactly, also with pinned sites."""
 
     def check(engine, symbols, pins=None):
         sites = list(symbols)
-        static = [engine.terms_from_pins(pins or {})]
-        one = engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), symbols)), *static)
-        ens = engine.evaluate_deltas(static, sites, [[symbols[v] for v in sites]])
+        one = engine.evaluate(Configuration(Region(sites), symbols), pins or {})
+        ens = engine.evaluate_deltas(EMPTY_CONFIGURATION, sites, [[symbols[v] for v in sites]], pins or {})
         assert ens.shape[0] == 1
         if engine.target is None:
             assert isinstance(one, float) and one == ens[0]
@@ -644,10 +644,10 @@ def test_allowed_sets_are_set_valued_pins(monkeypatch):
     ring = boundary(region)
     for phi in (build_ising(0.4), build_checkerboard(3)):
         engine = RegionEngine(region, phi)
-        bterms = engine.terms_from_boundary(Configuration(ring, {v: (v[0] + v[1]) % 2 for v in ring}))
+        bcfg = Configuration(ring, {v: (v[0] + v[1]) % 2 for v in ring})
         pins = {(1, 0): tuple(range(phi.q - 1, -1, -1)), (0, 1): 1}
-        both = engine.evaluate(bterms, engine.terms_from_pins(pins))
-        singles = [engine.evaluate(bterms, engine.terms_from_pins({**pins, (1, 0): a})) for a in pins[(1, 0)]]
+        both = engine.evaluate(bcfg, pins)
+        singles = [engine.evaluate(bcfg, {**pins, (1, 0): a}) for a in pins[(1, 0)]]
         assert math.isfinite(both)
         assert both == pytest.approx(logsumexp(singles, axis=0), rel=0, abs=1e-12)
     with pytest.raises(ValueError, match="alphabet"):
@@ -673,7 +673,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert taken == [] and all(logw is None for _, logw in engine._trans)
     # 377 equal members and 377 states per row: the combine builds the one
     # matrix the 11 equal row pairs share
-    many = engine.evaluate_deltas([], *split_ensemble(engine, [], np.zeros((377, 0), dtype=np.int64)))
+    many = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, [], np.zeros((377, 0), dtype=np.int64)))
     built = {id(logw): logw for _, logw in engine._trans}
     assert taken == [True] and [logw.shape for logw in built.values()] == [(377, 377)]
     np.testing.assert_allclose(many, 144 * box12, rtol=1e-12, atol=0)
@@ -684,10 +684,9 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     upper = PeriodicPoint([[0]]).restrict(u_3)
     ensemble, single = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     assert max(len(row.configs) for row in ensemble.rows) == 34
-    got = ensemble.evaluate_deltas([ensemble.terms_from_boundary(upper)], *split_ensemble(ensemble, list(c_3), deltas))
+    got = ensemble.evaluate_deltas(upper, *split_ensemble(ensemble, list(c_3), deltas))
     assert all(logw is not None for _, logw in ensemble._trans)
-    static = [single.terms_from_boundary(upper)]
-    ones = np.concatenate([single.evaluate_deltas(static, list(c_3), d[None]) for d in deltas])
+    ones = np.concatenate([single.evaluate_deltas(upper, list(c_3), d[None]) for d in deltas])
     assert all(logw is None for _, logw in single._trans)
     np.testing.assert_allclose(got, ones, rtol=0, atol=1e-12)
 
@@ -708,11 +707,11 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         members = max(len(row.configs) for row in ensemble.rows)
         deltas = rng.integers(q, size=(members, len(ring)))
         taken.clear()
-        got = ensemble.evaluate_deltas([ensemble.terms_from_pins(allowed)], *split_ensemble(ensemble, ring, deltas))
+        got = ensemble.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(ensemble, ring, deltas), allowed)
         assert taken == [True] and all(logw is not None for _, logw in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
-            one = single.evaluate(single.terms_from_boundary(bcfg), single.terms_from_pins(allowed))
+            one = single.evaluate(bcfg, allowed)
             np.testing.assert_allclose(row, one, rtol=1e-12, atol=1e-12)
             want = brute_log_partition(ConstrainedRegion(region, allowed, bcfg), phi)
             assert logsumexp(np.atleast_1d(one), axis=0) == pytest.approx(want, abs=1e-10)
@@ -724,7 +723,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     assert 0.4074 < box_log_partition(14, hs) < box12  # decreasing toward log kappa = 0.40749...
     for n in range(1, 6):
         assert p_interval(PeriodicPoint([[0]]), (0, 0), n, hs).canopy_path == "extremes"
-    assert math.isfinite(engine.evaluate(engine.terms_from_pins({(5, 5): 1})))
+    assert math.isfinite(engine.evaluate(EMPTY_CONFIGURATION, {(5, 5): 1}))
     assert taken == [] and {id(logw) for _, logw in engine._trans} == set(built)
 
 
@@ -752,8 +751,8 @@ def test_target_may_sit_in_any_row(target, rng, monkeypatch):
         [brute_log_partition(ConstrainedRegion(region, {target: (a,)}, bcfg), phi) for a in range(q)] for bcfg in bcfgs
     ])
     assert np.isinf(want).any() and np.isfinite(want).any()
-    combined = engine.evaluate_deltas([], *split_ensemble(engine, ring, members))
-    forward = engine.evaluate_deltas([], ring, members)  # a member matrix runs the steps
+    combined = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, ring, members))
+    forward = engine.evaluate_deltas(EMPTY_CONFIGURATION, ring, members)  # a member matrix runs the steps
     assert taken == [True]
     for got in (combined, forward):
         assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -787,18 +786,50 @@ def test_forward_sweep_holds_one_rows_member_vectors():
     a0 = shifted.value((0, 0))
     engine = canopy.engine
     upper = {(y, x): a for (x, y), a in shifted.restrict(canopy.u_n).symbols.items()}
-    terms = engine.terms_from_boundary(Configuration(Region(upper), upper))
+    bcfg = Configuration(Region(upper), upper)
     extremes = _canopy_extremes(canopy.sites, monotone_check(hs, target=a0), hs)
     sites = [(y, x) for x, y in canopy.sites]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        zvec = engine.evaluate_deltas([terms], sites, extremes)
+        zvec = engine.evaluate_deltas(bcfg, sites, extremes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.isfinite(zvec).all()
     assert peak - start < 8 * len(extremes) * sum(len(row.configs) for row in engine.rows)
+
+
+def test_boundary_rows_are_gathered_as_the_sweep_reaches_them(monkeypatch):
+    """The engine forms a boundary's per-row vectors only as the forward
+    sweep reaches their rows: on a box with its whole ring pinned, when the
+    steps into row i run, the boundary has yielded no row past i."""
+    hs = build_hard_square(1.0)
+    region = Region((x, y) for x in range(4) for y in range(5))
+    ring = boundary(region)
+    cfg = Configuration(ring, {v: (v[0] + v[1]) % 2 for v in ring})
+    engine = RegionEngine(region, hs)
+    yielded, reached = [], []
+    exterior, run_steps = RegionEngine._exterior, transfer._run_steps
+
+    def spy_exterior(self, sites, symbols):
+        for i, vec in enumerate(exterior(self, sites, symbols)):
+            if len(sites):  # the boundary's rows, not the empty ensemble's
+                yielded.append(i)
+            yield vec
+
+    def spy_steps(v, steps):
+        reached.append(max(yielded))
+        return run_steps(v, steps)
+
+    monkeypatch.setattr(RegionEngine, "_exterior", spy_exterior)
+    monkeypatch.setattr(transfer, "_run_steps", spy_steps)
+    value = engine.evaluate(cfg)
+    assert yielded == list(range(len(engine.rows)))
+    assert len(reached) == len(engine.rows) - 1
+    assert all(last <= i for i, last in enumerate(reached, 1))
+    monkeypatch.undo()
+    assert value == log_partition(ConstrainedRegion(region, {}, cfg), hs)
 
 
 def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
@@ -809,12 +840,12 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
     s_3, u_3, c_3 = canopy_decomposition(3)
     deltas = admissible_configurations(c_3, hs)
     shared, fresh = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
-    static = [shared.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_3))]
-    shared.evaluate_deltas(static, *split_ensemble(shared, list(c_3), deltas))
+    upper = PeriodicPoint([[0]]).restrict(u_3)
+    shared.evaluate_deltas(upper, *split_ensemble(shared, list(c_3), deltas))
     assert all(logw is not None for _, logw in shared._trans)
     few = deltas[[0, -1]]
-    got = shared.evaluate_deltas(static, list(c_3), few)
-    assert np.array_equal(got, fresh.evaluate_deltas(static, list(c_3), few))
+    got = shared.evaluate_deltas(upper, list(c_3), few)
+    assert np.array_equal(got, fresh.evaluate_deltas(upper, list(c_3), few))
     assert all(logw is None for _, logw in fresh._trans)
 
 
@@ -852,23 +883,23 @@ def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, mon
     engine = RegionEngine(s_1, phi, target=target)
     # (-1, 0) touches both rows: a tail site whose terms reach the top row
     corner = (-1, 0)
-    static = []
+    upper, pins = EMPTY_CONFIGURATION, {}
     if pinned:
         upper = Region(v for v in u_1 if v != corner)
         upper = Configuration(upper, {v: int(a) for v, a in zip(upper, rng.integers(q, size=len(upper)))})
-        static = [engine.terms_from_boundary(upper), engine.terms_from_pins({(1, 1): (0, 1), (-1, 1): 1})]
+        pins = {(1, 1): (0, 1), (-1, 1): 1}
     head = [v for v in c_1 if v[1] >= 1]  # the canopy's top row and the side sites beside row y = 1
     tail = [v for v in c_1 if v not in head] + [corner]
     pool = rng.integers(q, size=(6, len(head)))
     members = np.column_stack([pool[rng.integers(6, size=60)], rng.integers(q, size=(60, len(tail)))])
     outs = []
     for sites, cols in ((head + tail, slice(None)), (head, slice(0, len(head))), (tail, slice(len(head), None))):
-        got = engine.evaluate_deltas(static, *split_ensemble(engine, sites, members[:, cols]))
+        got = engine.evaluate_deltas(upper, *split_ensemble(engine, sites, members[:, cols]), pins)
         outs.append(got.ravel())
         want = np.array([
-            engine.evaluate(*static, engine.terms_from_boundary(
-                Configuration(Region(sites), {v: int(a) for v, a in zip(sites, row)})
-            ))
+            engine.evaluate(Configuration(Region([*upper.symbols, *sites]), {
+                **upper.symbols, **{v: int(a) for v, a in zip(sites, row)}
+            }), pins)
             for row in members[:, cols]
         ])
         assert np.array_equal(np.isinf(got), np.isinf(want))
@@ -894,17 +925,17 @@ def test_combine_skips_dead_rows_and_empty_live_sets(soft, monkeypatch):
     s_1, _, c_1 = canopy_decomposition(1)
     engine = RegionEngine(s_1, phi, target=(0, 0))
     sites, members = list(c_1), admissible_configurations(c_1, phi)
-    got = engine.evaluate_deltas([], *split_ensemble(engine, sites, members))
+    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, sites, members))
     assert (calls != []) == soft
     calls.clear()
     lowest = engine.rows[-1].sites
-    dead = engine.terms_from_pins({lowest[0]: 0, lowest[1]: 0})  # two neighbours of one colour
-    none = engine.evaluate_deltas([dead], *split_ensemble(engine, sites, members))
+    dead = {lowest[0]: 0, lowest[1]: 0}  # two neighbours of one colour
+    none = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, sites, members), dead)
     assert taken == [True, True] and np.isneginf(none).all() and calls == []
     live = np.isfinite(got)
     assert [int(x.sum()) for x in (live.all(1), ~live.any(1), live.any(1) & ~live.all(1))] == [48, 12, 156]
     want = np.array([
-        engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), dict(zip(sites, row.tolist())))))
+        engine.evaluate(Configuration(Region(sites), dict(zip(sites, row.tolist()))))
         for row in members
     ])
     _assert_same_log_weights(got, want)
@@ -936,11 +967,11 @@ def test_combine_gives_dead_heads_minus_inf(soft, rng, monkeypatch):
     head_vecs = next(engine._exterior(split_sites[: len(head_cols)], ensemble.heads))
     dead = ~np.isfinite(head_vecs).any(-1)
     assert 0 < dead.sum() < len(dead)
-    got = engine.evaluate_deltas([], split_sites, ensemble)
+    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, split_sites, ensemble)
     assert taken == [True] and (calls != []) == soft
     assert np.isneginf(got[dead[ensemble.head_of]]).all() and np.isfinite(got).any()
     want = np.array([
-        engine.evaluate(engine.terms_from_boundary(Configuration(Region(sites), dict(zip(sites, row.tolist())))))
+        engine.evaluate(Configuration(Region(sites), dict(zip(sites, row.tolist()))))
         for row in members
     ])
     _assert_same_log_weights(got, want)
@@ -998,8 +1029,8 @@ def test_combine_matches_brute_origin_interval(k, monkeypatch):
     assert (pi.lower, pi.upper) == (pytest.approx(lo, abs=1e-12), pytest.approx(hi, abs=1e-12))
     engine, (sites, ensemble) = canopy.engine, canopy.deltas
     upper = {(y, x): a for (x, y), a in point.restrict(u_1).symbols.items()}
-    static = [engine.terms_from_boundary(Configuration(Region(upper), upper))]
-    forward = engine.evaluate_deltas(static, [(y, x) for x, y in sites], member_rows(ensemble))
+    bcfg = Configuration(Region(upper), upper)
+    forward = engine.evaluate_deltas(bcfg, [(y, x) for x, y in sites], member_rows(ensemble))
     assert taken == [True]
     live = np.isfinite(forward).any(axis=1)
     assert (pi.canopy_count, pi.skipped_count) == (live.sum(), (~live).sum())
@@ -1016,11 +1047,11 @@ def test_every_split_ensemble_meets_in_the_middle(n, monkeypatch):
     hs = build_hard_square(1.0)
     s_n, u_n, c_n = canopy_decomposition(n)
     engine = RegionEngine(s_n, hs, target=(0, 0))
-    static = [engine.terms_from_boundary(PeriodicPoint([[0]]).restrict(u_n))]
+    upper = PeriodicPoint([[0]]).restrict(u_n)
     deltas = admissible_configurations(c_n, hs)
-    got = engine.evaluate_deltas(static, *split_ensemble(engine, list(c_n), deltas))
+    got = engine.evaluate_deltas(upper, *split_ensemble(engine, list(c_n), deltas))
     assert taken == [True] and all(logw is not None for _, logw in engine._trans)
-    np.testing.assert_allclose(got, engine.evaluate_deltas(static, list(c_n), deltas), rtol=1e-12)
+    np.testing.assert_allclose(got, engine.evaluate_deltas(upper, list(c_n), deltas), rtol=1e-12)
 
 
 def _forbid_forward_sweeps(monkeypatch):
@@ -1050,10 +1081,10 @@ def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
     engine = RegionEngine(s_1, phi, target=(0, 0))
     taken = _spy_combine(monkeypatch)
     sweep = _forbid_forward_sweeps(monkeypatch)
-    got = engine.evaluate_deltas([], *split_ensemble(engine, list(c_1), deltas))
+    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, list(c_1), deltas))
     assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    _assert_same_log_weights(got, engine.evaluate_deltas([], list(c_1), deltas))
+    _assert_same_log_weights(got, engine.evaluate_deltas(EMPTY_CONFIGURATION, list(c_1), deltas))
 
 
 _SOFT = [[np.inf, 0, 300], [300, np.inf, 0], [0, 300, np.inf]]  # 3-colouring energies 0 and 300
@@ -1124,13 +1155,13 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
     _assert_diag3_forced(soft3, (0.0, 0.0))
     # members listed twice, in both orders, take their own pairs of the one join
-    engine, (static, sites, members), out = ensembles[0]
+    engine, (upper, sites, members), out = ensembles[0]
     twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
-    both = evaluate_deltas(engine, static, sites, SplitEnsemble(members.heads, members.tails, *twice))
+    both = evaluate_deltas(engine, upper, sites, SplitEnsemble(members.heads, members.tails, *twice))
     assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, member_rows(members)))
+    for engine, (upper, sites, members), out in ensembles:  # member rows run the forward steps
+        _assert_same_log_weights(out, evaluate_deltas(engine, upper, sites, member_rows(members)))
 
 
 @pytest.mark.parametrize("soft", ["vertical", "horizontal"])
@@ -1150,8 +1181,8 @@ def test_soft_3_colouring_sweeps_backward_in_the_log_domain(soft, monkeypatch):
     spread = max(transfer._exp_shifted(logw)[2] for engine, _, _ in ensembles for _, logw in engine._trans)
     assert (spread > 700) == (soft == "horizontal")
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
-    for engine, (static, sites, members), out in ensembles:  # member rows run the forward steps
-        _assert_same_log_weights(out, evaluate_deltas(engine, static, sites, member_rows(members)))
+    for engine, (upper, sites, members), out in ensembles:  # member rows run the forward steps
+        _assert_same_log_weights(out, evaluate_deltas(engine, upper, sites, member_rows(members)))
 
 
 @pytest.mark.parametrize(
@@ -1450,10 +1481,10 @@ def test_split_ensemble_heads_must_touch_the_top_row_only():
     one = np.zeros((1, 1), dtype=np.int64)
     both = SplitEnsemble(np.zeros((1, 2), dtype=np.int64), one[:, :0], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
     with pytest.raises(ValueError, match="head sites"):
-        engine.evaluate_deltas([], [top, low], both)
+        engine.evaluate_deltas(EMPTY_CONFIGURATION, [top, low], both)
     split = SplitEnsemble(one, one, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
-    got = engine.evaluate_deltas([], [top, low], split)
-    assert got[0] == engine.evaluate(engine.terms_from_boundary(Configuration(Region([top, low]), {top: 0, low: 0})))
+    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, [top, low], split)
+    assert got[0] == engine.evaluate(Configuration(Region([top, low]), {top: 0, low: 0}))
 
 
 def _strip_steps(m: int, phi: Interaction) -> list:
@@ -1551,4 +1582,4 @@ def test_out_of_range_inputs_are_refused():
         conditional_probability({(0, 0): 7}, cr, hs)
     engine = RegionEngine(origin, hs)
     with pytest.raises(ValueError, match="alphabet"):
-        engine.terms_from_pins({(0, 0): -1})
+        engine.evaluate(EMPTY_CONFIGURATION, {(0, 0): -1})
