@@ -19,7 +19,7 @@ import sys
 import time
 
 from .errors import BudgetError, HypothesisError, UsageError
-from .interaction import Interaction, build_checkerboard, build_full_shift, build_hard_square, build_ising, load_model_file
+from .interaction import Interaction, build_checkerboard, build_full_shift, build_hard_square, build_ising, json_int, load_model_file
 from .pressure import gk_pressure
 from .sft import (
     PeriodicPoint,
@@ -98,9 +98,9 @@ def _build_point(selector: str, phi: Interaction) -> PeriodicPoint:
         try:
             with open(path) as f:
                 obj = json.load(f)
-            p1, p2 = (int(v) for v in obj["periods"])
+            p1, p2 = map(json_int, obj["periods"])
             rows = obj["cell"]  # rows indexed by y, entries by x
-            point = PeriodicPoint([[int(rows[y][x]) for y in range(p2)] for x in range(p1)])
+            point = PeriodicPoint([[json_int(rows[y][x]) for y in range(p2)] for x in range(p1)])
         except (OSError, KeyError, IndexError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read point file {path}: {exc}") from exc
     else:

@@ -198,9 +198,16 @@ def interaction_to_json(phi: Interaction) -> dict:
     }
 
 
+def json_int(v):
+    """v itself if JSON read it as an integer, not as a float or a bool."""
+    if type(v) is not int:
+        raise TypeError(f"expected a JSON integer, not {v!r}")
+    return v
+
+
 def interaction_from_json(obj: dict, name: str = "custom") -> Interaction:
     try:
-        q = int(obj["alphabet_size"])
+        q = json_int(obj["alphabet_size"])
 
         def decode(rows) -> np.ndarray:
             table = np.array(

@@ -110,12 +110,18 @@ def canopy_decomposition(n: int) -> tuple[Region, Region, Region]:
     the past part of the exterior boundary of S_n (the upper layer), and C_n
     is the rest of that boundary (the canopy). No canopy site is adjacent to
     an upper-layer site, so configurations on the two pieces concatenate
-    freely.
+    freely. Each piece is listed directly: U_n is (x, -1) for x in 0..n and
+    (x, 0) for x < 0; C_n is the top row y = n + 1 and the columns beside
+    S_n, x = -n - 1 for y in 1..n and x = n + 1 for y in 0..n.
     """
     if n < 1:
         raise ValueError("canopy decomposition needs n >= 1")
-    s_n = box(n).difference(past_in_box(n))
-    bd = boundary(s_n)
-    u_n = Region(v for v in bd if in_past(v))
-    c_n = bd.difference(u_n)
+    rng = range(-n, n + 1)
+    s_n = Region([(x, 0) for x in range(n + 1)] + [(x, y) for y in range(1, n + 1) for x in rng])
+    u_n = Region([(x, -1) for x in range(n + 1)] + [(x, 0) for x in range(-n, 0)])
+    c_n = Region(
+        [(x, n + 1) for x in rng]
+        + [(-n - 1, y) for y in range(1, n + 1)]
+        + [(n + 1, y) for y in range(n + 1)]
+    )
     return s_n, u_n, c_n

@@ -23,11 +23,15 @@ class PeriodicPoint:
     __slots__ = ("cell",)
 
     def __init__(self, cell):
-        arr = np.asarray(cell, dtype=int)
+        arr = np.asarray(cell)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("cell must be a nonempty 2-d array")
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"cell symbols must be integers, not {arr.dtype}")
+        arr = arr.astype(int)  # a copy, so the caller cannot change the point
         if (arr < 0).any():
             raise ValueError("cell symbols must be nonnegative")
+        arr.flags.writeable = False
         self.cell = arr
 
     @property
@@ -153,13 +157,14 @@ def _attractive(logw: np.ndarray) -> bool:
     from fractions import Fraction  # not at module level: keeps the package import lean
 
     rows, cols = logw.shape
+    logw = logw.tolist()
     for i, i2 in combinations(range(rows), 2):
         for j, j2 in combinations(range(cols), 2):
-            cross = (logw[i, j2], logw[i2, j])
-            if not np.isfinite(cross).all():
+            cross = (logw[i][j2], logw[i2][j])
+            if not (math.isfinite(cross[0]) and math.isfinite(cross[1])):
                 continue
-            meet, join = logw[i, j], logw[i2, j2]
-            if not (np.isfinite(meet) and np.isfinite(join)):
+            meet, join = logw[i][j], logw[i2][j2]
+            if not (math.isfinite(meet) and math.isfinite(join)):
                 return False
             if Fraction(meet) + Fraction(join) < Fraction(cross[0]) + Fraction(cross[1]):
                 return False
@@ -195,7 +200,7 @@ def monotone_check(
         if target is not None and target not in (order[0][0], order[0][-1]):
             continue
         if all(
-            _attractive(-table[np.ix_(first, second)])
+            _attractive(-table[list(first)][:, list(second)])
             for table in phi.tables
             for first, second in (order, order[::-1])
         ):
@@ -235,9 +240,15 @@ def admissible_levels(sites: Sequence[Site], phi: Interaction, budget: int):
             i = col.get(u)
             if i is not None and i < j:
                 e = e + table[syms, cfg[:, i, None]]
-        e = np.broadcast_to(e, (len(cfg), k)).ravel()
+        if e.shape[1] != k:  # no edge to a placed site
+            e = e.repeat(k, axis=1)
+        e = e.ravel()
         keep = np.flatnonzero(~np.isposinf(e))
-        cfg = np.column_stack([cfg[keep // k], syms[keep % k]])
+        parent, symbol = np.divmod(keep, k)
+        nxt = np.empty((len(keep), j + 1), dtype=cfg.dtype)
+        nxt[:, :j] = cfg[parent]
+        nxt[:, j] = symbol
+        cfg = nxt
         energies = e[keep]
         yield keep, cfg, energies
 

@@ -235,6 +235,12 @@ def test_model_file_round_trip(capsys, tmp_path):
     doc = run_json(capsys, "check", "--model", f"file:{path}")
     assert doc["ssf"] is True and doc["safe_symbol"] == 0
 
+    # alphabet_size must be a JSON integer: 2.9 is refused, not read as 2
+    for q in (2.9, 2.0, True, "2"):
+        path.write_text(json.dumps({"alphabet_size": q, "horizontal": [[0, 0], [0, 0]], "vertical": [[0, 0], [0, 0]]}))
+        code, _, err = run_cli(capsys, "check", "--model", f"file:{path}")
+        assert code == 2 and "bad model definition" in err
+
 
 def test_point_file(capsys, tmp_path):
     path = tmp_path / "parity.json"
@@ -246,7 +252,19 @@ def test_point_file(capsys, tmp_path):
     assert len(doc["per_site"]) == 4
 
     bad = tmp_path / "bad.json"
-    for doc in ({}, {"periods": [1, 1], "cell": [[-1]]}, {"periods": [0, 1], "cell": [[]]}):
+    malformed = (
+        {},
+        {"periods": [1, 1], "cell": [[-1]]},
+        {"periods": [0, 1], "cell": [[]]},
+        # integer fields must be JSON integers, not truncated floats or bools
+        {"periods": [1, 1], "cell": [[0.9]]},
+        {"periods": [1, 1], "cell": [[0.0]]},
+        {"periods": [2, 1], "cell": [[0, True]]},
+        {"periods": [2.7, 1], "cell": [[0, 1]]},
+        {"periods": [1.0, 1], "cell": [[0]]},
+        {"periods": [True, 1], "cell": [[0]]},
+    )
+    for doc in malformed:
         bad.write_text(json.dumps(doc))
         code, _, err = run_cli(
             capsys, "pressure", "--model", "hardsquare", "--nu", f"file:{bad}", "--n", "1"

@@ -91,6 +91,19 @@ def test_canopy_structure(n):
             assert u in s_n or u in u_n or u in c_n
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_canopy_equals_the_definitional_split(n):
+    """The directly listed pieces equal S_n = box(n) minus its past and that
+    set's boundary split by `in_past`, in the same iteration order."""
+    s_n = box(n).difference(past_in_box(n))
+    bd = boundary(s_n)
+    u_n = Region(v for v in bd if in_past(v))
+    expected = (s_n, u_n, bd.difference(u_n))
+    got = canopy_decomposition(n)
+    assert got == expected
+    assert [list(piece) for piece in got] == [list(piece) for piece in expected]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_canopy_never_touches_upper_layer(n):
     _, u_n, c_n = canopy_decomposition(n)

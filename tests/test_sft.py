@@ -21,6 +21,7 @@ from gibbspress.lattice import NEIGHBOR_OFFSETS, Region, box, canopy_decompositi
 from gibbspress.pressure import admissible_configurations
 from gibbspress.sft import (
     PeriodicPoint,
+    admissible_levels,
     admissible_states,
     diagonal_3coloring_point,
     is_locally_admissible,
@@ -32,7 +33,7 @@ from gibbspress.sft import (
 )
 from gibbspress.transfer import RegionEngine
 
-from conftest import random_locally_admissible, region_components
+from conftest import model_gallery, random_interaction, random_locally_admissible, region_components
 
 
 def test_local_admissibility_examples():
@@ -170,6 +171,18 @@ def test_orbit_sites():
     assert sites == sorted(sites, key=site_key)
 
 
+def test_point_cells_are_integer_read_only_copies():
+    for cell in ([[0.9]], [[1.0, 0.0]], [[True]], [[None]], [["0"]]):
+        with pytest.raises(ValueError, match="integers"):
+            PeriodicPoint(cell)
+    source = np.array([[0, 1], [1, 0]], dtype=np.int8)
+    point = PeriodicPoint(source)
+    source[0, 0] = 1
+    assert point.cell.tolist() == [[0, 1], [1, 0]] and point.cell.dtype == np.dtype(int)
+    with pytest.raises(ValueError):
+        point.cell[0, 0] = 1
+
+
 def test_shift_acts_on_points():
     points = [diagonal_3coloring_point(), PeriodicPoint(np.arange(6).reshape(2, 3))]
     offsets = [(2, 1), (0, 0), (-1, -2), (-4, 1), (7, -5), (11, 13)]
@@ -293,6 +306,63 @@ def test_symbol_matrices_are_int8_up_to_127_symbols():
         assert cfg[-1].tolist() == [q - 1, q - 1]
 
 
+def _levels_by_brute_force(sites, phi):
+    """(keep, configs, energies) after each site of `sites`, from the whole
+    product of the level before: energies add each site's edges to placed
+    sites in `Interaction.edges` order, as the enumerator does."""
+    q = phi.q
+    cfgs, energies = [()], [0.0]
+    for j, v in enumerate(sites):
+        placed = {u: i for i, u in enumerate(sites[:j])}
+        keep, nxt_cfgs, nxt_energies = [], [], []
+        for parent, (c, e) in enumerate(zip(cfgs, energies)):
+            for a in range(q):
+                e_a = e
+                for u, table in phi.edges(v):
+                    if u in placed:
+                        e_a = e_a + table[a, c[placed[u]]]
+                if e_a != math.inf:
+                    keep.append(parent * q + a)
+                    nxt_cfgs.append(c + (a,))
+                    nxt_energies.append(e_a)
+        cfgs, energies = nxt_cfgs, nxt_energies
+        yield keep, cfgs, energies
+
+
+def _with_forbidden(phi, rng, share=0.3):
+    """phi with a random share of its pairs forbidden, all but (0, 0), so
+    that the all-zero configuration stays admissible."""
+    h, v = (np.where(rng.random(t.shape) < share, np.inf, t) for t in (phi.horizontal, phi.vertical))
+    h[0, 0], v[0, 0] = phi.horizontal[0, 0], phi.vertical[0, 0]
+    return Interaction(Alphabet(phi.q), h, v)
+
+
+def test_every_level_matches_the_filtered_product():
+    """Each level of admissible_levels, keep indices, symbol matrix (int8,
+    or int64 above 127 symbols) and energies, equals the filtered product
+    of the level before, bit for bit, over a gapped site order."""
+    rng = np.random.default_rng(34)
+    gapped = [(1, 1), (0, 0), (3, 0), (1, 0), (0, 1), (2, 1), (5, 4)]
+    models = [build_hard_square(2.0), build_checkerboard(3), build_ising(0.3)]
+    models += [_with_forbidden(random_interaction(q, rng), rng) for q in (2, 3) for _ in range(3)]
+    wide = np.where(np.add.outer(np.arange(128), np.arange(128)) % 5 == 0, np.inf, 0.25)
+    cases = [(phi, gapped) for phi in models] + [(Interaction(Alphabet(128), wide, wide.T), [(1, 0), (0, 0)])]
+    for phi, sites in cases:
+        dtype = np.int8 if phi.q <= 127 else np.int64
+        levels = admissible_levels(sites, phi, 1 << 20)
+        keep, cfg, energies = next(levels)
+        assert keep is None and cfg.shape == (1, 0) and cfg.dtype == dtype and energies.tolist() == [0.0]
+        expected = list(_levels_by_brute_force(sites, phi))
+        got = list(levels)
+        assert len(got) == len(expected) == len(sites)
+        for (keep, cfg, energies), (want_keep, want_cfgs, want_energies) in zip(got, expected):
+            assert keep.tolist() == want_keep
+            assert cfg.dtype == dtype and cfg.shape == (len(want_cfgs), cfg.shape[1])
+            assert [tuple(c) for c in cfg.tolist()] == want_cfgs
+            assert energies.tolist() == want_energies
+        assert 0 < len(expected[-1][1]) < phi.q ** len(sites) or phi.name.startswith("ising")
+
+
 def test_region_components():
     region = Region([(0, 0), (1, 0), (5, 5), (5, 6), (9, 0)])
     comps = region_components(region)
@@ -342,6 +412,39 @@ def test_monotone_check_verdicts(rng):
     table = rng.uniform(-2.0, 2.0, size=(3, 3))
     table[0, 0] = table[0, 1] + table[1, 0] - table[1, 1] + 1.0
     assert monotone_check(Interaction(Alphabet(3), table, table.T)) is None
+
+
+GALLERY_ORDERS = {  # monotone_check(phi) and monotone_check(phi, target=a) for each symbol a
+    "hardsquare(lambda=0.5)": (FLIP, [FLIP, FLIP]),
+    "hardsquare(lambda=1)": (FLIP, [FLIP, FLIP]),
+    "hardsquare(lambda=2)": (FLIP, [FLIP, FLIP]),
+    "checkerboard(k=2)": (FLIP, [FLIP, FLIP]),
+    "checkerboard(k=3)": (None, [None] * 3),
+    "checkerboard(k=5)": (None, [None] * 5),
+    "ising(beta=0)": (IDENTITY, [IDENTITY, IDENTITY]),
+    "ising(beta=0.3)": (IDENTITY, [IDENTITY, IDENTITY]),
+    "fullshift(q=2)": (IDENTITY, [IDENTITY, IDENTITY]),
+    "fullshift(q=3)": (((0, 1, 2),) * 2, [((0, 1, 2),) * 2, None, ((0, 1, 2),) * 2]),
+}
+
+
+def test_monotone_check_gallery_verdicts():
+    for phi in model_gallery():
+        assert (monotone_check(phi), [monotone_check(phi, a) for a in range(phi.q)]) == GALLERY_ORDERS[phi.name]
+
+
+def test_monotone_check_compares_rationals_not_float_sums():
+    """Horizontal log-weights L = [[1e16, 1e16], [1, 0.5]]: L[0,0] + L[1,1]
+    and L[0,1] + L[1,0] round to the same float, but exactly 1e16 + 0.5 <
+    1e16 + 1, so L is supermodular only after the flip. The ferromagnetic
+    vertical log-weights are supermodular only under the identity, so no
+    order certifies; float sums would tie and certify the identity."""
+    logw = np.array([[1e16, 1e16], [1.0, 0.5]])
+    assert logw[0, 0] + logw[1, 1] == logw[0, 1] + logw[1, 0]
+    ferro = -np.eye(2)
+    assert monotone_check(Interaction(Alphabet(2), -logw, ferro)) is None
+    assert monotone_check(Interaction(Alphabet(2), -logw, np.zeros((2, 2)))) == FLIP
+    assert monotone_check(Interaction(Alphabet(2), -logw[::-1], ferro)) == IDENTITY
 
 
 def test_monotone_check_target_must_be_extremal():
