@@ -120,8 +120,8 @@ def _canopy_extremes(
 
 
 def _pairs(head: Region, heads: np.ndarray, tail: Region, tails: np.ndarray, phi: Interaction, budget: int):
-    """The (head, tail) pairs, head major, whose head-tail edges all have
-    finite energy, over the heads and tails in some pair, kept in order.
+    """The `SplitEnsemble` of the (head, tail) pairs whose head-tail edges
+    all have finite energy, over the heads and tails in some pair, in order.
     Refused when the len(heads) x len(tails) candidates exceed the budget."""
     held = len(heads) * len(tails)
     if held > budget:
@@ -133,8 +133,7 @@ def _pairs(head: Region, heads: np.ndarray, tail: Region, tails: np.ndarray, phi
             if u in col:
                 ok &= np.isfinite(table[heads[:, i, None], tails[None, :, col[u]]])
     kept = ok.any(axis=1), ok.any(axis=0)
-    head_of, tail_of = (np.cumsum(k)[i] - 1 for k, i in zip(kept, np.nonzero(ok)))  # renumbered past those dropped
-    return SplitEnsemble(heads[kept[0]], tails[kept[1]], head_of, tail_of)
+    return SplitEnsemble(heads[kept[0]], tails[kept[1]], ok[np.ix_(*kept)])
 
 
 def _relabelling(source: tuple[int, ...], target: tuple[int, ...], q: int) -> np.ndarray | None:
@@ -155,14 +154,12 @@ def _relabelling(source: tuple[int, ...], target: tuple[int, ...], q: int) -> np
 def _bracket(zvec: np.ndarray, a0: int, n: int, path: str) -> PInterval:
     """Min/max of the origin conditional over members with a finite
     denominator, those with a finite entry; the others are counted as
-    skipped, and only the kept rows go through the logsumexp. p <= 1 holds
-    in floating point: den = m + log(sum) with m >= zvec[:, a0] and
-    sum >= 1."""
+    skipped; the logsumexp is row-wise, so kept rows need no copy. p <= 1
+    holds in floating point: den = m + log(sum), m >= zvec[:, a0], sum >= 1."""
     ok = np.isfinite(zvec).any(axis=1)
     if not ok.any():
         raise HypothesisError("empty canopy ensemble")
-    kept = zvec[ok]
-    p = np.exp(kept[:, a0] - logsumexp(kept, axis=1))
+    p = np.exp(zvec[ok, a0] - logsumexp(zvec, axis=1)[ok])
     return PInterval(
         lower=float(p.min()),
         upper=float(p.max()),

@@ -283,16 +283,16 @@ def _run_steps(v: np.ndarray, steps) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # fields are arrays: compared by identity
 class SplitEnsemble:
-    """Ensemble members as (head, tail) pairs: member i is heads[head_of[i]]
-    followed by tails[tail_of[i]]. `len()` counts members."""
+    """Ensemble members as (head, tail) pairs: each True entry (h, t) of the
+    (len(heads), len(tails)) bool mask `pairs`, in row-major (head major)
+    order, is one member, heads[h] followed by tails[t]. `len()` counts them."""
 
     heads: np.ndarray
     tails: np.ndarray
-    head_of: np.ndarray
-    tail_of: np.ndarray
+    pairs: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.head_of)
+        return int(np.count_nonzero(self.pairs))
 
 
 class RegionEngine:
@@ -325,10 +325,10 @@ class RegionEngine:
     One backward sweep runs per tail and target symbol, from the lowest row
     up, through each transition's S_r x S_s log-weights, built and kept
     only here; over the top row's states every head vector then joins every
-    backward vector, and each member takes its pair. Both products go
-    through `_log_products`, which forms them over live rows only, those
-    with a finite entry, on either side: a pair with a row of -inf is -inf
-    without a product.
+    backward vector, and the ensemble's pair mask picks the members. Both
+    products go through `_log_products`, which forms them over live rows
+    only, those with a finite entry, on either side: a pair with a row of
+    -inf is -inf without a product.
     """
 
     def __init__(
@@ -470,13 +470,13 @@ class RegionEngine:
 
         delta_matrix has one row per ensemble member, one column per site of
         delta_sites, as a symbol matrix or as a `SplitEnsemble` whose head
-        columns come first. Returns (n_deltas,) log partitions, or
-        (n_deltas, q) split by the target symbol when a target is set. A
-        split ensemble meets in the middle as it is (`_combine`). A symbol
-        matrix runs one forward sweep over all its members; each row's
-        vectors, its shared log-weights (internal energies plus boundary and
-        pin terms) and the members' exterior sum, are formed only when the
-        sweep reaches that row.
+        columns come first. Returns (n_deltas,) log partitions, in member
+        (for a split ensemble, pair-mask) order, or (n_deltas, q) split by
+        the target symbol when a target is set. A split ensemble meets in the
+        middle as it is (`_combine`). A symbol matrix runs one forward sweep
+        over all its members; each row's vectors, its shared log-weights
+        (internal energies plus boundary and pin terms) and the members'
+        exterior sum, are formed only when the sweep reaches that row.
         """
         if not isinstance(delta_matrix, SplitEnsemble):
             delta_matrix = np.asarray(delta_matrix)
@@ -511,10 +511,10 @@ class RegionEngine:
 
         `_backward` gives one vector per tail and output, `_log_products`
         joins every head vector to every backward vector over the top row's
-        states, and each member takes its (head, tail) pair. A head column
-        whose site is not a head site (`is_head`) is refused. The
-        transitions' log-weights are built on first use, by running their
-        steps on the log identity.
+        states, and the ensemble's pair mask picks the members from the join,
+        head major. A head column whose site is not a head site (`is_head`)
+        is refused. The transitions' log-weights are built on first use, by
+        running their steps on the log identity.
         """
         split = ensemble.heads.shape[1]
         if not all(map(self.is_head, delta_sites[:split])):
@@ -531,7 +531,7 @@ class RegionEngine:
         tails = list(self._exterior(delta_sites[split:], ensemble.tails))
         vecs = [b[None, :] if t is None else t + b for t, b in zip(tails, base)]
         joined = _log_products(heads, self._backward(vecs)).reshape(len(heads), len(ensemble.tails), -1)
-        return joined[ensemble.head_of, ensemble.tail_of]
+        return joined[ensemble.pairs]
 
     def _backward(self, vecs: list[np.ndarray]) -> np.ndarray:
         """The row sweep run from the lowest row up, through each
@@ -565,8 +565,11 @@ def _log_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
     (ea, ma, sa), (eb, mb, sb) = _exp_shifted(a), _exp_shifted(b)
     if sa + sb <= _SPREAD:
+        z = ea @ eb.T
         with np.errstate(divide="ignore"):
-            z = np.log(ea @ eb.T) + ma + mb.T
+            np.log(z, out=z)
+        z += ma
+        z += mb.T
     else:
         step = max(1, _ENTRIES // b.size)
         z = np.concatenate([logsumexp(a[lo : lo + step, None] + b, axis=-1) for lo in range(0, len(a), step)])

@@ -6,8 +6,9 @@ with the transfer engine except the model tables themselves. There are two
 exceptions: `stage_transfer_steps` builds the engine's transfer steps the
 slow way, by enumerating every stage on its own, in their dense form, which
 `dense_sweep` runs, and `split_ensemble` splits
-a member matrix into distinct heads and tails for the engine's meet in the
-middle, by sorting its rows, which `member_rows` joins back.
+a member matrix into distinct heads and tails and the mask of the pairs it
+holds, for the engine's meet in the middle, by sorting its rows, which
+`member_rows` joins back.
 """
 
 from __future__ import annotations
@@ -207,20 +208,32 @@ def dense_sweep(v, steps) -> np.ndarray:
 def split_ensemble(engine, sites, members):
     """The head and tail split of a member matrix for `engine`'s meet in the
     middle: head sites are those `engine.is_head` names, tail sites the
-    rest. Returns the sites, head sites then tail sites, and the
+    rest. Returns the sites, head sites then tail sites; the
     `SplitEnsemble` of the distinct heads and tails, each in lexicographic
-    order (`np.unique` on rows), with every member in its row order."""
+    order (`np.unique` on rows), whose mask holds each distinct member once;
+    and each row's position among the mask's members, which takes an output
+    in mask order back to the rows of `members`."""
     members = np.asarray(members)
     head = [j for j, v in enumerate(sites) if engine.is_head(v)]
     tail = [j for j in range(len(sites)) if j not in head]
-    (heads, head_of), (tails, tail_of) = (
-        np.unique(members[:, part], axis=0, return_inverse=True) for part in (head, tail)
-    )
-    split = transfer.SplitEnsemble(heads, tails, head_of.reshape(-1), tail_of.reshape(-1))
-    return [sites[j] for j in head + tail], split
+    (heads, hi), (tails, ti) = (np.unique(members[:, part], axis=0, return_inverse=True) for part in (head, tail))
+    hi, ti = hi.reshape(-1), ti.reshape(-1)
+    pairs = np.zeros((len(heads), len(tails)), dtype=bool)
+    pairs[hi, ti] = True
+    order = np.cumsum(pairs.ravel())[hi * len(tails) + ti] - 1
+    return [sites[j] for j in head + tail], transfer.SplitEnsemble(heads, tails, pairs), order
+
+
+def combined(engine, boundary, sites, members, *pins):
+    """`engine.evaluate_deltas` of the `split_ensemble` of a member matrix,
+    which meets in the middle, with its outputs taken back to the rows of
+    `members`."""
+    split_sites, ensemble, order = split_ensemble(engine, sites, members)
+    return engine.evaluate_deltas(boundary, split_sites, ensemble, *pins)[order]
 
 
 def member_rows(ensemble: transfer.SplitEnsemble) -> np.ndarray:
-    """The member matrix of a split ensemble: member i's head columns, then
-    its tail columns, in member order."""
-    return np.column_stack([ensemble.heads[ensemble.head_of], ensemble.tails[ensemble.tail_of]])
+    """The member matrix of a split ensemble: each member's head columns,
+    then its tail columns, in the mask's row-major order."""
+    h, t = np.nonzero(ensemble.pairs)
+    return np.column_stack([ensemble.heads[h], ensemble.tails[t]])

@@ -29,12 +29,14 @@ from gibbspress.pressure import (
 from gibbspress.sft import (
     PeriodicPoint,
     diagonal_3coloring_point,
+    is_locally_admissible,
     monotone_check,
     orbit_sites,
     periodic_point_from_ssf,
 )
 from gibbspress.transfer import DEFAULT_BUDGET, RegionEngine, logsumexp
 
+from conftest import random_interaction
 from oracles import brute_origin_interval, member_rows, split_ensemble
 
 ZEROS = PeriodicPoint([[0]])
@@ -721,9 +723,9 @@ _SPLIT_CASES = [
 @pytest.mark.parametrize("z, n, phi", _SPLIT_CASES)
 def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
     """The canopy ensemble built from its heads and tails holds exactly the
-    rows of the whole canopy's enumeration, and its heads and tails are
-    those the matrix splits into, in the same order. Every bracket, swept
-    on the ensemble path (monotone_check patched out), equals field for field the
+    rows of the whole canopy's enumeration, and its heads, tails and pair
+    mask are those the matrix splits into, in the same order. Every bracket,
+    swept on the ensemble path (monotone_check patched out), equals field for field the
     one from sweeping the whole canopy's matrix split by `split_ensemble`.
     Under ENDS some enumerated heads and tails pair with nothing and are
     dropped."""
@@ -735,9 +737,9 @@ def test_split_canopy_ensemble_equals_the_whole_canopy(z, n, phi, monkeypatch):
     assert len(members) == len(matrix) and np.array_equal(np.unique(members, axis=0), matrix)
 
     engine = canopy.engine
-    ref_sites, ref = split_ensemble(engine, [(y, x) for x, y in canopy.sites], matrix)
+    ref_sites, ref, _ = split_ensemble(engine, [(y, x) for x, y in canopy.sites], matrix)
     assert ref_sites == [(y, x) for x, y in sites]
-    assert np.array_equal(ref.heads, split.heads) and np.array_equal(ref.tails, split.tails)
+    assert all(np.array_equal(getattr(ref, f), getattr(split, f)) for f in ("heads", "tails", "pairs"))
     h = split.heads.shape[1]
     enumerated = [len(admissible_configurations(Region(part), phi)) for part in (sites[:h], sites[h:])]
     dropped = enumerated[0] > len(split.heads) and enumerated[1] > len(split.tails)
@@ -779,6 +781,37 @@ def test_canopy_ensemble_budget_is_its_candidate_pairs(n, phi, needed):
     admissible_configurations(canopy_decomposition(n)[2], phi, budget=needed)
     with pytest.raises(BudgetError, match=f"needs {needed} states"):
         admissible_configurations(canopy_decomposition(n)[2], phi, budget=needed - 1)
+
+
+def test_pairs_mask_holds_every_compatible_head_and_tail(rng):
+    """`_pairs` keeps, in order, the heads and tails that pair with some
+    tail or head, and its mask holds exactly the (head, tail) pairs whose
+    joint configuration is locally admissible, each once, head major:
+    checked pair by pair on the canopy split at n = 1 under random tables
+    with forbidden entries, where some heads and some tails pair with
+    nothing."""
+    dropped = np.zeros(2, dtype=int)
+    for _ in range(12):
+        q = int(rng.integers(2, 4))
+        tables = random_interaction(q, rng).tables
+        phi = Interaction(Alphabet(q), *(np.where(rng.random((q, q)) < 0.4, np.inf, t) for t in tables))
+        canopy = pressure_mod._Canopy(1, phi)
+        head = Region(v for v in canopy.sites if canopy.engine.is_head((v[1], v[0])))
+        tail = canopy.c_n.difference(head)
+        heads, tails = (admissible_configurations(part, phi) for part in (head, tail))
+        split = pressure_mod._pairs(head, heads, tail, tails, phi, DEFAULT_BUDGET)
+        joint = Region([*head, *tail])
+        ok = np.array([
+            is_locally_admissible(Configuration(joint, dict(zip([*head, *tail], [*h.tolist(), *t.tolist()]))), phi)
+            for h in heads for t in tails
+        ], dtype=bool).reshape(len(heads), len(tails))
+        kept = ok.any(axis=1), ok.any(axis=0)
+        assert np.array_equal(split.heads, heads[kept[0]]) and np.array_equal(split.tails, tails[kept[1]])
+        assert split.pairs.dtype == bool and np.array_equal(split.pairs, ok[np.ix_(*kept)])
+        want = [[*heads[i], *tails[j]] for i, j in zip(*np.nonzero(ok))]
+        assert len(split) == len(want) and member_rows(split).tolist() == want
+        dropped += [(~k).sum() for k in kept]
+    assert dropped.all()
 
 
 _UNIT = st.floats(-2.0, 2.0, allow_nan=False)

@@ -38,6 +38,7 @@ from oracles import (
     brute_log_partition,
     brute_origin_interval,
     brute_strip_log_lambda,
+    combined,
     dense_sweep,
     member_rows,
     split_ensemble,
@@ -671,9 +672,9 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     engine = RegionEngine(Region((x, y) for x in range(12) for y in range(12)), hs)
     assert engine.evaluate() == pytest.approx(144 * box12, abs=1e-12)
     assert taken == [] and all(logw is None for _, logw in engine._trans)
-    # 377 equal members and 377 states per row: the combine builds the one
-    # matrix the 11 equal row pairs share
-    many = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, [], np.zeros((377, 0), dtype=np.int64)))
+    # 377 equal members, one in the mask, and 377 states per row: the
+    # combine builds the one matrix the 11 equal row pairs share
+    many = combined(engine, EMPTY_CONFIGURATION, [], np.zeros((377, 0), dtype=np.int64))
     built = {id(logw): logw for _, logw in engine._trans}
     assert taken == [True] and [logw.shape for logw in built.values()] == [(377, 377)]
     np.testing.assert_allclose(many, 144 * box12, rtol=1e-12, atol=0)
@@ -684,7 +685,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
     upper = PeriodicPoint([[0]]).restrict(u_3)
     ensemble, single = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     assert max(len(row.configs) for row in ensemble.rows) == 34
-    got = ensemble.evaluate_deltas(upper, *split_ensemble(ensemble, list(c_3), deltas))
+    got = combined(ensemble, upper, list(c_3), deltas)
     assert all(logw is not None for _, logw in ensemble._trans)
     ones = np.concatenate([single.evaluate_deltas(upper, list(c_3), d[None]) for d in deltas])
     assert all(logw is None for _, logw in single._trans)
@@ -707,7 +708,7 @@ def test_transfer_steps_and_matrices_agree(rng, monkeypatch):
         members = max(len(row.configs) for row in ensemble.rows)
         deltas = rng.integers(q, size=(members, len(ring)))
         taken.clear()
-        got = ensemble.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(ensemble, ring, deltas), allowed)
+        got = combined(ensemble, EMPTY_CONFIGURATION, ring, deltas, allowed)
         assert taken == [True] and all(logw is not None for _, logw in ensemble._trans)
         for d, row in zip(deltas, got):
             bcfg = Configuration(Region(ring), dict(zip(ring, d.tolist())))
@@ -751,10 +752,10 @@ def test_target_may_sit_in_any_row(target, rng, monkeypatch):
         [brute_log_partition(ConstrainedRegion(region, {target: (a,)}, bcfg), phi) for a in range(q)] for bcfg in bcfgs
     ])
     assert np.isinf(want).any() and np.isfinite(want).any()
-    combined = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, ring, members))
+    joined = combined(engine, EMPTY_CONFIGURATION, ring, members)
     forward = engine.evaluate_deltas(EMPTY_CONFIGURATION, ring, members)  # a member matrix runs the steps
     assert taken == [True]
-    for got in (combined, forward):
+    for got in (joined, forward):
         assert np.array_equal(np.isinf(got), np.isinf(want))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -841,7 +842,7 @@ def test_small_sweep_ignores_a_matrix_an_earlier_sweep_built():
     deltas = admissible_configurations(c_3, hs)
     shared, fresh = (RegionEngine(s_3, hs, target=(0, 0)) for _ in range(2))
     upper = PeriodicPoint([[0]]).restrict(u_3)
-    shared.evaluate_deltas(upper, *split_ensemble(shared, list(c_3), deltas))
+    combined(shared, upper, list(c_3), deltas)
     assert all(logw is not None for _, logw in shared._trans)
     few = deltas[[0, -1]]
     got = shared.evaluate_deltas(upper, list(c_3), few)
@@ -894,7 +895,7 @@ def test_combine_matches_per_member_forward_evaluate(q, target, pinned, rng, mon
     members = np.column_stack([pool[rng.integers(6, size=60)], rng.integers(q, size=(60, len(tail)))])
     outs = []
     for sites, cols in ((head + tail, slice(None)), (head, slice(0, len(head))), (tail, slice(len(head), None))):
-        got = engine.evaluate_deltas(upper, *split_ensemble(engine, sites, members[:, cols]), pins)
+        got = combined(engine, upper, sites, members[:, cols], pins)
         outs.append(got.ravel())
         want = np.array([
             engine.evaluate(Configuration(Region([*upper.symbols, *sites]), {
@@ -925,12 +926,12 @@ def test_combine_skips_dead_rows_and_empty_live_sets(soft, monkeypatch):
     s_1, _, c_1 = canopy_decomposition(1)
     engine = RegionEngine(s_1, phi, target=(0, 0))
     sites, members = list(c_1), admissible_configurations(c_1, phi)
-    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, sites, members))
+    got = combined(engine, EMPTY_CONFIGURATION, sites, members)
     assert (calls != []) == soft
     calls.clear()
     lowest = engine.rows[-1].sites
     dead = {lowest[0]: 0, lowest[1]: 0}  # two neighbours of one colour
-    none = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, sites, members), dead)
+    none = combined(engine, EMPTY_CONFIGURATION, sites, members, dead)
     assert taken == [True, True] and np.isneginf(none).all() and calls == []
     live = np.isfinite(got)
     assert [int(x.sum()) for x in (live.all(1), ~live.any(1), live.any(1) & ~live.all(1))] == [48, 12, 156]
@@ -963,18 +964,18 @@ def test_combine_gives_dead_heads_minus_inf(soft, rng, monkeypatch):
     tail_cols = [j for j in range(len(sites)) if j not in head_cols]
     members[:, head_cols] = heads
     members[:, tail_cols] = rng.integers(3, size=(len(heads), len(tail_cols)))
-    split_sites, ensemble = split_ensemble(engine, sites, members)
+    split_sites, ensemble, order = split_ensemble(engine, sites, members)
     head_vecs = next(engine._exterior(split_sites[: len(head_cols)], ensemble.heads))
     dead = ~np.isfinite(head_vecs).any(-1)
     assert 0 < dead.sum() < len(dead)
     got = engine.evaluate_deltas(EMPTY_CONFIGURATION, split_sites, ensemble)
     assert taken == [True] and (calls != []) == soft
-    assert np.isneginf(got[dead[ensemble.head_of]]).all() and np.isfinite(got).any()
+    assert np.isneginf(got[dead[np.nonzero(ensemble.pairs)[0]]]).all() and np.isfinite(got).any()
     want = np.array([
         engine.evaluate(Configuration(Region(sites), dict(zip(sites, row.tolist()))))
         for row in members
     ])
-    _assert_same_log_weights(got, want)
+    _assert_same_log_weights(got[order], want)
 
 
 @pytest.mark.parametrize("n, counts", [(2, ((681, 2775), (1681, 1775))), (3, ((6974, 48322), (25553, 29743)))])
@@ -1049,7 +1050,7 @@ def test_every_split_ensemble_meets_in_the_middle(n, monkeypatch):
     engine = RegionEngine(s_n, hs, target=(0, 0))
     upper = PeriodicPoint([[0]]).restrict(u_n)
     deltas = admissible_configurations(c_n, hs)
-    got = engine.evaluate_deltas(upper, *split_ensemble(engine, list(c_n), deltas))
+    got = combined(engine, upper, list(c_n), deltas)
     assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     np.testing.assert_allclose(got, engine.evaluate_deltas(upper, list(c_n), deltas), rtol=1e-12)
 
@@ -1081,7 +1082,7 @@ def test_wide_spread_combines_in_the_log_domain(rng, monkeypatch):
     engine = RegionEngine(s_1, phi, target=(0, 0))
     taken = _spy_combine(monkeypatch)
     sweep = _forbid_forward_sweeps(monkeypatch)
-    got = engine.evaluate_deltas(EMPTY_CONFIGURATION, *split_ensemble(engine, list(c_1), deltas))
+    got = combined(engine, EMPTY_CONFIGURATION, list(c_1), deltas)
     assert taken == [True] and all(logw is not None for _, logw in engine._trans)
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     _assert_same_log_weights(got, engine.evaluate_deltas(EMPTY_CONFIGURATION, list(c_1), deltas))
@@ -1154,11 +1155,7 @@ def test_soft_3_colouring_combines_in_the_log_domain(monkeypatch):
     brackets, ensembles, evaluate_deltas, sweep = _parity_ensembles(soft3, 2, monkeypatch)
     assert {(p.lower, p.upper, p.canopy_path) for p in brackets} == {(0.0, 1.0, "ensemble")}
     _assert_diag3_forced(soft3, (0.0, 0.0))
-    # members listed twice, in both orders, take their own pairs of the one join
-    engine, (upper, sites, members), out = ensembles[0]
-    twice = [np.concatenate([a, a[::-1]]) for a in (members.head_of, members.tail_of)]
-    both = evaluate_deltas(engine, upper, sites, SplitEnsemble(members.heads, members.tails, *twice))
-    assert len(members) == 3456 and np.array_equal(both, np.concatenate([out, out[::-1]]))
+    assert len(ensembles[0][1][2]) == 3456
     monkeypatch.setattr(RegionEngine, "_sweep", sweep)
     for engine, (upper, sites, members), out in ensembles:  # member rows run the forward steps
         _assert_same_log_weights(out, evaluate_deltas(engine, upper, sites, member_rows(members)))
@@ -1479,10 +1476,10 @@ def test_split_ensemble_heads_must_touch_the_top_row_only():
     top, low = (-1, 2), (-1, -2)  # beside the top row y = 1, beside the lowest row y = -1
     assert engine.is_head(top) and not engine.is_head(low)
     one = np.zeros((1, 1), dtype=np.int64)
-    both = SplitEnsemble(np.zeros((1, 2), dtype=np.int64), one[:, :0], np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    both = SplitEnsemble(np.zeros((1, 2), dtype=np.int64), one[:, :0], np.ones((1, 1), dtype=bool))
     with pytest.raises(ValueError, match="head sites"):
         engine.evaluate_deltas(EMPTY_CONFIGURATION, [top, low], both)
-    split = SplitEnsemble(one, one, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp))
+    split = SplitEnsemble(one, one, np.ones((1, 1), dtype=bool))
     got = engine.evaluate_deltas(EMPTY_CONFIGURATION, [top, low], split)
     assert got[0] == engine.evaluate(Configuration(Region([top, low]), {top: 0, low: 0}))
 
